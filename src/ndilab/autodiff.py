@@ -290,28 +290,33 @@ class Layer:
     spectral_norm: bool = False
     u: Array | None = None   # persistent power-iteration vector
     sigma: float = 1.0       # current top-singular-value estimate
+    mask: Array | None = None  # fixed 0/1 connectivity, (out, in)
 
 
 class Mlp:
     """Dense tanh network. Hidden layers use tanh; the output layer is linear.
 
-    With ``spectral_norm`` enabled every layer's weight is divided by a
-    power-iteration estimate of its top singular value; the estimate is
-    refreshed once per optimizer step (plus a warm start at construction).
+    ``masks`` (one (out, in) 0/1 array per layer) hard-zero connections, as
+    in a masked autoregressive network. With ``spectral_norm`` enabled every
+    layer's (masked) weight is divided by a power-iteration estimate of its
+    top singular value; the estimate is refreshed once per optimizer step
+    (plus a warm start at construction).
     """
 
-    def __init__(self, widths: list[int], seed: int = 0, spectral_norm: bool = False):
+    def __init__(self, widths: list[int], seed: int = 0, spectral_norm: bool = False,
+                 masks: list[Array] | None = None):
         if len(widths) < 2:
             raise ValueError("need at least input and output widths")
         self.widths = list(widths)
         self.spectral_norm = spectral_norm
         rng = np.random.default_rng(seed)
         self.layers: list[Layer] = []
-        for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+        for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
             scale = 1.0 / np.sqrt(fan_in)
             W = rng.uniform(-scale, scale, size=(fan_out, fan_in))
             b = np.zeros(fan_out)
-            self.layers.append(Layer(W, b, spectral_norm=spectral_norm))
+            mask = None if masks is None else masks[i]
+            self.layers.append(Layer(W, b, spectral_norm=spectral_norm, mask=mask))
         if spectral_norm:
             self.refresh_spectral_norm(n_power_iterations=10)
 
@@ -323,25 +328,36 @@ class Mlp:
         return out
 
     def set_params(self, arrays: list[Array]) -> None:
-        expected = 2 * len(self.layers)
-        if len(arrays) != expected:
-            raise ValueError(f"expected {expected} arrays, got {len(arrays)}")
-        for i, layer in enumerate(self.layers):
-            layer.weight[...] = arrays[2 * i]
-            layer.bias[...] = arrays[2 * i + 1]
+        """Copy ``arrays`` (in ``params()`` order) into the network; the count
+        and every shape must match exactly."""
+        targets = self.params()
+        if len(arrays) != len(targets):
+            raise ValueError(f"expected {len(targets)} arrays, got {len(arrays)}")
+        for k, (dst, src) in enumerate(zip(targets, arrays)):
+            if np.shape(src) != dst.shape:
+                raise ValueError(f"array {k} has shape {np.shape(src)}, expected {dst.shape}")
+        for dst, src in zip(targets, arrays):
+            dst[...] = src
 
     def refresh_spectral_norm(self, n_power_iterations: int = 1) -> None:
         for layer in self.layers:
             if layer.spectral_norm:
-                _, sigma, u = spectral_normalize(layer.weight, n_power_iterations, layer.u)
+                W = layer.weight if layer.mask is None else layer.mask * layer.weight
+                _, sigma, u = spectral_normalize(W, n_power_iterations, layer.u)
                 layer.sigma = max(sigma, 1e-12)
                 layer.u = u
 
-    def effective_weight(self, i: int) -> Array:
+    def effective_weight(self, i: int, weight: Node | None = None) -> Node:
+        """Layer ``i``'s weight as the forward pass uses it: masked, then
+        divided by the spectral-norm estimate. ``weight`` defaults to the
+        stored array wrapped as a constant."""
         layer = self.layers[i]
+        W = Node(layer.weight) if weight is None else weight
+        if layer.mask is not None:
+            W = mul(W, layer.mask)
         if layer.spectral_norm:
-            return layer.weight / layer.sigma
-        return layer.weight
+            W = mul(W, 1.0 / layer.sigma)
+        return W
 
     def forward(self, x, params: list[Node] | None = None) -> Node:
         """Run the network; ``x`` is (batch, in) or (in,).
@@ -358,11 +374,9 @@ class Mlp:
             params = [Node(p) for p in self.params()]
         h = x
         n = len(self.layers)
-        for i, layer in enumerate(self.layers):
-            W, b = params[2 * i], params[2 * i + 1]
-            if layer.spectral_norm:
-                W = mul(W, 1.0 / layer.sigma)
-            h = add(matmul(h, transpose(W)), b)
+        for i in range(n):
+            W = self.effective_weight(i, params[2 * i])
+            h = add(matmul(h, transpose(W)), params[2 * i + 1])
             if i < n - 1:
                 h = tanh(h)
         return h
@@ -374,10 +388,6 @@ class Mlp:
 def transpose(a) -> Node:
     a = as_node(a)
     return Node(a.value.T, ((a, lambda g: g.T),))
-
-
-def mlp_forward(model: Mlp, x) -> Node:
-    return model.forward(x)
 
 
 # ---------------------------------------------------------------------------

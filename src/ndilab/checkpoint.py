@@ -43,6 +43,13 @@ def load_checkpoint(path) -> tuple[str, dict, list]:
     buf = Path(path).read_bytes()
     if buf[:8] != MAGIC:
         raise ValueError(f"{path}: not a checkpoint file")
+    try:
+        return _parse_checkpoint(buf)
+    except (struct.error, ValueError) as err:
+        raise ValueError(f"{path}: unreadable checkpoint ({err})") from err
+
+
+def _parse_checkpoint(buf: bytes) -> tuple[str, dict, list]:
     off = 8
     (version,) = struct.unpack_from("<I", buf, off)
     off += 4
@@ -75,21 +82,17 @@ def load_checkpoint(path) -> tuple[str, dict, list]:
 def save_density_model(path, model, extra: dict | None = None) -> None:
     from .density import EbmModel, MadeModel
     header = {"mean": model.standardizer.mean.tolist(),
-              "std": model.standardizer.std.tolist(), **(extra or {})}
+              "std": model.standardizer.std.tolist(), **(extra or {}),
+              "dim": model.dim, "spectral_norm": model.net.spectral_norm,
+              "sn_sigma": [layer.sigma for layer in model.net.layers]}
     if isinstance(model, MadeModel):
-        header.update(dim=model.dim, n_components=model.n_components,
-                      ordering=model.ordering.tolist(),
-                      hidden=[w.shape[0] for w in model.weights[:-1]],
-                      spectral_norm=model.spectral_norm,
-                      sn_sigma=list(model._sn_sigma))
-        save_checkpoint(path, "made", header, model.params())
+        header.update(n_components=model.n_components, ordering=model.ordering.tolist(),
+                      hidden=model.net.widths[1:-1])
     elif isinstance(model, EbmModel):
-        header.update(dim=model.dim, widths=model.net.widths,
-                      spectral_norm=model.net.spectral_norm,
-                      sn_sigma=[layer.sigma for layer in model.net.layers])
-        save_checkpoint(path, "ebm", header, model.params())
+        header.update(widths=model.net.widths)
     else:
         raise TypeError(f"not a density model: {type(model)!r}")
+    save_checkpoint(path, model.kind, header, model.params())
 
 
 def load_density_model(path):
@@ -101,19 +104,19 @@ def load_density_model(path):
                           n_components=header["n_components"],
                           ordering=np.array(header["ordering"]),
                           spectral_norm=header["spectral_norm"])
-        for target, src in zip(model.params(), arrays):
-            target[...] = src
-        model._sn_sigma = list(header["sn_sigma"])
     elif kind == "ebm":
-        widths = header["widths"]
-        model = EbmModel(header["dim"], hidden=tuple(widths[1:-1]),
+        model = EbmModel(header["dim"], hidden=tuple(header["widths"][1:-1]),
                          spectral_norm=header["spectral_norm"])
-        for target, src in zip(model.params(), arrays):
-            target[...] = src
-        for layer, sigma in zip(model.net.layers, header["sn_sigma"]):
-            layer.sigma = sigma
     else:
         raise ValueError(f"not a density checkpoint: kind {kind!r}")
+    model.net.set_params(arrays)
+    layers, sigmas = model.net.layers, header["sn_sigma"]
+    if len(sigmas) != len(layers):
+        raise ValueError(f"{path}: expected {len(layers)} sn_sigma values, got {len(sigmas)}")
+    if std.mean.shape != (model.dim,) or std.std.shape != (model.dim,):
+        raise ValueError(f"{path}: standardizer statistics do not match dim {model.dim}")
+    for layer, sigma in zip(layers, sigmas):
+        layer.sigma = sigma
     model.standardizer = std
     return model
 
@@ -127,6 +130,8 @@ def load_softmax_policy(path):
     kind, header, arrays = load_checkpoint(path)
     if kind != "softmax_policy":
         raise ValueError(f"not a softmax policy checkpoint: kind {kind!r}")
+    if len(arrays) != 1 or arrays[0].ndim != 2:
+        raise ValueError(f"{path}: expected one (states, actions) logits array")
     return SoftmaxPolicy(arrays[0]), header
 
 
@@ -145,7 +150,9 @@ def load_gaussian_policy(path):
     widths = header["widths"]
     policy = GaussianPolicy(header["state_dim"], header["action_dim"],
                             hidden=tuple(widths[1:-1]))
-    for target, src in zip(policy.mean_net.params(), arrays[:-1]):
-        target[...] = src
+    policy.mean_net.set_params(arrays[:-1])
+    if arrays[-1].shape != policy.log_std.shape:
+        raise ValueError(f"{path}: log_std has shape {arrays[-1].shape}, "
+                         f"expected {policy.log_std.shape}")
     policy.log_std[...] = arrays[-1]
     return policy, header

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: gen-demos, fit-density, train, eval, verify.
-Exit codes: 0 success, 1 usage error, 2 verification failure,
-3 numerical divergence.
+Exit codes: 0 success, 1 usage error or bad input file (ValueError),
+2 verification failure, 3 numerical divergence or failed solve
+(RuntimeError).
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import ConfigError, load_config
+from .config import load_config
 from .verify import SUITE_NAMES, run_suite
 
 EXIT_OK = 0
@@ -97,10 +98,10 @@ def main(argv=None) -> int:
             summary = pipeline.cmd_eval(config, policy, out)
             print(json.dumps(summary, sort_keys=True, indent=1))
         return EXIT_OK
-    except (ConfigError, FileNotFoundError, KeyError) as err:
+    except (ValueError, FileNotFoundError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (FloatingPointError, OverflowError) as err:
+    except (FloatingPointError, OverflowError, RuntimeError) as err:
         print(f"numerical divergence: {err}", file=sys.stderr)
         return EXIT_DIVERGENCE
 

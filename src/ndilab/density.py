@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import AdamState, Mlp, Node, adam_step, backward, collect_grads, spectral_normalize
+from .autodiff import AdamState, Mlp, Node, adam_step, backward, collect_grads
 
 Array = np.ndarray
 
@@ -87,7 +87,7 @@ class MadeModel:
     The head for the coordinate at position p in the input ordering has zero
     sensitivity (hard-masked) to coordinates at positions >= p. Mixture
     weights come from a softmax over K logits; log-scales are clamped to
-    [-7, 3].
+    [-7, 3]. The network is ``self.net``, an ``Mlp`` carrying the MADE masks.
     """
 
     kind = "made"
@@ -102,46 +102,23 @@ class MadeModel:
                          else np.asarray(ordering, dtype=np.int64))
         if sorted(self.ordering.tolist()) != list(range(dim)):
             raise ValueError("ordering must be a permutation of the coordinates")
-        self.spectral_norm = spectral_norm
         self.standardizer = Standardizer.identity(dim)
 
         deg_in, hidden_degs = _made_degrees(dim, hidden, self.ordering)
         degs = [deg_in, *hidden_degs]
-        self.masks: list[Array] = []
+        masks: list[Array] = []
         for prev, cur in zip(degs[:-1], degs[1:]):
-            self.masks.append((cur[:, None] >= prev[None, :]).astype(np.float64))
+            masks.append((cur[:, None] >= prev[None, :]).astype(np.float64))
         out_deg = np.repeat(deg_in, 3 * n_components)
-        self.masks.append((out_deg[:, None] > degs[-1][None, :]).astype(np.float64))
-
-        rng = np.random.default_rng(seed)
-        widths = [dim, *hidden, 3 * n_components * dim]
-        self.weights: list[Array] = []
-        self.biases: list[Array] = []
-        self._sn_u: list[Array | None] = []
-        self._sn_sigma: list[float] = []
-        for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-            scale = 1.0 / math.sqrt(fan_in)
-            self.weights.append(rng.uniform(-scale, scale, size=(fan_out, fan_in)))
-            self.biases.append(np.zeros(fan_out))
-            self._sn_u.append(None)
-            self._sn_sigma.append(1.0)
-        if spectral_norm:
-            self.refresh_spectral_norm(n_power_iterations=10)
+        masks.append((out_deg[:, None] > degs[-1][None, :]).astype(np.float64))
+        self.net = Mlp([dim, *hidden, 3 * n_components * dim], seed=seed,
+                       spectral_norm=spectral_norm, masks=masks)
 
     def params(self) -> list[Array]:
-        out = []
-        for W, b in zip(self.weights, self.biases):
-            out.append(W)
-            out.append(b)
-        return out
+        return self.net.params()
 
     def refresh_spectral_norm(self, n_power_iterations: int = 1) -> None:
-        if not self.spectral_norm:
-            return
-        for i, (W, mask) in enumerate(zip(self.weights, self.masks)):
-            _, sigma, u = spectral_normalize(mask * W, n_power_iterations, self._sn_u[i])
-            self._sn_sigma[i] = max(sigma, 1e-12)
-            self._sn_u[i] = u
+        self.net.refresh_spectral_norm(n_power_iterations)
 
     def heads(self, Z: Array, params: list[Node] | None = None) -> tuple[Node, Node, Node]:
         """Mixture parameters at standardized inputs: (log-weights, means,
@@ -149,18 +126,7 @@ class MadeModel:
         Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
         if Z.shape[1] != self.dim:
             raise ValueError(f"input dim {Z.shape[1]} != model dim {self.dim}")
-        if params is None:
-            params = [Node(p) for p in self.params()]
-        h = Node(Z)
-        n = len(self.weights)
-        for i in range(n):
-            W, b = params[2 * i], params[2 * i + 1]
-            masked = ad.mul(W, self.masks[i])
-            if self.spectral_norm:
-                masked = ad.mul(masked, 1.0 / self._sn_sigma[i])
-            h = ad.add(ad.matmul(h, ad.transpose(masked)), b)
-            if i < n - 1:
-                h = ad.tanh(h)
+        h = self.net.forward(Z, params)
         K = self.n_components
         out = ad.reshape(h, (Z.shape[0], self.dim, 3 * K))
         logits = out[:, :, 0:K]
@@ -186,11 +152,6 @@ class MadeModel:
         return float(self.log_density_batch(z).value[0])
 
 
-def made_log_density(model: MadeModel, x: Array) -> float:
-    """Sum of per-coordinate Gaussian-mixture conditionals (standardized space)."""
-    return model.log_density(x)
-
-
 def made_mask_max_fd(model: MadeModel, x: Array, delta: float = 1e-3) -> float:
     """Largest finite-difference sensitivity of any head to a forbidden input.
 
@@ -211,6 +172,31 @@ def made_mask_max_fd(model: MadeModel, x: Array, delta: float = 1e-3) -> float:
             for b, a in zip(bumped, base):
                 worst = max(worst, float(np.abs(b[0, head] - a[0, head]).max()) / delta)
     return worst
+
+
+def _adam_fit(model, Z: Array, config, loss_fn) -> Array:
+    """Shuffled-minibatch Adam on ``loss_fn(batch, params, step)`` with a
+    spectral-norm refresh after every step; returns the per-epoch mean loss."""
+    rng = np.random.default_rng(config.seed)
+    state = AdamState(lr=config.lr)
+    curve = np.empty(config.epochs)
+    step = 0
+    for epoch in range(config.epochs):
+        order = rng.permutation(len(Z))
+        losses = []
+        for start in range(0, len(Z), config.batch_size):
+            batch = Z[order[start:start + config.batch_size]]
+            params = [Node(p) for p in model.params()]
+            loss = loss_fn(batch, params, step)
+            if not np.isfinite(loss.value):
+                raise FloatingPointError(f"NaN training loss at epoch {epoch}")
+            backward(loss)
+            adam_step(state, model.params(), collect_grads(params))
+            model.refresh_spectral_norm()
+            losses.append(float(loss.value))
+            step += 1
+        curve[epoch] = float(np.mean(losses))
+    return curve
 
 
 @dataclass
@@ -234,25 +220,11 @@ def made_fit(data, config: MadeConfig) -> tuple[MadeModel, Array]:
                       ordering=None if config.ordering is None else np.asarray(config.ordering),
                       seed=config.seed, spectral_norm=config.spectral_norm)
     model.standardizer = Standardizer.fit(X)
-    Z = model.standardizer.transform(X)
-    rng = np.random.default_rng(config.seed)
-    state = AdamState(lr=config.lr)
-    curve = np.empty(config.epochs)
-    for epoch in range(config.epochs):
-        order = rng.permutation(len(Z))
-        losses = []
-        for start in range(0, len(Z), config.batch_size):
-            batch = Z[order[start:start + config.batch_size]]
-            params = [Node(p) for p in model.params()]
-            nll = ad.mul(ad.nmean(model.log_density_batch(batch, params)), -1.0)
-            if not np.isfinite(nll.value):
-                raise FloatingPointError(f"NaN training loss at epoch {epoch}")
-            backward(nll)
-            adam_step(state, model.params(), collect_grads(params))
-            model.refresh_spectral_norm()
-            losses.append(float(nll.value))
-        curve[epoch] = float(np.mean(losses))
-    return model, curve
+
+    def nll(batch, params, step):
+        return ad.mul(ad.nmean(model.log_density_batch(batch, params)), -1.0)
+
+    return model, _adam_fit(model, model.standardizer.transform(X), config, nll)
 
 
 # ---------------------------------------------------------------------------
@@ -287,15 +259,12 @@ class EbmModel:
         Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
         if params is None:
             params = [Node(p) for p in self.net.params()]
-        layers = self.net.layers
-        n = len(layers)
+        n = len(self.net.layers)
         h: Node = Node(Z)
         act_derivs: list[Node] = []
         for i in range(n):
-            W, b = params[2 * i], params[2 * i + 1]
-            if layers[i].spectral_norm:
-                W = ad.mul(W, 1.0 / layers[i].sigma)
-            pre = ad.add(ad.matmul(h, ad.transpose(W)), b)
+            W = self.net.effective_weight(i, params[2 * i])
+            pre = ad.add(ad.matmul(h, ad.transpose(W)), params[2 * i + 1])
             if i < n - 1:
                 h = ad.tanh(pre)
                 act_derivs.append(ad.sub(1.0, ad.square(h)))
@@ -303,10 +272,7 @@ class EbmModel:
                 h = pre
         g = Node(np.ones((Z.shape[0], 1)))
         for i in reversed(range(n)):
-            W = params[2 * i]
-            if layers[i].spectral_norm:
-                W = ad.mul(W, 1.0 / layers[i].sigma)
-            g = ad.matmul(g, W)
+            g = ad.matmul(g, self.net.effective_weight(i, params[2 * i]))
             if i > 0:
                 g = ad.mul(g, act_derivs[i - 1])
         return h, g
@@ -319,10 +285,6 @@ class EbmModel:
         """Gradient of the log unnormalized density in standardized space."""
         z = self.standardizer.transform(np.atleast_2d(x))
         return self.value_and_input_grad(z)[1].value
-
-
-def ebm_log_density_unnormalized(model: EbmModel, x: Array) -> float:
-    return model.log_density(x)
 
 
 class QuadraticEnergy:
@@ -423,24 +385,8 @@ def ebm_fit(data, config: SsmConfig) -> tuple[EbmModel, Array]:
     model = EbmModel(X.shape[1], hidden=config.hidden, seed=config.seed,
                      spectral_norm=config.spectral_norm)
     model.standardizer = Standardizer.fit(X)
-    Z = model.standardizer.transform(X)
-    rng = np.random.default_rng(config.seed)
-    state = AdamState(lr=config.lr)
-    curve = np.empty(config.epochs)
-    step = 0
-    for epoch in range(config.epochs):
-        order = rng.permutation(len(Z))
-        losses = []
-        for start in range(0, len(Z), config.batch_size):
-            batch = Z[order[start:start + config.batch_size]]
-            params = [Node(p) for p in model.params()]
-            loss = ssm_loss(model, batch, config, seed=config.seed * 1_000_003 + step, params=params)
-            backward(loss)
-            adam_step(state, model.params(), collect_grads(params))
-            model.refresh_spectral_norm()
-            losses.append(float(loss.value))
-            step += 1
-        curve[epoch] = float(np.mean(losses))
-        if not np.isfinite(curve[epoch]):
-            raise FloatingPointError(f"NaN training loss at epoch {epoch}")
-    return model, curve
+
+    def loss(batch, params, step):
+        return ssm_loss(model, batch, config, seed=config.seed * 1_000_003 + step, params=params)
+
+    return model, _adam_fit(model, model.standardizer.transform(X), config, loss)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .imitation import soft_policy_iteration
 from .mdp import SoftmaxPolicy, TabularMdp, check_injective_dynamics
 
 Array = np.ndarray
@@ -184,21 +185,7 @@ def pd_controller_action(s: Array, kp: float = 1.5, kd: float = 2.5,
 def soft_optimal_policy(mdp: TabularMdp, temperature: float = 0.05,
                         tol: float = 1e-10, max_iters: int = 100_000) -> SoftmaxPolicy:
     """Soft value iteration on the environment reward; the fixture expert."""
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
-    S, A = mdp.n_states, mdp.n_actions
-    Q = np.zeros((S, A))
-    for _ in range(max_iters):
-        m = Q.max(axis=1, keepdims=True)
-        V = m[:, 0] + temperature * np.log(np.exp((Q - m) / temperature).sum(axis=1))
-        Q_new = mdp.reward + mdp.discount * V[mdp.transition]
-        if np.abs(Q_new - Q).max() < tol:
-            Q = Q_new
-            break
-        Q = Q_new
-    else:
-        raise RuntimeError(f"soft value iteration did not converge; residual {np.abs(Q_new - Q).max()}")
-    return SoftmaxPolicy(Q / temperature)
+    return soft_policy_iteration(mdp, temperature, tol=tol, max_iters=max_iters)
 
 
 @dataclass

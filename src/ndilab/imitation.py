@@ -342,10 +342,6 @@ class SacLearner:
         return losses
 
 
-def sac_step(learner: SacLearner) -> dict:
-    return learner.step()
-
-
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------

@@ -236,9 +236,10 @@ def resolve_critic_schedule(mdp: TabularMdp, policy: SoftmaxPolicy, critic_famil
     for the current policy's consecutive-state joints, then frozen).
     """
     gamma = mdp.discount
+    optimal = isinstance(critic_family, str) and critic_family == "optimal"
 
     def fetch(t: int, marginals: Array) -> Array:
-        if critic_family == "optimal":
+        if optimal:
             return optimal_critic_table(
                 consecutive_state_joint(mdp, policy, marginals[t])).values
         if isinstance(critic_family, CriticTable):
@@ -249,7 +250,7 @@ def resolve_critic_schedule(mdp: TabularMdp, policy: SoftmaxPolicy, critic_famil
         return out.values if isinstance(out, CriticTable) else np.asarray(out)
 
     base_bound = max(1.0, math.log(max(mdp.n_actions, 2)))
-    if critic_family == "optimal":
+    if optimal:
         # NWJ at the optimal critic equals the MI, which is at most log S.
         T = truncation_horizon(gamma, tol, max(base_bound, math.log(mdp.n_states) + 1.0))
         marg = state_marginals(mdp, policy, T + 1).per_timestep
@@ -265,13 +266,9 @@ def resolve_critic_schedule(mdp: TabularMdp, policy: SoftmaxPolicy, critic_famil
     return tables, T
 
 
-def saelbo_value(mdp: TabularMdp, logits: Array, critic_tables: list[Array], T: int) -> float:
-    """Truncated lower-bound value for a fixed, frozen critic schedule.
-
-    Used directly by the finite-difference gradient: the critics and the
-    truncation horizon stay fixed while the policy parameters move.
-    """
-    policy = SoftmaxPolicy(logits)
+def _saelbo_terms(mdp: TabularMdp, policy: SoftmaxPolicy, critic_tables: list[Array],
+                  T: int) -> tuple[float, float, float]:
+    """(h_s0, h_policy, mi_sum) of the bound truncated at T for frozen critics."""
     gamma = mdp.discount
     M = mdp.policy_transition_matrix(policy)
     probs, logp = policy.probs(), policy.log_probs()
@@ -284,12 +281,21 @@ def saelbo_value(mdp: TabularMdp, logits: Array, critic_tables: list[Array], T: 
     disc = 1.0
     for t in range(T + 1):
         h_policy += disc * float(p @ ent_rows)
-        f = critic_tables[t]
         joint = p[:, None] * M
-        mi_sum += disc * _nwj(joint, p, M.T @ p, f)
+        mi_sum += disc * _nwj(joint, p, M.T @ p, critic_tables[t])
         p = M.T @ p
         disc *= gamma
-    return h_s0 + (1.0 + gamma) * h_policy + gamma * mi_sum
+    return h_s0, h_policy, mi_sum
+
+
+def saelbo_value(mdp: TabularMdp, logits: Array, critic_tables: list[Array], T: int) -> float:
+    """Truncated lower-bound value for a fixed, frozen critic schedule.
+
+    Used directly by the finite-difference gradient: the critics and the
+    truncation horizon stay fixed while the policy parameters move.
+    """
+    h_s0, h_policy, mi_sum = _saelbo_terms(mdp, SoftmaxPolicy(logits), critic_tables, T)
+    return h_s0 + (1.0 + mdp.discount) * h_policy + mdp.discount * mi_sum
 
 
 def saelbo(mdp: TabularMdp, policy: SoftmaxPolicy, critic_family, tol: float = 1e-10) -> SaelboReport:
@@ -298,21 +304,7 @@ def saelbo(mdp: TabularMdp, policy: SoftmaxPolicy, critic_family, tol: float = 1
         raise ValueError("tol must be positive")
     tables, T = resolve_critic_schedule(mdp, policy, critic_family, tol)
     gamma = mdp.discount
-    M = mdp.policy_transition_matrix(policy)
-    probs, logp = policy.probs(), policy.log_probs()
-    ent_rows = -(probs * np.where(probs > 0, logp, 0.0)).sum(axis=1)
-
-    h_s0 = generalized_entropy(mdp.initial_dist)
-    p = mdp.initial_dist.copy()
-    h_policy = 0.0
-    mi_sum = 0.0
-    disc = 1.0
-    for t in range(T + 1):
-        h_policy += disc * float(p @ ent_rows)
-        joint = p[:, None] * M
-        mi_sum += disc * _nwj(joint, p, M.T @ p, tables[t])
-        p = M.T @ p
-        disc *= gamma
+    h_s0, h_policy, mi_sum = _saelbo_terms(mdp, policy, tables, T)
     value = h_s0 + (1.0 + gamma) * h_policy + gamma * mi_sum
     c_gamma = math.log(1.0 - gamma) / (1.0 - gamma)
     return SaelboReport(h_s0, h_policy, mi_sum, c_gamma, value, T)

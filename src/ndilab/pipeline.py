@@ -40,7 +40,6 @@ from .imitation import (
     evaluate_return,
     exact_discounted_return,
     reward_f,
-    sac_step,
     soft_policy_iteration,
 )
 from .mdp import SoftmaxPolicy, sample_trajectory
@@ -324,7 +323,7 @@ def _train_continuous(config: ExperimentConfig, bundle: ContinuousEnvBundle,
         else:
             s = s2
         if env_steps > warmup and len(sac.buffer) >= config.sac_batch:
-            sac_step(sac)
+            sac.step()
         if env_steps % config.eval_every == 0 or env_steps == config.sac_steps:
             aug_mean, _ = evaluate_return(sac.policy, env, reward_source=augmented,
                                           n_episodes=max(2, config.eval_episodes // 4),
@@ -360,8 +359,7 @@ def _copy_gaussian(policy):
     widths = policy.mean_net.widths
     clone = GaussianPolicy(policy.state_dim, policy.action_dim,
                            hidden=tuple(widths[1:-1]))
-    for dst, src in zip(clone.mean_net.params(), policy.mean_net.params()):
-        dst[...] = src
+    clone.mean_net.set_params(policy.mean_net.params())
     clone.log_std[...] = policy.log_std
     return clone
 

@@ -226,7 +226,7 @@ class TestSpectralNorm:
             model.refresh_spectral_norm(n_power_iterations=1)
             if step % 10 == 0:
                 for i in range(len(model.layers)):
-                    top = np.linalg.svd(model.effective_weight(i), compute_uv=False)[0]
+                    top = np.linalg.svd(model.effective_weight(i).value, compute_uv=False)[0]
                     assert 0.95 <= top <= 1.05
 
 

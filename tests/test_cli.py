@@ -1,5 +1,7 @@
 """Tests for configuration parsing, demo files, checkpoints, the pipeline
 commands, and the command-line interface contracts."""
+import functools
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from ndilab.checkpoint import (
     load_gaussian_policy,
     save_softmax_policy,
 )
-from ndilab.cli import EXIT_OK, EXIT_USAGE, main
+from ndilab.cli import EXIT_DIVERGENCE, EXIT_OK, EXIT_USAGE, main
 from ndilab.config import ConfigError, ExperimentConfig, parse_config_text
 from ndilab.demos import DemoSet, load_demos, save_demos
 from ndilab.density import EbmModel, MadeConfig, made_fit
@@ -127,6 +129,61 @@ class TestCheckpoints:
         loaded = load_density_model(path)
         x = np.array([0.3, -0.4])
         assert loaded.log_density(x) == model.log_density(x)
+
+    def test_density_checkpoint_with_missing_arrays_rejected(self, tmp_path):
+        model = EbmModel(dim=2, hidden=(8,), seed=0)
+        path = tmp_path / "ebm.ckpt"
+        save_density_model(path, model)
+        kind, header, arrays = load_checkpoint(path)
+        save_checkpoint(path, kind, header, arrays[:2])
+        with pytest.raises(ValueError, match="expected 4 arrays, got 2"):
+            load_density_model(path)
+
+    def test_density_checkpoint_with_wrong_shapes_rejected(self, tmp_path):
+        rng = np.random.default_rng(1)
+        model, _ = made_fit(rng.normal(size=(50, 2)),
+                            MadeConfig(hidden=(16,), n_components=2, epochs=1, seed=0))
+        path = tmp_path / "made.ckpt"
+        save_density_model(path, model)
+        kind, header, arrays = load_checkpoint(path)
+        save_checkpoint(path, kind, header, [np.ones(1) for _ in arrays])
+        with pytest.raises(ValueError, match="shape"):
+            load_density_model(path)
+
+    @pytest.mark.parametrize("field,value", [("mean", [5.0]), ("sn_sigma", [1.0])])
+    def test_density_checkpoint_with_wrong_header_rejected(self, tmp_path, field, value):
+        path = tmp_path / "ebm.ckpt"
+        save_density_model(path, EbmModel(dim=2, hidden=(8,), seed=0))
+        kind, header, arrays = load_checkpoint(path)
+        save_checkpoint(path, kind, {**header, field: value}, arrays)
+        with pytest.raises(ValueError, match="ebm.ckpt"):
+            load_density_model(path)
+
+    @pytest.mark.parametrize("arrays", [[], [np.zeros(3)], [np.zeros((2, 2))] * 2])
+    def test_softmax_policy_without_one_logits_table_rejected(self, tmp_path, arrays):
+        path = tmp_path / "p.ckpt"
+        save_checkpoint(path, "softmax_policy", {}, arrays)
+        with pytest.raises(ValueError, match="logits"):
+            load_softmax_policy(path)
+
+    def test_gaussian_policy_with_wrong_shapes_rejected(self, tmp_path):
+        path = tmp_path / "g.ckpt"
+        save_gaussian_policy(path, GaussianPolicy(3, 2, hidden=(8,), seed=5))
+        kind, header, arrays = load_checkpoint(path)
+        save_checkpoint(path, kind, header, arrays[:-1] + [np.zeros(1)])
+        with pytest.raises(ValueError, match="log_std"):
+            load_gaussian_policy(path)
+        save_checkpoint(path, kind, header, [np.ones(1) for _ in arrays])
+        with pytest.raises(ValueError, match="shape"):
+            load_gaussian_policy(path)
+
+    @pytest.mark.parametrize("keep", [10, 40, 200, -3])
+    def test_truncated_checkpoint_names_the_file(self, tmp_path, keep):
+        path = tmp_path / "ebm.ckpt"
+        save_density_model(path, EbmModel(dim=2, hidden=(8,), seed=0))
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(ValueError, match="ebm.ckpt: unreadable checkpoint"):
+            load_checkpoint(path)
 
     def test_policy_roundtrips(self, tmp_path):
         logits = np.random.default_rng(2).normal(size=(4, 3))
@@ -323,3 +380,29 @@ class TestCliFrontend:
 
     def test_missing_subcommand_is_usage_error(self):
         assert main([]) == EXIT_USAGE
+
+    def test_truncated_model_is_usage_error(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path)
+        assert main(["gen-demos", "--config", str(cfg)]) == EXIT_OK
+        assert main(["fit-density", "--config", str(cfg)]) == EXIT_OK
+        model = tmp_path / "run" / "model.ckpt"
+        model.write_bytes(model.read_bytes()[:100])
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg), "--model", str(model)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "model.ckpt" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_soft_policy_iteration_failure_is_divergence(self, tmp_path, capsys,
+                                                         monkeypatch):
+        from ndilab import pipeline
+        cfg = self.write_cfg(tmp_path)
+        assert main(["gen-demos", "--config", str(cfg)]) == EXIT_OK
+        assert main(["fit-density", "--config", str(cfg)]) == EXIT_OK
+        monkeypatch.setattr(pipeline, "soft_policy_iteration",
+                            functools.partial(soft_policy_iteration, max_iters=1))
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg)]) == EXIT_DIVERGENCE
+        err = capsys.readouterr().err
+        assert err.startswith("numerical divergence: soft policy iteration did not converge")
+        assert err.count("\n") == 1

@@ -17,10 +17,8 @@ from ndilab.density import (
     SsmConfig,
     Standardizer,
     ebm_fit,
-    ebm_log_density_unnormalized,
     hvp_fd,
     made_fit,
-    made_log_density,
     made_mask_max_fd,
     smoothed_curve_is_monotone,
     ssm_loss,
@@ -36,24 +34,22 @@ def correlated_gaussian(n, rho=0.8, seed=0):
 def frozen_single_head_model():
     """1-D, K=1 model with the head frozen at mean 0 / scale 1."""
     model = MadeModel(dim=1, hidden=(4,), n_components=1, seed=0, spectral_norm=False)
-    for W, b in zip(model.weights, model.biases):
-        W[...] = 0.0
-        b[...] = 0.0
+    for p in model.params():
+        p[...] = 0.0
     return model
 
 
 class TestMadeLogDensity:
     def test_standard_normal_head_at_origin(self):
         model = frozen_single_head_model()
-        assert made_log_density(model, np.array([0.0])) == pytest.approx(
+        assert model.log_density(np.array([0.0])) == pytest.approx(
             -0.5 * math.log(2 * math.pi), abs=1e-12)
 
     def test_two_independent_standard_heads(self):
         model = MadeModel(dim=2, hidden=(4,), n_components=1, seed=0, spectral_norm=False)
-        for W, b in zip(model.weights, model.biases):
-            W[...] = 0.0
-            b[...] = 0.0
-        assert made_log_density(model, np.zeros(2)) == pytest.approx(
+        for p in model.params():
+            p[...] = 0.0
+        assert model.log_density(np.zeros(2)) == pytest.approx(
             2 * -0.5 * math.log(2 * math.pi), abs=1e-12)
 
     def test_random_model_integrates_to_one_on_grid(self):
@@ -160,7 +156,7 @@ class TestEbmLogDensity:
         for p in model.params():
             p[...] = 0.0
         for x in (np.zeros(2), np.array([3.0, -1.0])):
-            assert ebm_log_density_unnormalized(model, x) == 0.0
+            assert model.log_density(x) == 0.0
 
     def test_hand_built_quadratic_energy(self):
         quad = QuadraticEnergy(np.eye(2))

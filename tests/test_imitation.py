@@ -21,7 +21,6 @@ from ndilab.imitation import (
     reward_f,
     reward_pi,
     rbf_critic_value,
-    sac_step,
     soft_policy_iteration,
 )
 from ndilab.mdp import GaussianPolicy, SoftmaxPolicy, TabularMdp, sample_trajectory
@@ -282,7 +281,7 @@ class TestSacLearner:
                   + learner.q1.params() + learner.q2.params()
                   + learner.q1_target.params() + [learner.log_alpha, learner.policy.log_std]]
         for _ in range(5):
-            sac_step(learner)
+            learner.step()
         after = (learner.policy.mean_net.params() + learner.q1.params()
                  + learner.q2.params() + learner.q1_target.params()
                  + [learner.log_alpha, learner.policy.log_std])
@@ -299,7 +298,7 @@ class TestSacLearner:
             a = learner.policy.sample(s, rng)
             learner.add_transition(s, a, 1.0, s, done=False)
             if len(learner.buffer) >= cfg.batch_size:
-                sac_step(learner)
+                learner.step()
         q = learner.q1(np.concatenate([s, learner.policy.mean(s)])[None, :])[0, 0]
         assert abs(q - 10.0) / 10.0 < 0.05
 
@@ -322,7 +321,7 @@ class TestSacLearner:
                 s = s2
                 total += 1
                 if total >= 500:
-                    sac_step(learner)
+                    learner.step()
             returns.append(ret)
         # smoothed returns improve and then hold
         windows = np.array(returns).reshape(12, 30).mean(axis=1)

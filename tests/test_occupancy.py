@@ -279,6 +279,12 @@ class TestSaelbo:
         composed = report.h_s0 + 1.8 * report.h_policy + 0.8 * report.mi_sum
         assert report.saelbo == pytest.approx(composed, rel=1e-12)
 
+    def test_raw_array_critic_matches_critic_table(self):
+        mdp = build_chain(3)
+        policy = SoftmaxPolicy.uniform(3, 2)
+        raw = saelbo(mdp, policy, np.zeros((3, 3)))
+        assert raw == saelbo(mdp, policy, CriticTable(np.zeros((3, 3))))
+
     def test_random_critic_dominated_by_optimal(self):
         rng = np.random.default_rng(6)
         for _ in range(5):
