@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: gen-demos, fit-density, train, eval, verify.
-Exit codes: 0 success, 1 usage error or bad input file (ValueError),
+Exit codes: 0 success, 1 usage error or bad input file (ValueError, or
+any OSError such as a missing, unreadable or directory path),
 2 verification failure, 3 numerical divergence or failed solve
 (RuntimeError).
 """
@@ -98,7 +99,7 @@ def main(argv=None) -> int:
             summary = pipeline.cmd_eval(config, policy, out)
             print(json.dumps(summary, sort_keys=True, indent=1))
         return EXIT_OK
-    except (ValueError, FileNotFoundError, KeyError) as err:
+    except (ValueError, OSError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except (FloatingPointError, OverflowError, RuntimeError) as err:

@@ -279,7 +279,7 @@ class EbmModel:
 
     def log_density(self, x: Array) -> float:
         z = self.standardizer.transform(np.atleast_2d(x))
-        return float(self.value_and_input_grad(z)[0].value[0, 0])
+        return float(self.net(z)[0, 0])
 
     def score(self, x: Array) -> Array:
         """Gradient of the log unnormalized density in standardized space."""

@@ -45,40 +45,62 @@ class TimestepReplayBuffer:
 
     Backs the marginal expectations in the critic reward: states deposited at
     trajectory index t approximate samples from the time-t state marginal.
+    Each bucket is one ``(capacity, d)`` ring; reads return ``(n, d)``
+    arrays, oldest state first.
     """
 
     def __init__(self, capacity_per_bucket: int = 1024, seed: int = 0):
         self.capacity = capacity_per_bucket
-        self.buckets: dict[int, deque] = {}
+        self.buckets: dict[int, Array] = {}
+        self.counts: dict[int, int] = {}   # states ever added per bucket
         self.rng = np.random.default_rng(seed)
 
     def add(self, t: int, state: Array) -> None:
-        self.buckets.setdefault(int(t), deque(maxlen=self.capacity)).append(
-            np.asarray(state, dtype=np.float64))
+        t = int(t)
+        state = np.asarray(state, dtype=np.float64)
+        if t not in self.buckets:
+            self.buckets[t] = np.empty((self.capacity, *state.shape))
+            self.counts[t] = 0
+        self.buckets[t][self.counts[t] % self.capacity] = state
+        self.counts[t] += 1
 
-    def bucket(self, t: int) -> list[Array]:
-        return list(self.buckets.get(int(t), ()))
+    def _ordered(self, t: int, idx: Array) -> Array:
+        """Rows of bucket t at oldest-first positions ``idx``."""
+        count = self.counts[t]
+        if count > self.capacity:
+            idx = (idx + count) % self.capacity
+        return self.buckets[t][idx]
 
-    def pooled(self) -> list[Array]:
-        out = []
-        for bucket in self.buckets.values():
-            out.extend(bucket)
-        return out
+    def _len(self, t: int) -> int:
+        return min(self.counts.get(t, 0), self.capacity)
 
-    def sample(self, t: int, n: int) -> list[Array]:
-        """Uniform sample (with replacement) from bucket t; empty buckets fall
-        back to the pooled buffer with a logged warning."""
-        items = self.bucket(t)
-        if not items:
-            items = self.pooled()
-            if not items:
-                raise ValueError("replay buffer is empty")
-            logger.warning("bucket %d empty; falling back to pooled replay sampling", t)
-        idx = self.rng.integers(0, len(items), size=n)
-        return [items[i] for i in idx]
+    def bucket(self, t: int) -> Array:
+        t = int(t)
+        if t not in self.buckets:
+            return np.empty((0, 0))
+        return self._ordered(t, np.arange(self._len(t)))
+
+    def pooled(self) -> Array:
+        if not self.buckets:
+            return np.empty((0, 0))
+        return np.concatenate([self.bucket(t) for t in self.buckets])
+
+    def sample(self, t: int, n: int) -> Array:
+        """Uniform sample (with replacement) from bucket t as an ``(n, d)``
+        array; empty buckets fall back to the pooled buffer with a logged
+        warning."""
+        t = int(t)
+        size = self._len(t)
+        if size:
+            return self._ordered(t, self.rng.integers(0, size, size=n))
+        items = self.pooled()
+        if not len(items):
+            raise ValueError("replay buffer is empty")
+        logger.warning("bucket %d empty; falling back to pooled replay sampling", t)
+        return items[self.rng.integers(0, len(items), size=n)]
 
     def __len__(self) -> int:
-        return sum(len(b) for b in self.buckets.values())
+        return sum(self._len(t) for t in self.buckets)
 
 
 @dataclass
@@ -86,7 +108,10 @@ class RbfCritic:
     """Critic fixed to a normalized RBF kernel of the squared state distance.
 
     value(s, s') = -||s' - s||^2 / bandwidth - log(normalizer) + 1, where the
-    normalizer tracks the mean kernel value over marginal state pairs.
+    normalizer is the running mean kernel value over the marginal state pairs
+    passed to ``observe_pairs``. ``value`` broadcasts over leading axes: a
+    state of shape (d,) against a batch of shape (n, d) gives (n,) values,
+    and two single states give a float.
     """
 
     bandwidth: float = 1.0
@@ -98,25 +123,20 @@ class RbfCritic:
         return math.exp(-float(d @ d) / self.bandwidth)
 
     def observe_pairs(self, pairs: list[tuple[Array, Array]]) -> None:
+        if not len(pairs):
+            raise ValueError("pairs must be nonempty")
         for s, s_next in pairs:
             self._count += 1
             self.normalizer += (self.kernel(s, s_next) - self.normalizer) / self._count
 
-    def value(self, s: Array, s_next: Array) -> float:
+    def value(self, s: Array, s_next: Array):
         if self.normalizer <= 0:
             raise ValueError("normalizer must be positive")
         d = np.asarray(s_next, dtype=np.float64) - np.asarray(s, dtype=np.float64)
-        return -float(d @ d) / self.bandwidth - math.log(self.normalizer) + 1.0
-
-
-def rbf_critic_value(critic: RbfCritic, s: Array, s_next: Array,
-                     marginal_pairs: list[tuple[Array, Array]]) -> float:
-    """log(k(s, s') / mean_pairs k) + 1 with the kernel k = exp(-||.||^2/bw)."""
-    if not marginal_pairs:
-        raise ValueError("marginal_pairs must be nonempty")
-    norm = float(np.mean([critic.kernel(a, b) for a, b in marginal_pairs]))
-    d = np.asarray(s_next, dtype=np.float64) - np.asarray(s, dtype=np.float64)
-    return -float(d @ d) / critic.bandwidth - math.log(norm) + 1.0
+        # a stacked (1, d) @ (d, 1) product rounds exactly like the 1-D d @ d
+        sq = (d[..., None, :] @ d[..., :, None])[..., 0, 0]
+        v = -sq / self.bandwidth - math.log(self.normalizer) + 1.0
+        return float(v) if v.ndim == 0 else v
 
 
 def reward_pi(policy, s, a, config: AugmentedRewardConfig) -> float:
@@ -124,6 +144,36 @@ def reward_pi(policy, s, a, config: AugmentedRewardConfig) -> float:
     gradient-identity form (the coefficient otherwise folds into lambda_pi)."""
     logp = policy_log_prob(policy, s, a)
     return -logp if config.use_alg1_form else -(1.0 + config.gamma) * logp
+
+
+def _mean_exp(values, lead: tuple, n: int) -> Array:
+    """mean over the last axis of exp(values), which must have shape lead + (n,)."""
+    values = np.asarray(values)
+    if values.shape != (*lead, n):
+        raise ValueError(f"critic value returned shape {values.shape} for a batch of "
+                         f"shape {(*lead, n)}; it must broadcast over leading axes")
+    return np.mean(np.exp(values), axis=-1)
+
+
+def nwj_reward(critic, s_t: Array, s_next: Array, cur: Array, nxt: Array,
+               config: AugmentedRewardConfig):
+    """The NWJ mutual-information reward of ``reward_f`` against explicit
+    marginal samples ``cur`` (n, d) and ``nxt`` (m, d).
+
+    ``s_t`` and ``s_next`` are (d,) for one transition or (k, d) for k
+    transitions at once (giving k rewards). ``critic`` is a callable or has
+    a ``value`` method; either way f(x, y) must broadcast over leading axes.
+    """
+    f = getattr(critic, "value", critic)
+    s_t, s_next = np.asarray(s_t), np.asarray(s_next)
+    lead = s_t.shape[:-1]
+    a, b = s_next[..., None, :], s_t[..., None, :]
+    gamma = config.gamma
+    if config.use_alg1_form:
+        cross = _mean_exp(f(a, cur), lead, len(cur)) + _mean_exp(f(nxt, b), lead, len(nxt))
+        return f(s_t, s_next) - (gamma / math.e) * cross
+    cross = _mean_exp(f(cur, a), lead, len(cur)) + _mean_exp(f(b, nxt), lead, len(nxt))
+    return gamma * f(s_t, s_next) - (gamma / math.e) * cross
 
 
 def reward_f(critic, s_t: Array, a_t, s_next: Array, buffer: TimestepReplayBuffer,
@@ -135,28 +185,24 @@ def reward_f(critic, s_t: Array, a_t, s_next: Array, buffer: TimestepReplayBuffe
       pipeline form:  f(s_t, s') - (gamma/e) mean[e^{f(s', x)} + e^{f(y, s_t)}]
       identity form:  gamma f(s_t, s') - (gamma/e) mean[e^{f(x, s')} + e^{f(s_t, y)}]
     ``n_marginal_samples`` of None uses every bucket element (exhaustive).
+    The critic f is evaluated once per cross term on the whole (n, d) sample
+    batch, so ``critic.value`` (or ``critic`` itself, if callable) must
+    broadcast over leading axes; a scalar result for a batch raises
+    ``ValueError``.
     """
-    f = getattr(critic, "value", critic)
-    gamma = config.gamma
     if n_marginal_samples is None:
         cur, nxt = buffer.bucket(t), buffer.bucket(t + 1)
-        if not cur or not nxt:
+        if not len(cur) or not len(nxt):
             logger.warning("bucket %d or %d empty; falling back to pooled replay sampling",
                            t, t + 1)
-            cur = cur or buffer.pooled()
-            nxt = nxt or buffer.pooled()
-        if not cur or not nxt:
+            cur = cur if len(cur) else buffer.pooled()
+            nxt = nxt if len(nxt) else buffer.pooled()
+        if not len(cur) or not len(nxt):
             raise ValueError(f"buckets {t} and {t + 1} are empty")
     else:
         cur = buffer.sample(t, n_marginal_samples)
         nxt = buffer.sample(t + 1, n_marginal_samples)
-    if config.use_alg1_form:
-        cross = np.mean([math.exp(f(s_next, x)) for x in cur]) + \
-            np.mean([math.exp(f(y, s_t)) for y in nxt])
-        return f(s_t, s_next) - (gamma / math.e) * cross
-    cross = np.mean([math.exp(f(x, s_next)) for x in cur]) + \
-        np.mean([math.exp(f(s_t, y)) for y in nxt])
-    return gamma * f(s_t, s_next) - (gamma / math.e) * cross
+    return nwj_reward(critic, s_t, s_next, cur, nxt, config)
 
 
 @dataclass

@@ -72,7 +72,12 @@ def check_injective_dynamics(mdp: TabularMdp) -> bool:
 
 
 class SoftmaxPolicy:
-    """Discrete stochastic policy pi(a|s) = softmax(logits[s])."""
+    """Discrete stochastic policy pi(a|s) = softmax(logits[s]).
+
+    ``logits`` is never modified in place after construction (a new policy
+    is built instead), so ``sample`` computes the probability table once, on
+    its first call, and reuses it.
+    """
 
     def __init__(self, logits: Array):
         self.logits = np.asarray(logits, dtype=np.float64)
@@ -80,6 +85,7 @@ class SoftmaxPolicy:
             raise ValueError("logits must be (n_states, n_actions)")
         if not np.all(np.isfinite(self.logits)):
             raise ValueError("logits must be finite")
+        self._sample_probs: Array | None = None
 
     def log_probs(self) -> Array:
         z = self.logits - self.logits.max(axis=1, keepdims=True)
@@ -89,7 +95,9 @@ class SoftmaxPolicy:
         return np.exp(self.log_probs())
 
     def sample(self, s: int, rng: np.random.Generator) -> int:
-        return int(rng.choice(self.logits.shape[1], p=self.probs()[s]))
+        if self._sample_probs is None:
+            self._sample_probs = self.probs()
+        return int(rng.choice(self.logits.shape[1], p=self._sample_probs[s]))
 
     @staticmethod
     def uniform(n_states: int, n_actions: int) -> "SoftmaxPolicy":

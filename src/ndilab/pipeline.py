@@ -39,6 +39,7 @@ from .imitation import (
     evaluate_policy_kl,
     evaluate_return,
     exact_discounted_return,
+    nwj_reward,
     reward_f,
     soft_policy_iteration,
 )
@@ -165,7 +166,7 @@ def _train_tabular(config: ExperimentConfig, bundle: TabularEnvBundle,
     ds = embed.state_coords.shape[1]
     smean = density_model.standardizer.mean[:ds]
     sstd = density_model.standardizer.std[:ds]
-    zstate = [(embed.state(s) - smean) / sstd for s in range(S)]
+    zstate = np.array([(embed.state(s) - smean) / sstd for s in range(S)])
 
     critic = RbfCritic(bandwidth=1.0)
     buffer = TimestepReplayBuffer(config.buffer_capacity, seed=config.seed)
@@ -191,7 +192,7 @@ def _train_tabular(config: ExperimentConfig, bundle: TabularEnvBundle,
         pairs = []
         for t in range(0, config.rollout_len, 4):
             cur, nxt = buffer.bucket(t), buffer.bucket(t + 1)
-            if cur and nxt:
+            if len(cur) and len(nxt):
                 for _ in range(4):
                     pairs.append((cur[pair_rng.integers(len(cur))],
                                   nxt[pair_rng.integers(len(nxt))]))
@@ -212,19 +213,13 @@ def _train_tabular(config: ExperimentConfig, bundle: TabularEnvBundle,
         cross_rng = np.random.default_rng(config.seed + it)
         idx = cross_rng.integers(0, len(pooled), size=min(config.n_marginal_samples,
                                                           len(pooled)))
-        pool_samples = [pooled[i] for i in idx]
-        r_f_table = np.empty((S, A))
-        for s in range(S):
-            for a in range(A):
-                if r_f_count[s, a] > 0:
-                    r_f_table[s, a] = r_f_sum[s, a] / r_f_count[s, a]
-                else:
-                    z, z2 = zstate[s], zstate[int(mdp.transition[s, a])]
-                    cross = np.mean([math.exp(critic.value(z2, x)) for x in pool_samples]) \
-                        + np.mean([math.exp(critic.value(y, z)) for y in pool_samples])
-                    first = critic.value(z, z2) if rcfg.use_alg1_form \
-                        else mdp.discount * critic.value(z, z2)
-                    r_f_table[s, a] = first - (mdp.discount / math.e) * cross
+        pool_samples = pooled[idx]
+        r_f_table = np.divide(r_f_sum, r_f_count, out=np.empty((S, A)), where=r_f_count > 0)
+        cells_s, cells_a = np.nonzero(r_f_count == 0)
+        if len(cells_s):
+            r_f_table[cells_s, cells_a] = nwj_reward(
+                critic, zstate[cells_s], zstate[mdp.transition[cells_s, cells_a]],
+                pool_samples, pool_samples, rcfg)
 
         base_table = logq + config.lambda_f * r_f_table
         policy = soft_policy_iteration(mdp, temperature=max(lambda_pi, 1e-6),
@@ -309,7 +304,7 @@ def _train_continuous(config: ExperimentConfig, bundle: ContinuousEnvBundle,
         buffer.add(t_in_ep + 1, zstate(s2))
         if (t_in_ep % 8) == 0:
             cur, nxt = buffer.bucket(t_in_ep), buffer.bucket(t_in_ep + 1)
-            if cur and nxt:
+            if len(cur) and len(nxt):
                 critic.observe_pairs([(cur[rng.integers(len(cur))],
                                        nxt[rng.integers(len(nxt))]) for _ in range(2)])
         r_bar = augmented(s, a, s2, t_in_ep)

@@ -393,6 +393,15 @@ class TestCliFrontend:
         assert err.startswith("error: ") and "model.ckpt" in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_directory_as_model_is_usage_error(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path)
+        model_dir = tmp_path / "not_a_file"
+        model_dir.mkdir()
+        assert main(["train", "--config", str(cfg), "--model", str(model_dir)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not_a_file" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_soft_policy_iteration_failure_is_divergence(self, tmp_path, capsys,
                                                          monkeypatch):
         from ndilab import pipeline

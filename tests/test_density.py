@@ -171,6 +171,14 @@ class TestEbmLogDensity:
         after = np.array([model.log_density(x) for x in xs])
         np.testing.assert_allclose(after - before, 2.5, atol=1e-12)
 
+    def test_log_density_equals_energy_of_value_and_input_grad(self):
+        model = EbmModel(dim=3, hidden=(16, 16), seed=6, spectral_norm=True)
+        model.standardizer.mean[:] = [0.5, -1.0, 2.0]
+        model.standardizer.std[:] = [2.0, 0.5, 1.5]
+        for x in np.random.default_rng(2).normal(size=(50, 3)) * 2.0:
+            z = model.standardizer.transform(np.atleast_2d(x))
+            assert model.log_density(x) == model.value_and_input_grad(z)[0].value[0, 0]
+
     def test_input_grad_matches_finite_differences(self):
         model = EbmModel(dim=3, hidden=(16, 16), seed=5, spectral_norm=True)
         rng = np.random.default_rng(1)

@@ -18,9 +18,9 @@ from ndilab.imitation import (
     evaluate_policy_kl,
     evaluate_return,
     exact_discounted_return,
+    nwj_reward,
     reward_f,
     reward_pi,
-    rbf_critic_value,
     soft_policy_iteration,
 )
 from ndilab.mdp import GaussianPolicy, SoftmaxPolicy, TabularMdp, sample_trajectory
@@ -31,29 +31,40 @@ class TestRbfCritic:
     def test_degenerate_distribution_gives_one(self):
         critic = RbfCritic()
         s = np.array([1.0, 2.0])
-        pairs = [(s, s)] * 3
-        assert rbf_critic_value(critic, s, s, pairs) == pytest.approx(1.0)
+        critic.observe_pairs([(s, s)] * 3)
+        assert critic.value(s, s) == pytest.approx(1.0)
 
     def test_ratio_of_equal_kernels_gives_one(self):
         critic = RbfCritic()
         s, s_next = np.array([0.0]), np.array([1.0])   # squared distance 1
-        pairs = [(np.array([0.0]), np.array([1.0]))]   # mean kernel e^{-1}
-        assert rbf_critic_value(critic, s, s_next, pairs) == pytest.approx(1.0)
+        critic.observe_pairs([(np.array([0.0]), np.array([1.0]))])   # mean kernel e^{-1}
+        assert critic.value(s, s_next) == pytest.approx(1.0)
 
     def test_four_pair_fixture_hand_computed(self):
         critic = RbfCritic()
-        pairs = [(np.array([0.0]), np.array([0.5])),
-                 (np.array([1.0]), np.array([1.0])),
-                 (np.array([0.0]), np.array([2.0])),
-                 (np.array([1.0]), np.array([0.0]))]
+        critic.observe_pairs([(np.array([0.0]), np.array([0.5])),
+                              (np.array([1.0]), np.array([1.0])),
+                              (np.array([0.0]), np.array([2.0])),
+                              (np.array([1.0]), np.array([0.0]))])
         norm = (math.exp(-0.25) + 1.0 + math.exp(-4.0) + math.exp(-1.0)) / 4
         expected = -1.0 - math.log(norm) + 1.0
-        got = rbf_critic_value(critic, np.array([0.0]), np.array([1.0]), pairs)
+        got = critic.value(np.array([0.0]), np.array([1.0]))
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_empty_pairs_rejected(self):
         with pytest.raises(ValueError):
-            rbf_critic_value(RbfCritic(), np.zeros(1), np.zeros(1), [])
+            RbfCritic().observe_pairs([])
+
+    def test_value_broadcasts_over_leading_axes(self):
+        critic = RbfCritic(bandwidth=2.0)
+        critic.observe_pairs([(np.zeros(3), np.ones(3))])
+        rng = np.random.default_rng(4)
+        s, batch = rng.normal(size=3), rng.normal(size=(5, 2, 3))
+        got = critic.value(s, batch)
+        assert got.shape == (5, 2)
+        expected = [[critic.value(s, y) for y in row] for row in batch]
+        np.testing.assert_array_equal(got, expected)
+        assert isinstance(critic.value(s, batch[0, 0]), float)
 
     def test_running_normalizer_matches_batch_mean(self):
         critic = RbfCritic()
@@ -120,7 +131,7 @@ class TestRewardF:
             for x in items:
                 buffer.add(t, x)
         critic = ConstantCritic(0.0)
-        critic.value = lambda x, y: -0.5 * float(np.sum((np.asarray(x) - np.asarray(y)) ** 2))
+        critic.value = lambda x, y: -0.5 * np.sum((np.asarray(x) - np.asarray(y)) ** 2, axis=-1)
         cfg = AugmentedRewardConfig(gamma=0.9, use_alg1_form=True)
         s, s2 = np.array([0.25]), np.array([0.75])
         got = reward_f(critic, s, None, s2, buffer, 0, cfg)
@@ -135,7 +146,7 @@ class TestRewardF:
         for t in (0, 1):
             buffer.add(t, np.array([float(t)]))
         asym = ConstantCritic(0.0)
-        asym.value = lambda x, y: float(np.asarray(x)[0] - 2.0 * np.asarray(y)[0])
+        asym.value = lambda x, y: np.asarray(x)[..., 0] - 2.0 * np.asarray(y)[..., 0]
         cfg = AugmentedRewardConfig(gamma=0.5, use_alg1_form=False)
         s, s2 = np.array([3.0]), np.array([1.0])
         got = reward_f(asym, s, None, s2, buffer, 0, cfg)
@@ -153,6 +164,57 @@ class TestRewardF:
                            n_marginal_samples=4)
         assert "pooled" in caplog.text
         assert np.isfinite(val)
+
+    @pytest.mark.parametrize("alg1", [True, False])
+    def test_batched_reward_matches_scalar_exp_oracle(self, alg1):
+        rng = np.random.default_rng(7)
+        buffer = TimestepReplayBuffer(capacity_per_bucket=16, seed=0)
+        for t in (3, 4):
+            for _ in range(24):   # wraps each ring
+                buffer.add(t, rng.normal(size=4))
+        critic = RbfCritic(bandwidth=2.5)
+        critic.observe_pairs([(rng.normal(size=4), rng.normal(size=4)) for _ in range(10)])
+        cfg = AugmentedRewardConfig(gamma=0.8, use_alg1_form=alg1)
+        f = critic.value
+        for _ in range(5):
+            s, s2 = rng.normal(size=4), rng.normal(size=4)
+            cur, nxt = list(buffer.bucket(3)), list(buffer.bucket(4))
+            if alg1:
+                cross = np.mean([math.exp(f(s2, x)) for x in cur]) + \
+                    np.mean([math.exp(f(y, s)) for y in nxt])
+                expected = f(s, s2) - (0.8 / math.e) * cross
+            else:
+                cross = np.mean([math.exp(f(x, s2)) for x in cur]) + \
+                    np.mean([math.exp(f(s, y)) for y in nxt])
+                expected = 0.8 * f(s, s2) - (0.8 / math.e) * cross
+            got = reward_f(critic, s, None, s2, buffer, 3, cfg)
+            assert got == pytest.approx(expected, abs=1e-12)
+
+    def test_nwj_reward_over_many_transitions_matches_one_at_a_time(self):
+        rng = np.random.default_rng(8)
+        critic = RbfCritic()
+        critic.observe_pairs([(rng.normal(size=2), rng.normal(size=2)) for _ in range(6)])
+        samples = rng.normal(size=(9, 2))
+        S, S2 = rng.normal(size=(7, 2)), rng.normal(size=(7, 2))
+        for alg1 in (True, False):
+            cfg = AugmentedRewardConfig(gamma=0.9, use_alg1_form=alg1)
+            got = nwj_reward(critic, S, S2, samples, samples, cfg)
+            assert got.shape == (7,)
+            expected = [nwj_reward(critic, s, s2, samples, samples, cfg) for s, s2 in zip(S, S2)]
+            np.testing.assert_array_equal(got, expected)
+
+    def test_scalar_valued_critic_rejected(self):
+        buffer = TimestepReplayBuffer(seed=0)
+        for t in (0, 1):
+            for k in range(3):
+                buffer.add(t, np.array([float(k)]))
+        cfg = AugmentedRewardConfig(gamma=0.9)
+        with pytest.raises(ValueError, match="broadcast"):
+            reward_f(ConstantCritic(0.0), np.zeros(1), None, np.ones(1), buffer, 0, cfg)
+        scalar_sum = lambda x, y: float(np.sum(np.asarray(x) - np.asarray(y)))  # noqa: E731
+        with pytest.raises(ValueError, match="broadcast"):
+            reward_f(scalar_sum, np.zeros(1), None, np.ones(1), buffer, 0, cfg,
+                     n_marginal_samples=4)
 
 
 class StubDensity:
@@ -214,8 +276,34 @@ class TestTimestepReplayBuffer:
         buffer = TimestepReplayBuffer(capacity_per_bucket=4, seed=0)
         for k in range(10):
             buffer.add(0, np.array([float(k)]))
-        kept = sorted(x[0] for x in buffer.bucket(0))
-        assert kept == [6.0, 7.0, 8.0, 9.0]
+        np.testing.assert_array_equal(buffer.bucket(0), [[6.0], [7.0], [8.0], [9.0]])
+        buffer.add(0, np.array([10.0]))
+        np.testing.assert_array_equal(buffer.bucket(0), [[7.0], [8.0], [9.0], [10.0]])
+        assert len(buffer) == 4
+
+    def test_ring_keeps_last_capacity_states_in_fifo_order(self):
+        rng = np.random.default_rng(5)
+        states = rng.normal(size=(23, 3))
+        buffer = TimestepReplayBuffer(capacity_per_bucket=8, seed=0)
+        for k, x in enumerate(states):
+            buffer.add(1, x)
+            np.testing.assert_array_equal(buffer.bucket(1), states[max(0, k - 7):k + 1])
+
+    def test_sample_returns_rows_in_the_same_draw_order(self):
+        buffer = TimestepReplayBuffer(capacity_per_bucket=5, seed=9)
+        for k in range(12):
+            buffer.add(0, np.array([float(k), -float(k)]))
+        got = buffer.sample(0, 6)
+        assert got.shape == (6, 2)
+        idx = np.random.default_rng(9).integers(0, 5, size=6)
+        np.testing.assert_array_equal(got, buffer.bucket(0)[idx])
+
+    def test_pooled_concatenates_buckets_in_insertion_order(self):
+        buffer = TimestepReplayBuffer(capacity_per_bucket=2, seed=0)
+        for t, v in ((4, 0.0), (1, 1.0), (4, 2.0), (4, 3.0), (1, 4.0)):
+            buffer.add(t, np.array([v]))
+        np.testing.assert_array_equal(buffer.pooled(), [[2.0], [3.0], [1.0], [4.0]])
+        assert buffer.bucket(7).shape[0] == 0
 
     def test_sampling_is_uniform_over_contents(self):
         buffer = TimestepReplayBuffer(seed=11)

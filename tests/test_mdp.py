@@ -121,6 +121,17 @@ class TestSampleTrajectory:
         np.testing.assert_array_equal(traj.next_states,
                                       mdp.transition[traj.states, traj.actions])
 
+    def test_rollout_equals_per_step_softmax_draws(self):
+        mdp = build_chain(6)
+        policy = SoftmaxPolicy(np.random.default_rng(2).normal(size=(6, 2)) * 3.0)
+        traj = sample_trajectory(mdp, policy, max_steps=300, seed=11)
+        rng = np.random.default_rng(11)
+        s = int(rng.choice(mdp.n_states, p=mdp.initial_dist))
+        for t in range(300):
+            a = int(rng.choice(mdp.n_actions, p=policy.probs()[s]))
+            assert (traj.states[t], traj.actions[t]) == (s, a)
+            s = int(mdp.transition[s, a])
+
     def test_point_mass_next_state_given_state_action(self):
         # injective deterministic MDP: empirical next state is a point mass per (s, a)
         mdp = xor_mdp()
