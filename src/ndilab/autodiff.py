@@ -3,8 +3,12 @@ normalization, and an adaptive-moment optimizer.
 
 The engine is deliberately small: it supports exactly the operations that
 dense feed-forward networks with tanh activations need (matmul, broadcasted
-add/mul, elementwise transcendentals, reductions, slicing, concatenation).
-Values and gradients are float64 numpy arrays throughout.
+add/mul, elementwise transcendentals, reductions, slicing, concatenation),
+plus one fused ``dense`` node, ``tanh(h @ W.T + b)``, that every network
+layer uses. Each ``Mlp`` keeps all its parameters in one flat vector
+(``Mlp.flat``); the per-layer weights and biases are views into it, so an
+optimizer updates a whole network in one call. Values and gradients are
+float64 numpy arrays throughout.
 """
 from __future__ import annotations
 
@@ -226,10 +230,40 @@ def reshape(a, shape) -> Node:
     return Node(a.value.reshape(shape), ((a, lambda g: g.reshape(a.value.shape)),))
 
 
+def dense(h, W, b, activate: bool = True) -> Node:
+    """One network layer, ``tanh(h @ W.T + b)`` (no tanh when ``activate`` is
+    false), as a single graph node with parents ``(h, W, b)``.
+
+    Value and gradients use the same expressions, in the same order, as the
+    ``add(matmul(h, transpose(W)), b)`` -> ``tanh`` chain, so they round
+    identically; the pre-activation gradient is computed once per backward
+    pass and shared by the three parents.
+    """
+    h, W, b = as_node(h), as_node(W), as_node(b)
+    z = h.value @ W.value.T + b.value
+    if activate:
+        z = np.tanh(z)
+    memo = [None, None]   # (upstream gradient, pre-activation gradient)
+
+    def local(g):
+        if memo[0] is not g:
+            memo[0], memo[1] = g, (g * (1.0 - z ** 2) if activate else g)
+        return memo[1]
+
+    return Node(z, (
+        (h, lambda g: local(g) @ W.value),
+        (W, lambda g: (h.value.T @ local(g)).T),
+        (b, lambda g: _unbroadcast(local(g), b.value.shape)),
+    ))
+
+
 def backward(output: Node) -> None:
     """Accumulate gradients of a scalar output into every reachable node.
 
-    Visits each node exactly once, in reverse topological order.
+    Visits each node exactly once, in reverse topological order. A node's
+    first gradient contribution is stored as is and later ones are added,
+    so a ``.grad`` may be the same array as another node's ``.grad`` (or a
+    view of it): never mutate a ``.grad`` in place.
     """
     if output.value.size != 1:
         raise ValueError(f"backward requires a scalar output, got shape {output.value.shape}")
@@ -249,11 +283,12 @@ def backward(output: Node) -> None:
             if id(parent) not in seen:
                 stack.append((parent, False))
     for node in topo:
-        node.grad = np.zeros_like(node.value)
+        node.grad = None
     output.grad = np.ones_like(output.value)
     for node in reversed(topo):
         for parent, vjp in node.parents:
-            parent.grad = parent.grad + vjp(node.grad)
+            contribution = vjp(node.grad)
+            parent.grad = contribution if parent.grad is None else parent.grad + contribution
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +331,10 @@ class Layer:
 class Mlp:
     """Dense tanh network. Hidden layers use tanh; the output layer is linear.
 
+    All weights and biases live in one flat vector ``flat`` (layer by layer,
+    weight then bias, each C-ordered); ``Layer.weight`` and ``Layer.bias``
+    are views into it, so in-place writes to either show up in both.
+
     ``masks`` (one (out, in) 0/1 array per layer) hard-zero connections, as
     in a masked autoregressive network. With ``spectral_norm`` enabled every
     layer's (masked) weight is divided by a power-iteration estimate of its
@@ -310,11 +349,17 @@ class Mlp:
         self.widths = list(widths)
         self.spectral_norm = spectral_norm
         rng = np.random.default_rng(seed)
+        pairs = list(zip(widths[:-1], widths[1:]))
+        self.flat = np.zeros(sum(fan_out * (fan_in + 1) for fan_in, fan_out in pairs))
         self.layers: list[Layer] = []
-        for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
+        start = 0
+        for i, (fan_in, fan_out) in enumerate(pairs):
             scale = 1.0 / np.sqrt(fan_in)
-            W = rng.uniform(-scale, scale, size=(fan_out, fan_in))
-            b = np.zeros(fan_out)
+            W = self.flat[start:start + fan_out * fan_in].reshape(fan_out, fan_in)
+            W[...] = rng.uniform(-scale, scale, size=(fan_out, fan_in))
+            start += fan_out * fan_in
+            b = self.flat[start:start + fan_out]
+            start += fan_out
             mask = None if masks is None else masks[i]
             self.layers.append(Layer(W, b, spectral_norm=spectral_norm, mask=mask))
         if spectral_norm:
@@ -375,10 +420,8 @@ class Mlp:
         h = x
         n = len(self.layers)
         for i in range(n):
-            W = self.effective_weight(i, params[2 * i])
-            h = add(matmul(h, transpose(W)), params[2 * i + 1])
-            if i < n - 1:
-                h = tanh(h)
+            h = dense(h, self.effective_weight(i, params[2 * i]), params[2 * i + 1],
+                      activate=i < n - 1)
         return h
 
     def __call__(self, x) -> Array:
@@ -432,6 +475,12 @@ def adam_step(state: AdamState, params: list[Array], grads: list[Array]) -> None
 
 def collect_grads(param_nodes: list[Node]) -> list[Array]:
     return [p.grad if p.grad is not None else np.zeros_like(p.value) for p in param_nodes]
+
+
+def flat_grads(param_nodes: list[Node]) -> Array:
+    """``collect_grads`` concatenated in ``params()`` order: the gradient of
+    ``Mlp.flat`` when ``param_nodes`` wrap ``Mlp.params()``."""
+    return np.concatenate([g.reshape(-1) for g in collect_grads(param_nodes)])
 
 
 def grad_check(fn, params: list[Array], eps: float = 1e-6) -> float:

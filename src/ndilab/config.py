@@ -29,6 +29,13 @@ def _parse_int_tuple(s) -> tuple:
     return tuple(int(x) for x in str(s).split(",") if x.strip())
 
 
+# counts of items, epochs, steps or samples: each must be at least 1
+COUNT_KEYS = ("n_demo_trajectories", "demo_len", "made_components", "density_epochs",
+              "density_batch", "ssm_slices", "rl_iterations", "rollouts_per_iter",
+              "rollout_len", "buffer_capacity", "n_marginal_samples", "sac_steps",
+              "sac_batch", "eval_every", "eval_episodes", "n_eval_states")
+
+
 @dataclass
 class ExperimentConfig:
     env: str = "grid-5x5"
@@ -82,6 +89,9 @@ class ExperimentConfig:
             raise ConfigError("gamma must lie in [0, 1)")
         if self.lambda_f < 0 or self.lambda_pi < 0:
             raise ConfigError("reward weights must be non-negative")
+        for key in COUNT_KEYS:
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
 
     def hash(self) -> str:
         payload = ";".join(f"{f.name}={getattr(self, f.name)!r}"

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import AdamState, Mlp, Node, adam_step, backward, collect_grads
+from .autodiff import AdamState, Mlp, Node, adam_step, backward, flat_grads
 
 Array = np.ndarray
 
@@ -191,7 +191,7 @@ def _adam_fit(model, Z: Array, config, loss_fn) -> Array:
             if not np.isfinite(loss.value):
                 raise FloatingPointError(f"NaN training loss at epoch {epoch}")
             backward(loss)
-            adam_step(state, model.params(), collect_grads(params))
+            adam_step(state, [model.net.flat], [flat_grads(params)])
             model.refresh_spectral_norm()
             losses.append(float(loss.value))
             step += 1
@@ -263,13 +263,10 @@ class EbmModel:
         h: Node = Node(Z)
         act_derivs: list[Node] = []
         for i in range(n):
-            W = self.net.effective_weight(i, params[2 * i])
-            pre = ad.add(ad.matmul(h, ad.transpose(W)), params[2 * i + 1])
+            h = ad.dense(h, self.net.effective_weight(i, params[2 * i]), params[2 * i + 1],
+                         activate=i < n - 1)
             if i < n - 1:
-                h = ad.tanh(pre)
                 act_derivs.append(ad.sub(1.0, ad.square(h)))
-            else:
-                h = pre
         g = Node(np.ones((Z.shape[0], 1)))
         for i in reversed(range(n)):
             g = ad.matmul(g, self.net.effective_weight(i, params[2 * i]))

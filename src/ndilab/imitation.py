@@ -1,6 +1,7 @@
 """Phase-2 machinery: augmented-reward construction, the fixed RBF critic,
-the timestep-indexed replay buffer, tabular soft policy iteration, a compact
-soft actor-critic for toy continuous runs, and policy evaluation.
+the array-backed replay ring behind both the timestep-indexed buffer and the
+SAC buffer, tabular soft policy iteration, a compact soft actor-critic for
+toy continuous runs, and policy evaluation.
 
 Two reward shapes coexist behind a flag: the gradient-identity-faithful form
 used by the verification suite (leading gamma on the critic term, marginal
@@ -13,13 +14,12 @@ from __future__ import annotations
 
 import logging
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import AdamState, Mlp, Node, adam_step, backward, collect_grads
+from .autodiff import AdamState, Mlp, Node, adam_step, backward, flat_grads
 from .mdp import GaussianPolicy, SoftmaxPolicy, TabularMdp, policy_log_prob
 from .occupancy import occupancy_measure, truncation_horizon
 
@@ -40,45 +40,61 @@ class AugmentedRewardConfig:
             raise ValueError("reward weights must be non-negative")
 
 
+class Ring:
+    """Fixed-capacity FIFO of float64 rows of one shape, stored in a single
+    preallocated ``(capacity, *shape)`` array that wraps around.
+
+    ``take(idx)`` reads rows by oldest-first position. The array is made
+    with ``np.empty``, so memory pages are touched only as rows are written.
+    """
+
+    def __init__(self, capacity: int, shape: tuple):
+        if capacity < 1:
+            raise ValueError("capacity must be >= 1")
+        self.capacity = capacity
+        self.rows = np.empty((capacity, *shape))
+        self.count = 0   # rows ever added
+
+    def add(self, row) -> None:
+        self.rows[self.count % self.capacity] = row
+        self.count += 1
+
+    def take(self, idx: Array) -> Array:
+        """Rows at oldest-first positions ``idx`` (each in ``[0, len)``)."""
+        if self.count > self.capacity:
+            idx = (idx + self.count) % self.capacity
+        return self.rows[idx]
+
+    def __len__(self) -> int:
+        return min(self.count, self.capacity)
+
+
 class TimestepReplayBuffer:
     """Visited states bucketed by trajectory timestep, FIFO per bucket.
 
     Backs the marginal expectations in the critic reward: states deposited at
     trajectory index t approximate samples from the time-t state marginal.
-    Each bucket is one ``(capacity, d)`` ring; reads return ``(n, d)``
-    arrays, oldest state first.
+    Each bucket is one ``Ring``; reads return ``(n, d)`` arrays, oldest
+    state first.
     """
 
     def __init__(self, capacity_per_bucket: int = 1024, seed: int = 0):
         self.capacity = capacity_per_bucket
-        self.buckets: dict[int, Array] = {}
-        self.counts: dict[int, int] = {}   # states ever added per bucket
+        self.buckets: dict[int, Ring] = {}
         self.rng = np.random.default_rng(seed)
 
     def add(self, t: int, state: Array) -> None:
         t = int(t)
         state = np.asarray(state, dtype=np.float64)
         if t not in self.buckets:
-            self.buckets[t] = np.empty((self.capacity, *state.shape))
-            self.counts[t] = 0
-        self.buckets[t][self.counts[t] % self.capacity] = state
-        self.counts[t] += 1
-
-    def _ordered(self, t: int, idx: Array) -> Array:
-        """Rows of bucket t at oldest-first positions ``idx``."""
-        count = self.counts[t]
-        if count > self.capacity:
-            idx = (idx + count) % self.capacity
-        return self.buckets[t][idx]
-
-    def _len(self, t: int) -> int:
-        return min(self.counts.get(t, 0), self.capacity)
+            self.buckets[t] = Ring(self.capacity, state.shape)
+        self.buckets[t].add(state)
 
     def bucket(self, t: int) -> Array:
-        t = int(t)
-        if t not in self.buckets:
+        ring = self.buckets.get(int(t))
+        if ring is None:
             return np.empty((0, 0))
-        return self._ordered(t, np.arange(self._len(t)))
+        return ring.take(np.arange(len(ring)))
 
     def pooled(self) -> Array:
         if not self.buckets:
@@ -90,9 +106,9 @@ class TimestepReplayBuffer:
         array; empty buckets fall back to the pooled buffer with a logged
         warning."""
         t = int(t)
-        size = self._len(t)
-        if size:
-            return self._ordered(t, self.rng.integers(0, size, size=n))
+        ring = self.buckets.get(t)
+        if ring is not None:
+            return ring.take(self.rng.integers(0, len(ring), size=n))
         items = self.pooled()
         if not len(items):
             raise ValueError("replay buffer is empty")
@@ -100,7 +116,7 @@ class TimestepReplayBuffer:
         return items[self.rng.integers(0, len(items), size=n)]
 
     def __len__(self) -> int:
-        return sum(self._len(t) for t in self.buckets)
+        return sum(len(ring) for ring in self.buckets.values())
 
 
 @dataclass
@@ -293,7 +309,8 @@ class SacLearner:
         self.log_alpha = np.array([math.log(0.2)])
         self.target_entropy = (config.target_entropy if config.target_entropy is not None
                                else -float(action_dim))
-        self.buffer: deque = deque(maxlen=config.buffer_capacity)
+        # one row per transition: s, a, r, s2, done
+        self.buffer = Ring(config.buffer_capacity, (2 * state_dim + action_dim + 2,))
         self.rng = np.random.default_rng(config.seed)
         self.opt_q1 = AdamState(lr=config.lr)
         self.opt_q2 = AdamState(lr=config.lr)
@@ -305,8 +322,8 @@ class SacLearner:
         a = np.asarray(a, dtype=np.float64)
         if self.config.action_bound is not None:
             a = np.clip(a, -self.config.action_bound, self.config.action_bound)
-        self.buffer.append((np.asarray(s, float), a, float(r),
-                            np.asarray(s2, float), float(done)))
+        self.buffer.add(np.concatenate([np.asarray(s, float), a, [float(r)],
+                                        np.asarray(s2, float), [float(done)]]))
 
     @property
     def alpha(self) -> float:
@@ -314,8 +331,10 @@ class SacLearner:
 
     def _batch(self):
         idx = self.rng.integers(0, len(self.buffer), size=self.config.batch_size)
-        s, a, r, s2, d = zip(*(self.buffer[i] for i in idx))
-        return (np.stack(s), np.stack(a), np.array(r), np.stack(s2), np.array(d))
+        rows = self.buffer.take(idx)
+        ds, da = self.state_dim, self.action_dim
+        return (rows[:, :ds], rows[:, ds:ds + da], rows[:, ds + da],
+                rows[:, ds + da + 1:2 * ds + da + 1], rows[:, -1])
 
     def step(self) -> dict:
         """One gradient step on both Q networks, the policy, and the
@@ -346,7 +365,7 @@ class SacLearner:
             if not np.isfinite(loss.value):
                 raise FloatingPointError(f"non-finite {name} loss")
             backward(loss)
-            adam_step(opt, net.params(), collect_grads(params))
+            adam_step(opt, [net.flat], [flat_grads(params)])
             losses[name] = float(loss.value)
 
         # policy: maximize min Q(s, a~) - alpha log pi(a~|s) with reparameterized a~
@@ -369,7 +388,7 @@ class SacLearner:
         if not np.isfinite(pi_loss.value):
             raise FloatingPointError("non-finite policy loss")
         backward(pi_loss)
-        adam_step(self.opt_pi, self.policy.mean_net.params(), collect_grads(mean_params))
+        adam_step(self.opt_pi, [self.policy.mean_net.flat], [flat_grads(mean_params)])
         lsg = log_std_base.grad if log_std_base.grad is not None else np.zeros_like(self.policy.log_std)
         adam_step(self.opt_log_std, [self.policy.log_std], [lsg])
         losses["pi"] = float(pi_loss.value)
@@ -382,9 +401,8 @@ class SacLearner:
 
         # Polyak averaging of the targets
         for net, target in ((self.q1, self.q1_target), (self.q2, self.q2_target)):
-            for p, pt in zip(net.params(), target.params()):
-                pt *= (1.0 - cfg.polyak)
-                pt += cfg.polyak * p
+            target.flat *= (1.0 - cfg.polyak)
+            target.flat += cfg.polyak * net.flat
         return losses
 
 

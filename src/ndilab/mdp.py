@@ -17,6 +17,8 @@ Array = np.ndarray
 
 LOG_STD_MIN = -5.0
 LOG_STD_MAX = 2.0
+# the probability-row tolerance of Generator.choice
+_PROB_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
 
 
 @dataclass
@@ -75,8 +77,8 @@ class SoftmaxPolicy:
     """Discrete stochastic policy pi(a|s) = softmax(logits[s]).
 
     ``logits`` is never modified in place after construction (a new policy
-    is built instead), so ``sample`` computes the probability table once, on
-    its first call, and reuses it.
+    is built instead), so ``sample`` builds its normalized cumulative table
+    once, on its first call, and reuses it.
     """
 
     def __init__(self, logits: Array):
@@ -85,7 +87,7 @@ class SoftmaxPolicy:
             raise ValueError("logits must be (n_states, n_actions)")
         if not np.all(np.isfinite(self.logits)):
             raise ValueError("logits must be finite")
-        self._sample_probs: Array | None = None
+        self._sample_cdf: Array | None = None
 
     def log_probs(self) -> Array:
         z = self.logits - self.logits.max(axis=1, keepdims=True)
@@ -95,9 +97,16 @@ class SoftmaxPolicy:
         return np.exp(self.log_probs())
 
     def sample(self, s: int, rng: np.random.Generator) -> int:
-        if self._sample_probs is None:
-            self._sample_probs = self.probs()
-        return int(rng.choice(self.logits.shape[1], p=self._sample_probs[s]))
+        """The draw ``rng.choice(n_actions, p=probs()[s])`` makes: one
+        ``rng.random()`` searched in the row's normalized cumulative sums."""
+        if self._sample_cdf is None:
+            probs = self.probs()
+            if np.any(probs < 0) or np.any(np.abs(probs.sum(axis=1) - 1.0) > _PROB_ATOL):
+                raise ValueError("action probabilities must be non-negative and sum to 1")
+            cdf = np.cumsum(probs, axis=1)
+            cdf /= cdf[:, -1:]
+            self._sample_cdf = cdf
+        return int(self._sample_cdf[s].searchsorted(rng.random(), side="right"))
 
     @staticmethod
     def uniform(n_states: int, n_actions: int) -> "SoftmaxPolicy":

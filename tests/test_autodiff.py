@@ -81,6 +81,91 @@ class TestBackward:
         assert c.grad == pytest.approx(0.0)
 
 
+class TestDense:
+    """``dense`` against the matmul -> transpose -> add -> tanh chain it
+    replaces: value and all three gradients must be equal bit for bit."""
+
+    @staticmethod
+    def run(layer, weight_node):
+        rng = np.random.default_rng(4)
+        h = Node(rng.normal(size=(5, 3)))
+        W = Node(rng.normal(size=(4, 3)))
+        b = Node(rng.normal(size=4))
+        out = layer(h, weight_node(W), b)
+        backward(ad.nsum(ad.mul(out, rng.normal(size=(5, 4)))))
+        return out.value, h.grad, W.grad, b.grad
+
+    @pytest.mark.parametrize("activate", [True, False])
+    @pytest.mark.parametrize("masked_spectral", [False, True])
+    def test_value_and_gradients_equal_the_op_chain(self, activate, masked_spectral):
+        model = Mlp([3, 4], seed=1, spectral_norm=True,
+                    masks=[np.random.default_rng(2).integers(0, 2, size=(4, 3)).astype(float)])
+
+        def weight_node(W):
+            return model.effective_weight(0, W) if masked_spectral else W
+
+        def chain(h, W, b):
+            pre = ad.add(ad.matmul(h, ad.transpose(W)), b)
+            return ad.tanh(pre) if activate else pre
+
+        def fused(h, W, b):
+            return ad.dense(h, W, b, activate=activate)
+
+        for want, got in zip(self.run(chain, weight_node), self.run(fused, weight_node)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_backward_from_a_second_output_uses_its_own_upstream_gradient(self):
+        rng = np.random.default_rng(6)
+        h, weight = rng.normal(size=(4, 3)), rng.normal(size=(2, 3))
+
+        def w_grad(earlier_backward: bool):
+            W = Node(weight)
+            out = ad.dense(h, W, np.zeros(2))
+            if earlier_backward:
+                backward(ad.nsum(out))
+            backward(ad.nsum(ad.square(out)))
+            return W.grad
+
+        np.testing.assert_array_equal(w_grad(True), w_grad(False))
+
+
+class TestFlatParameters:
+    def test_params_are_views_of_flat_and_set_params_writes_flat(self):
+        model = Mlp([3, 5, 2], seed=0)
+        params = model.params()
+        assert model.flat.size == sum(p.size for p in params)
+        for p in params:
+            assert np.shares_memory(p, model.flat)
+        np.testing.assert_array_equal(model.flat, np.concatenate([p.reshape(-1) for p in params]))
+        new = [np.full(p.shape, float(k)) for k, p in enumerate(params)]
+        model.set_params(new)
+        np.testing.assert_array_equal(model.flat, np.concatenate([p.reshape(-1) for p in new]))
+
+    def test_initial_weights_are_the_seeded_uniform_draws(self):
+        model = Mlp([3, 5, 2], seed=7)
+        rng = np.random.default_rng(7)
+        for layer, (fan_in, fan_out) in zip(model.layers, [(3, 5), (5, 2)]):
+            scale = 1.0 / np.sqrt(fan_in)
+            np.testing.assert_array_equal(layer.weight,
+                                          rng.uniform(-scale, scale, size=(fan_out, fan_in)))
+            np.testing.assert_array_equal(layer.bias, np.zeros(fan_out))
+
+    def test_adam_on_flat_equals_adam_per_array(self):
+        rng = np.random.default_rng(3)
+        X, y = rng.normal(size=(16, 3)), rng.normal(size=(16, 1))
+        flat_model, split_model = Mlp([3, 6, 1], seed=5), Mlp([3, 6, 1], seed=5)
+        flat_state, split_state = AdamState(lr=1e-2), AdamState(lr=1e-2)
+        for _ in range(50):
+            for model, state in ((flat_model, flat_state), (split_model, split_state)):
+                params = [Node(p) for p in model.params()]
+                backward(ad.nmean(ad.square(ad.sub(model.forward(X, params), y))))
+                if model is flat_model:
+                    adam_step(state, [model.flat], [ad.flat_grads(params)])
+                else:
+                    adam_step(state, model.params(), ad.collect_grads(params))
+        np.testing.assert_array_equal(flat_model.flat, split_model.flat)
+
+
 class TestGradCheck:
     def test_quadratic_form(self):
         rng = np.random.default_rng(0)
@@ -109,6 +194,22 @@ class TestGradCheck:
         assert grad_check(fn, [np.ones(2)], eps=1e-6) == 0.0
 
 
+def all_ops_graph(params):
+    """A scalar graph through every engine op."""
+    pa, pb, pc = params
+    h = ad.matmul(pa, pb)                      # (3, 2)
+    h = ad.add(h, pc)                          # broadcast bias
+    h = ad.tanh(h)
+    h = ad.concat([h, ad.square(h)], axis=1)   # (3, 4)
+    h = ad.mul(h, 0.5)
+    h = ad.sub(h, 0.1)
+    h = ad.div(h, 2.0)
+    h = ad.clip(h, -0.5, 0.5)  # inactive here; saturation tested separately
+    g = ad.exp(ad.getitem(h, (slice(None), 0)))
+    lse = ad.logsumexp(ad.reshape(h, (3, 4)), axis=1)
+    return ad.nmean(ad.log(ad.add(g, 1.5))) + ad.nsum(lse) + ad.nmean(h)
+
+
 class TestEngineOps:
     def test_all_ops_pass_grad_check(self):
         rng = np.random.default_rng(42)
@@ -117,21 +218,22 @@ class TestEngineOps:
         b = rng.uniform(-0.6, 0.6, size=(4, 2))
         c = rng.uniform(-0.6, 0.6, size=2)
 
-        def fn(params):
-            pa, pb, pc = params
-            h = ad.matmul(pa, pb)                      # (3, 2)
-            h = ad.add(h, pc)                          # broadcast bias
-            h = ad.tanh(h)
-            h = ad.concat([h, ad.square(h)], axis=1)   # (3, 4)
-            h = ad.mul(h, 0.5)
-            h = ad.sub(h, 0.1)
-            h = ad.div(h, 2.0)
-            h = ad.clip(h, -0.5, 0.5)  # inactive here; saturation tested separately
-            g = ad.exp(ad.getitem(h, (slice(None), 0)))
-            lse = ad.logsumexp(ad.reshape(h, (3, 4)), axis=1)
-            return ad.nmean(ad.log(ad.add(g, 1.5))) + ad.nsum(lse) + ad.nmean(h)
+        assert grad_check(all_ops_graph, [a, b, c], eps=1e-6) < 1e-5
 
-        assert grad_check(fn, [a, b, c], eps=1e-6) < 1e-5
+    def test_backward_gives_every_reached_node_a_grad_of_its_shape(self):
+        rng = np.random.default_rng(42)
+        params = [Node(rng.uniform(-0.6, 0.6, size=shape)) for shape in ((3, 4), (4, 2), (2,))]
+        out = all_ops_graph(params)
+        backward(out)
+        reached, stack = {}, [out]
+        while stack:
+            node = stack.pop()
+            if id(node) not in reached:
+                reached[id(node)] = node
+                stack.extend(parent for parent, _ in node.parents)
+        assert len(reached) > 20
+        for node in reached.values():
+            assert node.grad is not None and np.shape(node.grad) == node.value.shape
 
     def test_clip_saturation_blocks_gradient(self):
         x = Node(np.array([3.0, -3.0, 0.1]))

@@ -16,7 +16,7 @@ from ndilab.checkpoint import (
     save_softmax_policy,
 )
 from ndilab.cli import EXIT_DIVERGENCE, EXIT_OK, EXIT_USAGE, main
-from ndilab.config import ConfigError, ExperimentConfig, parse_config_text
+from ndilab.config import COUNT_KEYS, ConfigError, ExperimentConfig, parse_config_text
 from ndilab.demos import DemoSet, load_demos, save_demos
 from ndilab.density import EbmModel, MadeConfig, made_fit
 from ndilab.envs import get_env
@@ -32,6 +32,14 @@ def quick_config(tmp_path, **overrides):
                     eval_episodes=5)
     defaults.update(overrides)
     return ExperimentConfig(**defaults)
+
+
+def smoke_pointmass_config(tmp_path):
+    return ExperimentConfig(env="pointmass", seed=0, out_dir=str(tmp_path / "pm"),
+                            n_demo_trajectories=3, demo_len=50,
+                            density_kind="ebm", density_epochs=20, density_batch=64,
+                            sac_steps=900, eval_every=300, sac_batch=64,
+                            n_eval_states=40, eval_episodes=4, n_marginal_samples=16)
 
 
 class TestConfig:
@@ -61,6 +69,15 @@ class TestConfig:
             parse_config_text("density_kind = flow")
         with pytest.raises(ConfigError):
             parse_config_text("gamma = 1.5")
+
+    @pytest.mark.parametrize("key", COUNT_KEYS)
+    def test_count_below_one_rejected(self, key):
+        for bad in (0, -1):
+            with pytest.raises(ConfigError, match=key):
+                ExperimentConfig(**{key: bad})
+        with pytest.raises(ConfigError, match=key):
+            parse_config_text(f"{key} = 0")
+        assert getattr(ExperimentConfig(**{key: 1}), key) == 1
 
     def test_hash_is_stable_and_sensitive(self):
         a = ExperimentConfig(seed=0)
@@ -287,8 +304,12 @@ class TestTrainCommand:
             seeds.append(int(rows[0].split(",")[-1]))
         assert sorted(seeds) == [0, 1, 2, 3, 4]
 
-    def test_rerun_outputs_byte_identical_except_wallclock(self, tmp_path):
-        cfg = quick_config(tmp_path, rl_iterations=3)
+    @pytest.mark.parametrize("make_config", [
+        lambda tmp_path: quick_config(tmp_path, rl_iterations=3),
+        smoke_pointmass_config,
+    ], ids=["grid", "pointmass"])
+    def test_rerun_outputs_byte_identical_except_wallclock(self, tmp_path, make_config):
+        cfg = make_config(tmp_path)
         r1 = run_full_pipeline(cfg, tmp_path / "x1")
         r2 = run_full_pipeline(cfg, tmp_path / "x2")
         for name in ("demos.csv", "model.ckpt", "policy.ckpt"):
@@ -306,12 +327,7 @@ class TestTrainCommand:
 
 class TestContinuousPipeline:
     def test_point_mass_smoke_run(self, tmp_path):
-        cfg = ExperimentConfig(env="pointmass", seed=0, out_dir=str(tmp_path / "pm"),
-                               n_demo_trajectories=3, demo_len=50,
-                               density_kind="ebm", density_epochs=20, density_batch=64,
-                               sac_steps=900, eval_every=300, sac_batch=64,
-                               n_eval_states=40, eval_episodes=4, n_marginal_samples=16)
-        summary = run_full_pipeline(cfg)
+        summary = run_full_pipeline(smoke_pointmass_config(tmp_path))
         assert np.isfinite(summary["env_return_mean"])
         assert np.isfinite(summary["normalized_kl"])
         metrics = (tmp_path / "pm" / "metrics.csv").read_text().splitlines()
@@ -391,6 +407,13 @@ class TestCliFrontend:
         assert main(["train", "--config", str(cfg), "--model", str(model)]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "model.ckpt" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_zero_eval_every_is_usage_error(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path, "eval_every = 0\n")
+        assert main(["train", "--config", str(cfg)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "eval_every" in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_directory_as_model_is_usage_error(self, tmp_path, capsys):

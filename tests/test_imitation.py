@@ -2,6 +2,7 @@
 soft policy iteration, the toy SAC learner, and policy evaluation."""
 import logging
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -375,6 +376,25 @@ class TestSacLearner:
                  + [learner.log_alpha, learner.policy.log_std])
         for b, a in zip(before, after):
             np.testing.assert_array_equal(b, a)
+
+    def test_replay_ring_after_wraparound_matches_a_deque(self):
+        # reference: the transitions kept in a deque(maxlen=capacity) and
+        # stacked per field for the same sampled indices
+        cfg = SacConfig(batch_size=8, hidden=(4,), buffer_capacity=7, seed=3)
+        learner = SacLearner(state_dim=3, action_dim=2, config=cfg)
+        reference = deque(maxlen=cfg.buffer_capacity)
+        rng = np.random.default_rng(5)
+        for k in range(1, 20):
+            s, a, r, s2 = rng.normal(size=3), rng.uniform(-2, 2, size=2), rng.normal(), rng.normal(size=3)
+            learner.add_transition(s, a, r, s2, done=k % 4 == 0)
+            reference.append((s, np.clip(a, -1.0, 1.0), r, s2, float(k % 4 == 0)))
+            assert len(learner.buffer) == len(reference)
+            draw = np.random.Generator(np.random.PCG64())
+            draw.bit_generator.state = learner.rng.bit_generator.state
+            idx = draw.integers(0, len(reference), size=cfg.batch_size)
+            want = [np.stack(field) for field in zip(*(reference[i] for i in idx))]
+            for got, expected in zip(learner._batch(), want):
+                np.testing.assert_array_equal(got, expected)
 
     def test_constant_reward_bandit_q_converges_to_geometric_series(self):
         cfg = SacConfig(gamma=0.9, lr=3e-3, lr_alpha=3e-3, batch_size=64,

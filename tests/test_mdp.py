@@ -123,7 +123,13 @@ class TestSampleTrajectory:
 
     def test_rollout_equals_per_step_softmax_draws(self):
         mdp = build_chain(6)
-        policy = SoftmaxPolicy(np.random.default_rng(2).normal(size=(6, 2)) * 3.0)
+        logits = np.random.default_rng(2).normal(size=(6, 2)) * 3.0
+        # extreme rows: probabilities within 1e-15 of 0 and 1, and exactly 0 and 1
+        logits[1] = [0.0, 36.0]
+        logits[3] = [-800.0, 800.0]
+        logits[4] = [0.0, 34.0]
+        logits[5] = [0.0, 0.0]   # lets the walk leave the 3 -> 4 -> 5 run
+        policy = SoftmaxPolicy(logits)
         traj = sample_trajectory(mdp, policy, max_steps=300, seed=11)
         rng = np.random.default_rng(11)
         s = int(rng.choice(mdp.n_states, p=mdp.initial_dist))
@@ -131,6 +137,17 @@ class TestSampleTrajectory:
             a = int(rng.choice(mdp.n_actions, p=policy.probs()[s]))
             assert (traj.states[t], traj.actions[t]) == (s, a)
             s = int(mdp.transition[s, a])
+        assert set(traj.states.tolist()) == set(range(6))
+
+    def test_sample_makes_the_same_draws_as_choice(self):
+        master = np.random.default_rng(8)
+        logits = master.normal(size=(40, 5)) * np.repeat([0.1, 3.0, 40.0, 400.0], 10)[:, None]
+        policy = SoftmaxPolicy(logits)
+        probs = policy.probs()
+        ours, theirs = np.random.default_rng(4), np.random.default_rng(4)
+        for s in master.integers(0, 40, size=2000):
+            assert policy.sample(int(s), ours) == int(theirs.choice(5, p=probs[s]))
+        assert ours.bit_generator.state == theirs.bit_generator.state
 
     def test_point_mass_next_state_given_state_action(self):
         # injective deterministic MDP: empirical next state is a point mass per (s, a)
