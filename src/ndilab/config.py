@@ -55,7 +55,8 @@ class ExperimentConfig:
     ssm_hvp_epsilon: float = 1e-4
 
     lambda_pi_mode: str = "auto"       # auto | fixed
-    lambda_pi: float = 0.05            # initial (auto) or fixed value
+    lambda_pi: float = 0.05            # fixed value, or tabular auto's initial one;
+                                       # SAC auto starts at 0.2 and ignores it
     lambda_f: float = 0.005
     reward_form: str = "alg1"          # alg1 | identity
     target_entropy_factor: float = 0.5  # times log|A| on discrete actions

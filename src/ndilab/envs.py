@@ -7,6 +7,7 @@ and actions so density models and the RBF critic can operate on real vectors.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -197,6 +198,10 @@ class TabularEnvBundle:
 
     kind: str = "tabular"
 
+    @property
+    def dynamics(self) -> TabularMdp:
+        return self.mdp
+
     def expert(self) -> SoftmaxPolicy:
         return soft_optimal_policy(self.mdp, self.expert_tau)
 
@@ -208,35 +213,53 @@ class ContinuousEnvBundle:
 
     kind: str = "continuous"
 
-    def expert(self):
+    @property
+    def dynamics(self) -> PointMassEnv:
+        return self.env
+
+    def expert(self) -> "PdExpert":
         return PdExpert(self.env.spec)
 
 
 class PdExpert:
-    """Scripted PD controller exposed with the sampling-policy interface."""
+    """The point-mass expert: the PD controller plus Gaussian action noise,
+    with the Gaussian-policy interface, so the demonstrations are drawn from
+    and the analytic KL is measured against the same policy. The log-std is
+    fixed at log(noise_std) and needs no clamping."""
+
+    action_dim = PointMassEnv.action_dim
 
     def __init__(self, spec: PointMassSpec, noise_std: float = 0.02):
         self.spec = spec
         self.noise_std = noise_std
+        self.log_std = np.full(self.action_dim, math.log(noise_std))
+
+    def mean(self, s: Array) -> Array:
+        return pd_controller_action(s, max_accel=self.spec.max_accel)
+
+    def clamped_log_std(self) -> Array:
+        return self.log_std
 
     def sample(self, s: Array, rng: np.random.Generator) -> Array:
-        a = pd_controller_action(s, max_accel=self.spec.max_accel)
-        return a + self.noise_std * rng.standard_normal(2)
+        return self.mean(s) + self.noise_std * rng.standard_normal(self.action_dim)
 
 
-def get_env(name: str, discount: float | None = None) -> TabularEnvBundle | ContinuousEnvBundle:
-    """Resolve a registry name: "chain-N", "grid-WxH", or "pointmass"."""
+def get_env(name: str, discount: float | None = None,
+            expert_tau: float = 0.05) -> TabularEnvBundle | ContinuousEnvBundle:
+    """Resolve a registry name: "chain-N", "grid-WxH", or "pointmass";
+    ``expert_tau`` is the tabular expert's temperature."""
     m = re.fullmatch(r"chain-(\d+)", name)
     if m:
         n = int(m.group(1))
         mdp = build_chain(n, gamma=discount if discount is not None else 0.9)
-        return TabularEnvBundle(name, mdp, chain_embedding(n))
+        return TabularEnvBundle(name, mdp, chain_embedding(n), expert_tau)
     m = re.fullmatch(r"grid-(\d+)x(\d+)", name)
     if m:
         W, H = int(m.group(1)), int(m.group(2))
         spec = GridworldSpec(width=W, height=H, goal=(W - 1, H - 1),
                              discount=discount if discount is not None else 0.9)
-        return TabularEnvBundle(name, build_gridworld(spec), gridworld_embedding(spec))
+        return TabularEnvBundle(name, build_gridworld(spec), gridworld_embedding(spec),
+                                expert_tau)
     if name == "pointmass":
         return ContinuousEnvBundle(name, PointMassEnv())
     raise KeyError(f"unknown environment {name!r}")

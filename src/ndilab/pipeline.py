@@ -2,12 +2,15 @@
 maximum-occupancy-entropy RL with the augmented reward, and evaluation.
 
 Reward composition during training is r = log q(s, a) + lambda_f * r_f, with
-the policy-entropy weight lambda_pi realized as the soft-RL temperature (the
-tabular soft-policy-iteration temperature, or SAC's tuned entropy
-coefficient) rather than added to the reward table; the two are equivalent
-and keep a single entropy knob. Model selection never reads the environment
-reward: the best checkpoint is the one with the highest augmented return,
-and the metrics log makes that auditable.
+the policy-entropy weight lambda_pi realized as the soft-RL temperature
+rather than added to the reward table; the two are equivalent and keep a
+single entropy knob. The tabular soft-policy-iteration temperature starts at
+the configured lambda_pi and, in auto mode, adapts toward the target entropy.
+SAC's entropy coefficient is lambda_pi in fixed mode; in auto mode SAC tunes
+it from its own initial value (0.2) and the configured lambda_pi is unused.
+Model selection never reads the environment reward: the best checkpoint is
+the one with the highest augmented return, and the metrics log makes that
+auditable.
 """
 from __future__ import annotations
 
@@ -22,6 +25,8 @@ import numpy as np
 
 from .checkpoint import (
     load_density_model,
+    load_gaussian_policy,
+    load_softmax_policy,
     save_density_model,
     save_gaussian_policy,
     save_softmax_policy,
@@ -43,8 +48,8 @@ from .imitation import (
     reward_f,
     soft_policy_iteration,
 )
-from .mdp import SoftmaxPolicy, sample_trajectory
-from .occupancy import occupancy_measure
+from .mdp import GaussianPolicy, SoftmaxPolicy, sample_trajectory
+from .occupancy import occupancy_measure, reverse_kl_occupancy
 
 METRICS_COLUMNS = ["iteration", "env_steps", "augmented_return", "env_return",
                    "normalized_kl", "lambda_pi", "wallclock", "config_hash", "seed"]
@@ -62,36 +67,27 @@ def cmd_gen_demos(config: ExperimentConfig, out_dir=None) -> Path:
     """Roll the in-repo expert and write the demonstration file."""
     out = Path(out_dir or config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    bundle = get_env(config.env, config.gamma)
+    bundle = get_env(config.env, config.gamma, config.expert_tau)
     expert = bundle.expert()
     states, actions, episodes, timesteps = [], [], [], []
+    for ep in range(config.n_demo_trajectories):
+        traj = sample_trajectory(bundle.dynamics, expert, config.demo_len,
+                                 seed=config.seed * 9973 + ep)
+        states.extend(traj.states)
+        actions.extend(traj.actions)
+        episodes.extend([ep] * len(traj))
+        timesteps.extend(range(len(traj)))
+    states, actions = np.array(states), np.array(actions)
     if bundle.kind == "tabular":
-        embed = bundle.embedding
-        for ep in range(config.n_demo_trajectories):
-            traj = sample_trajectory(bundle.mdp, expert, config.demo_len,
-                                     seed=config.seed * 9973 + ep)
-            for t in range(len(traj)):
-                states.append(embed.state(traj.states[t]))
-                actions.append(embed.action(traj.actions[t]))
-                episodes.append(ep)
-                timesteps.append(t)
+        states = bundle.embedding.state_coords[states]
+        actions = bundle.embedding.action_coords[actions]
         expert_return = exact_discounted_return(bundle.mdp, expert)
         descriptor = f"soft-optimal(tau={bundle.expert_tau})"
     else:
-        env = bundle.env
-        for ep in range(config.n_demo_trajectories):
-            traj = sample_trajectory(env, expert, config.demo_len,
-                                     seed=config.seed * 9973 + ep)
-            for t in range(len(traj)):
-                states.append(traj.states[t])
-                actions.append(traj.actions[t])
-                episodes.append(ep)
-                timesteps.append(t)
-        expert_return, _ = evaluate_return(expert, env, n_episodes=config.eval_episodes,
+        expert_return, _ = evaluate_return(expert, bundle.env, n_episodes=config.eval_episodes,
                                            seed=config.seed)
         descriptor = "pd-controller"
-    demos = DemoSet(np.array(states), np.array(actions), np.array(episodes),
-                    np.array(timesteps),
+    demos = DemoSet(states, actions, np.array(episodes), np.array(timesteps),
                     meta={"env": config.env, "expert": descriptor,
                           "seed": config.seed, "count": len(states),
                           "expert_return": f"{expert_return:.17g}",
@@ -137,17 +133,16 @@ class TrainResult:
     summary: dict
 
 
-def _policy_entropy_weighted(mdp, policy) -> float:
-    """Occupancy-weighted mean per-state policy entropy (normalized weights)."""
-    occ = occupancy_measure(mdp, policy)
+def _policy_entropy_weighted(occ, policy) -> float:
+    """Occupancy-weighted mean per-state policy entropy (normalized weights);
+    ``occ`` is the occupancy measure of ``policy``."""
     w = occ.state_marginal() / occ.mass
     probs, logp = policy.probs(), policy.log_probs()
     ent = -(probs * np.where(probs > 0, logp, 0.0)).sum(axis=1)
     return float(w @ ent)
 
 
-def _train_tabular(config: ExperimentConfig, bundle: TabularEnvBundle,
-                   density_model, out: Path) -> TrainResult:
+def _train_tabular(config: ExperimentConfig, bundle: TabularEnvBundle, density_model):
     mdp, embed = bundle.mdp, bundle.embedding
     S, A = mdp.n_states, mdp.n_actions
     expert = bundle.expert()
@@ -225,9 +220,10 @@ def _train_tabular(config: ExperimentConfig, bundle: TabularEnvBundle,
         policy = soft_policy_iteration(mdp, temperature=max(lambda_pi, 1e-6),
                                        reward=base_table, tol=config.spi_tol)
 
-        aug_return = exact_discounted_return(mdp, policy, base_table) \
-            + lambda_pi * -(occupancy_measure(mdp, policy).rho * policy.log_probs()).sum()
-        env_return = exact_discounted_return(mdp, policy)
+        occ = occupancy_measure(mdp, policy)
+        aug_return = float((occ.rho * base_table).sum()) \
+            + lambda_pi * -(occ.rho * policy.log_probs()).sum()
+        env_return = float((occ.rho * mdp.reward).sum())
         norm_kl = evaluate_policy_kl(policy, expert, mdp, config.n_eval_states,
                                      seed=config.seed + it,
                                      episode_len=config.rollout_len)
@@ -238,30 +234,17 @@ def _train_tabular(config: ExperimentConfig, bundle: TabularEnvBundle,
             best = (aug_return, it, SoftmaxPolicy(policy.logits.copy()))
 
         if config.lambda_pi_mode == "auto":
-            entropy = _policy_entropy_weighted(mdp, policy)
+            entropy = _policy_entropy_weighted(occ, policy)
             lambda_pi = float(np.clip(lambda_pi * math.exp(0.5 * (target_entropy - entropy)),
                                       1e-4, 10.0))
 
-    policy_path = out / "policy.ckpt"
-    save_softmax_policy(policy_path, best[2],
-                        extra={"config_hash": config.hash(), "seed": config.seed,
-                               "chosen_iteration": best[1],
-                               "selection_rule": "augmented_return"})
-    metrics_path = out / "metrics.csv"
-    _write_csv(metrics_path, METRICS_COLUMNS, rows)
-    summary = {"chosen_iteration": best[1],
-               "best_augmented_return": float(best[0]),
-               "selection_rule": "augmented_return",
-               "iterations": config.rl_iterations,
-               "env_steps": env_steps,
-               "config_hash": config.hash(), "seed": config.seed}
-    (out / "train_summary.json").write_text(json.dumps(summary, sort_keys=True, indent=1))
-    return TrainResult(policy_path, metrics_path, summary)
+    return best[2], {"chosen_iteration": best[1]}, rows, {
+        "best_augmented_return": float(best[0]), "iterations": config.rl_iterations,
+        "env_steps": env_steps}
 
 
-def _train_continuous(config: ExperimentConfig, bundle: ContinuousEnvBundle,
-                      density_model, out: Path) -> TrainResult:
-    env = bundle.env
+def _train_continuous(config: ExperimentConfig, bundle: ContinuousEnvBundle, density_model):
+    env, expert = bundle.env, bundle.expert()
     rcfg = AugmentedRewardConfig(gamma=config.gamma, lambda_pi=config.lambda_pi,
                                  lambda_f=config.lambda_f,
                                  use_alg1_form=(config.reward_form == "alg1"))
@@ -326,8 +309,7 @@ def _train_continuous(config: ExperimentConfig, bundle: ContinuousEnvBundle,
             env_mean, _ = evaluate_return(sac.policy, env,
                                           n_episodes=max(2, config.eval_episodes // 4),
                                           seed=config.seed + env_steps)
-            norm_kl = evaluate_policy_kl(sac.policy, _pd_as_gaussian(env, config.seed),
-                                         env, config.n_eval_states // 4,
+            norm_kl = evaluate_policy_kl(sac.policy, expert, env, config.n_eval_states // 4,
                                          seed=config.seed, episode_len=episode_len)
             rows.append((len(rows), env_steps, float(aug_mean), float(env_mean),
                          float(norm_kl), sac.alpha, time.time() - t0,
@@ -335,22 +317,11 @@ def _train_continuous(config: ExperimentConfig, bundle: ContinuousEnvBundle,
             if best is None or aug_mean > best[0]:
                 best = (aug_mean, env_steps, _copy_gaussian(sac.policy))
 
-    policy_path = out / "policy.ckpt"
-    save_gaussian_policy(policy_path, best[2],
-                         extra={"config_hash": config.hash(), "seed": config.seed,
-                                "chosen_env_steps": best[1],
-                                "selection_rule": "augmented_return"})
-    metrics_path = out / "metrics.csv"
-    _write_csv(metrics_path, METRICS_COLUMNS, rows)
-    summary = {"chosen_env_steps": best[1], "best_augmented_return": float(best[0]),
-               "selection_rule": "augmented_return", "env_steps": env_steps,
-               "config_hash": config.hash(), "seed": config.seed}
-    (out / "train_summary.json").write_text(json.dumps(summary, sort_keys=True, indent=1))
-    return TrainResult(policy_path, metrics_path, summary)
+    return best[2], {"chosen_env_steps": best[1]}, rows, {
+        "best_augmented_return": float(best[0]), "env_steps": env_steps}
 
 
 def _copy_gaussian(policy):
-    from .mdp import GaussianPolicy
     widths = policy.mean_net.widths
     clone = GaussianPolicy(policy.state_dim, policy.action_dim,
                            hidden=tuple(widths[1:-1]))
@@ -359,70 +330,63 @@ def _copy_gaussian(policy):
     return clone
 
 
-def _pd_as_gaussian(env, seed):
-    """Gaussian wrapper over the scripted controller so analytic KL applies."""
-    from .envs import pd_controller_action
-    from .mdp import GaussianPolicy
-
-    class PdGaussian(GaussianPolicy):
-        def __init__(self):
-            super().__init__(env.state_dim, env.action_dim, hidden=(4,), seed=seed)
-            self.log_std[:] = math.log(0.05)
-
-        def mean(self, s):
-            return pd_controller_action(s)
-
-    return PdGaussian()
-
-
 def cmd_train(config: ExperimentConfig, model_path, out_dir=None) -> TrainResult:
-    """Phase 2: maximum-occupancy-entropy RL against the learned density."""
+    """Phase 2: maximum-occupancy-entropy RL against the learned density.
+
+    Writes the policy with the best augmented return, ``metrics.csv`` (one
+    row per evaluation) and ``train_summary.json``.
+    """
     out = Path(out_dir or config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     density_model = load_density_model(model_path)
     if density_model.kind != config.density_kind:
         raise ValueError(f"checkpoint kind {density_model.kind!r} does not match "
                          f"config density_kind {config.density_kind!r}")
-    bundle = get_env(config.env, config.gamma)
+    bundle = get_env(config.env, config.gamma, config.expert_tau)
     if bundle.kind == "tabular":
-        return _train_tabular(config, bundle, density_model, out)
-    return _train_continuous(config, bundle, density_model, out)
+        train, save_policy = _train_tabular, save_softmax_policy
+    else:
+        train, save_policy = _train_continuous, save_gaussian_policy
+    # the chosen policy, the key naming its evaluation, the metrics rows and
+    # the run's summary figures
+    policy, chosen, rows, results = train(config, bundle, density_model)
+    stamp = {"config_hash": config.hash(), "seed": config.seed,
+             "selection_rule": "augmented_return", **chosen}
+    policy_path = out / "policy.ckpt"
+    save_policy(policy_path, policy, extra=stamp)
+    metrics_path = out / "metrics.csv"
+    _write_csv(metrics_path, METRICS_COLUMNS, rows)
+    summary = {**stamp, **results}
+    (out / "train_summary.json").write_text(json.dumps(summary, sort_keys=True, indent=1))
+    return TrainResult(policy_path, metrics_path, summary)
 
 
 def cmd_eval(config: ExperimentConfig, policy_path, out_dir=None) -> dict:
-    """Structured evaluation summary for a trained policy checkpoint."""
-    bundle = get_env(config.env, config.gamma)
+    """Structured evaluation summary for a trained policy checkpoint: its
+    sampled return and its normalized KL to the expert; tabular runs add the
+    exact return and the occupancy reverse KL to the expert."""
+    bundle = get_env(config.env, config.gamma, config.expert_tau)
+    expert = bundle.expert()
     if bundle.kind == "tabular":
-        from .checkpoint import load_softmax_policy
-        policy, header = load_softmax_policy(policy_path)
         mdp = bundle.mdp
-        expert = bundle.expert()
-        mean, stderr = evaluate_return(policy, mdp, n_episodes=config.eval_episodes,
-                                       seed=config.seed)
-        norm_kl = evaluate_policy_kl(policy, expert, mdp, config.n_eval_states,
-                                     seed=config.seed, episode_len=config.rollout_len)
-        from .occupancy import reverse_kl_occupancy
-        rev_kl = reverse_kl_occupancy(occupancy_measure(mdp, policy),
-                                      occupancy_measure(mdp, expert))
-        summary = {"env_return_mean": float(mean), "env_return_stderr": float(stderr),
-                   "exact_env_return": float(exact_discounted_return(mdp, policy)),
-                   "normalized_kl": float(norm_kl),
-                   "occupancy_reverse_kl": float(rev_kl),
-                   "config_hash": config.hash(), "seed": config.seed,
-                   "checkpoint": str(policy_path)}
+        policy, _ = load_softmax_policy(policy_path)
+        episode_len = config.rollout_len
+        occ = occupancy_measure(mdp, policy)
+        exact = {"exact_env_return": float((occ.rho * mdp.reward).sum()),
+                 "occupancy_reverse_kl": reverse_kl_occupancy(
+                     occ, occupancy_measure(mdp, expert))}
     else:
-        from .checkpoint import load_gaussian_policy
-        policy, header = load_gaussian_policy(policy_path)
-        env = bundle.env
-        mean, stderr = evaluate_return(policy, env, n_episodes=config.eval_episodes,
-                                       seed=config.seed)
-        norm_kl = evaluate_policy_kl(policy, _pd_as_gaussian(env, config.seed), env,
-                                     config.n_eval_states, seed=config.seed,
-                                     episode_len=env.spec.episode_len)
-        summary = {"env_return_mean": float(mean), "env_return_stderr": float(stderr),
-                   "normalized_kl": float(norm_kl),
-                   "config_hash": config.hash(), "seed": config.seed,
-                   "checkpoint": str(policy_path)}
+        policy, _ = load_gaussian_policy(policy_path)
+        episode_len = bundle.env.spec.episode_len
+        exact = {}
+    mean, stderr = evaluate_return(policy, bundle.dynamics, n_episodes=config.eval_episodes,
+                                   seed=config.seed)
+    norm_kl = evaluate_policy_kl(policy, expert, bundle.dynamics, config.n_eval_states,
+                                 seed=config.seed, episode_len=episode_len)
+    summary = {"env_return_mean": float(mean), "env_return_stderr": float(stderr),
+               "normalized_kl": float(norm_kl),
+               "config_hash": config.hash(), "seed": config.seed,
+               "checkpoint": str(policy_path), **exact}
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

@@ -1,6 +1,7 @@
 """Tests for configuration parsing, demo files, checkpoints, the pipeline
 commands, and the command-line interface contracts."""
 import functools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,13 +17,16 @@ from ndilab.checkpoint import (
     save_softmax_policy,
 )
 from ndilab.cli import EXIT_DIVERGENCE, EXIT_OK, EXIT_USAGE, main
-from ndilab.config import COUNT_KEYS, ConfigError, ExperimentConfig, parse_config_text
+from ndilab.config import COUNT_KEYS, ConfigError, ExperimentConfig, load_config, parse_config_text
 from ndilab.demos import DemoSet, load_demos, save_demos
 from ndilab.density import EbmModel, MadeConfig, made_fit
-from ndilab.envs import get_env
-from ndilab.imitation import exact_discounted_return, soft_policy_iteration
+from ndilab.envs import get_env, soft_optimal_policy
+from ndilab.imitation import evaluate_policy_kl, exact_discounted_return, soft_policy_iteration
 from ndilab.mdp import GaussianPolicy, SoftmaxPolicy
 from ndilab.pipeline import cmd_eval, cmd_fit_density, cmd_gen_demos, cmd_train, run_full_pipeline
+
+
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
 
 
 def quick_config(tmp_path, **overrides):
@@ -78,6 +82,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match=key):
             parse_config_text(f"{key} = 0")
         assert getattr(ExperimentConfig(**{key: 1}), key) == 1
+
+    def test_both_shipped_configs_are_found(self):
+        names = {path.name for path in SHIPPED_CONFIGS}
+        assert {"grid-made.cfg", "pointmass-ebm.cfg"} <= names
+
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda path: path.name)
+    def test_shipped_config_loads_and_names_a_registry_env(self, path):
+        cfg = load_config(path)
+        assert get_env(cfg.env, cfg.gamma).name == cfg.env
 
     def test_hash_is_stable_and_sensitive(self):
         a = ExperimentConfig(seed=0)
@@ -234,6 +247,40 @@ class TestGenDemos:
         bundle = get_env(cfg.env, cfg.gamma)
         oracle = exact_discounted_return(bundle.mdp, bundle.expert())
         assert float(demos.meta["expert_return"]) == pytest.approx(oracle, abs=1e-9)
+
+
+class TestExpertTemperature:
+    """Every phase's tabular expert is the soft-optimal policy at ``expert_tau``."""
+
+    def test_gen_demos_rolls_the_configured_expert(self, tmp_path):
+        cfg = quick_config(tmp_path, expert_tau=0.5)
+        demos = load_demos(cmd_gen_demos(cfg, tmp_path / "d"))
+        mdp = get_env(cfg.env, cfg.gamma).mdp
+        assert demos.meta["expert"] == "soft-optimal(tau=0.5)"
+        oracle = exact_discounted_return(mdp, soft_optimal_policy(mdp, 0.5))
+        assert demos.meta["expert_return"] == f"{oracle:.17g}"
+
+    def test_train_kl_is_measured_against_the_configured_expert(self, tmp_path):
+        cfg = quick_config(tmp_path, expert_tau=0.5, rl_iterations=1)
+        out = tmp_path / "t"
+        result = cmd_train(cfg, cmd_fit_density(cfg, cmd_gen_demos(cfg, out), out), out)
+        header, row = [line.split(",") for line in
+                       result.metrics_path.read_text().splitlines()]
+        policy, _ = load_softmax_policy(result.policy_path)
+        mdp = get_env(cfg.env, cfg.gamma).mdp
+        oracle = evaluate_policy_kl(policy, soft_optimal_policy(mdp, 0.5), mdp,
+                                    cfg.n_eval_states, seed=cfg.seed,
+                                    episode_len=cfg.rollout_len)
+        assert float(row[header.index("normalized_kl")]) == oracle
+
+    def test_eval_scores_the_configured_expert_zero(self, tmp_path):
+        cfg = quick_config(tmp_path, expert_tau=0.5)
+        mdp = get_env(cfg.env, cfg.gamma).mdp
+        path = tmp_path / "expert.ckpt"
+        save_softmax_policy(path, soft_optimal_policy(mdp, 0.5), {})
+        summary = cmd_eval(cfg, path)
+        assert summary["normalized_kl"] == pytest.approx(0.0, abs=1e-12)
+        assert summary["occupancy_reverse_kl"] == pytest.approx(0.0, abs=1e-9)
 
 
 class TestFitDensityCommand:

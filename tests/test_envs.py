@@ -4,15 +4,18 @@ import pytest
 
 from ndilab.envs import (
     GridworldSpec,
+    PdExpert,
+    PointMassEnv,
     PointMassSpec,
     build_chain,
     build_gridworld,
     chain_embedding,
     get_env,
+    pd_controller_action,
     pointmass_step,
     soft_optimal_policy,
 )
-from ndilab.imitation import exact_discounted_return
+from ndilab.imitation import evaluate_policy_kl, exact_discounted_return
 from ndilab.mdp import SoftmaxPolicy, check_injective_dynamics, state_marginals
 from ndilab.occupancy import occupancy_measure
 
@@ -108,6 +111,27 @@ class TestPointMass:
         assert s[2] == pytest.approx(spec.dt * 1.0)
 
 
+class TestPdExpert:
+    def test_sample_is_pd_action_plus_demo_noise_bit_for_bit(self):
+        expert = get_env("pointmass").expert()
+        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        state_rng = np.random.default_rng(6)
+        for _ in range(1000):
+            s = state_rng.normal(size=4)
+            expected = pd_controller_action(s) + 0.02 * ref_rng.standard_normal(2)
+            np.testing.assert_array_equal(expert.sample(s, rng), expected)
+
+    def test_gaussian_interface_matches_the_sampling_noise(self):
+        expert = PdExpert(PointMassSpec())
+        s = np.array([0.4, -0.3, 0.2, 0.1])
+        np.testing.assert_array_equal(expert.mean(s), pd_controller_action(s))
+        np.testing.assert_array_equal(np.exp(expert.clamped_log_std()), [0.02, 0.02])
+
+    def test_expert_scores_zero_kl_against_itself(self):
+        expert = get_env("pointmass").expert()
+        assert evaluate_policy_kl(expert, expert, PointMassEnv(), n_eval_states=60) == 0.0
+
+
 class TestRegistry:
     def test_known_names_resolve(self):
         assert get_env("chain-5").mdp.n_states == 5
@@ -117,6 +141,12 @@ class TestRegistry:
     def test_unknown_name_rejected(self):
         with pytest.raises(KeyError):
             get_env("mountaincar")
+
+    def test_expert_tau_sets_the_tabular_expert_temperature(self):
+        assert get_env("grid-3x3").expert_tau == 0.05
+        bundle = get_env("grid-3x3", expert_tau=0.5)
+        np.testing.assert_array_equal(bundle.expert().logits,
+                                      soft_optimal_policy(bundle.mdp, 0.5).logits)
 
     def test_all_tabular_registry_envs_injective(self):
         for name in ("chain-2", "chain-5", "chain-9", "grid-2x2", "grid-5x5", "grid-3x3"):
