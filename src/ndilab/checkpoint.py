@@ -108,7 +108,7 @@ def load_density_model(path):
         model = EbmModel(header["dim"], hidden=tuple(header["widths"][1:-1]),
                          spectral_norm=header["spectral_norm"])
     else:
-        raise ValueError(f"not a density checkpoint: kind {kind!r}")
+        raise ValueError(f"{path}: not a density checkpoint: kind {kind!r}")
     model.net.set_params(arrays)
     layers, sigmas = model.net.layers, header["sn_sigma"]
     if len(sigmas) != len(layers):
@@ -129,7 +129,7 @@ def load_softmax_policy(path):
     from .mdp import SoftmaxPolicy
     kind, header, arrays = load_checkpoint(path)
     if kind != "softmax_policy":
-        raise ValueError(f"not a softmax policy checkpoint: kind {kind!r}")
+        raise ValueError(f"{path}: not a softmax policy checkpoint: kind {kind!r}")
     if len(arrays) != 1 or arrays[0].ndim != 2:
         raise ValueError(f"{path}: expected one (states, actions) logits array")
     return SoftmaxPolicy(arrays[0]), header
@@ -146,7 +146,7 @@ def load_gaussian_policy(path):
     from .mdp import GaussianPolicy
     kind, header, arrays = load_checkpoint(path)
     if kind != "gaussian_policy":
-        raise ValueError(f"not a gaussian policy checkpoint: kind {kind!r}")
+        raise ValueError(f"{path}: not a gaussian policy checkpoint: kind {kind!r}")
     widths = header["widths"]
     policy = GaussianPolicy(header["state_dim"], header["action_dim"],
                             hidden=tuple(widths[1:-1]))

@@ -4,9 +4,13 @@ CSV layout: comment lines "# key=value" carry provenance (environment name,
 expert descriptor, seed, record count, expert return), then a header row
 "episode,t,s_0..s_{ds-1},a_0..a_{da-1}" and one row per step. Floats are
 written with 17 significant digits, which round-trips 64-bit values exactly.
+``load_demos`` rejects a header not starting "episode,t" and a record with a
+non-finite value, a column count that differs from the header, or a
+non-integer episode or t, naming the file and line.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -67,12 +71,28 @@ def save_demos(path, demos: DemoSet) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _parse_row(fields: list[str], n_columns: int, where: str) -> list[float]:
+    """One record as floats; a malformed record raises a one-line
+    ``ValueError`` that starts with ``where``."""
+    if len(fields) != n_columns:
+        raise ValueError(f"{where}: {len(fields)} columns, but the header has {n_columns}")
+    try:
+        values = [float(x) for x in fields]
+    except ValueError:
+        raise ValueError(f"{where}: non-numeric value") from None
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{where}: non-finite value")
+    if not (values[0].is_integer() and values[1].is_integer()):
+        raise ValueError(f"{where}: episode and t must be integers")
+    return values
+
+
 def load_demos(path) -> DemoSet:
     path = Path(path)
     meta: dict = {}
     header: list[str] | None = None
     rows = []
-    for line in path.read_text().splitlines():
+    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         if not line.strip():
             continue
         if line.startswith("#"):
@@ -81,13 +101,15 @@ def load_demos(path) -> DemoSet:
             continue
         if header is None:
             header = line.split(",")
+            if header[:2] != ["episode", "t"]:
+                raise ValueError(f"{path} line {lineno}: header must start with episode,t")
             continue
-        rows.append(line.split(","))
+        rows.append(_parse_row(line.split(","), len(header), f"{path} line {lineno}"))
     if header is None or not rows:
         raise ValueError(f"no demonstration records in {path}")
     ds = sum(c.startswith("s_") for c in header)
     da = sum(c.startswith("a_") for c in header)
-    data = np.array([[float(x) for x in r] for r in rows])
+    data = np.array(rows)
     return DemoSet(states=data[:, 2:2 + ds], actions=data[:, 2 + ds:2 + ds + da],
                    episodes=data[:, 0].astype(np.int64),
                    timesteps=data[:, 1].astype(np.int64), meta=meta)

@@ -1,14 +1,18 @@
-"""Phase-2 machinery: augmented-reward construction, the fixed RBF critic,
-the array-backed replay ring behind both the timestep-indexed buffer and the
+"""Phase-2 machinery: the augmented reward, the fixed RBF critic, the
+array-backed replay ring behind both the timestep-indexed buffer and the
 SAC buffer, tabular soft policy iteration, a compact soft actor-critic for
 toy continuous runs, and policy evaluation.
 
-Two reward shapes coexist behind a flag: the gradient-identity-faithful form
-used by the verification suite (leading gamma on the critic term, marginal
-samples paired as (sampled, observed)), and the pipeline form the training
-loop uses (no leading gamma, swapped critic arguments). They differ only by
-gamma factors and argument order; the RBF critic is symmetric, so the
-pipeline is insensitive to the latter.
+``augmented_reward`` is the one reward sum, log q(s, a) + lambda_f r_f, and
+both trainers call it; the policy-entropy weight lambda_pi is the learner's
+soft-RL temperature, not a reward term.
+
+The NWJ term r_f has two shapes behind a flag: the gradient-identity form
+(leading gamma on the critic term, marginal samples paired as (sampled,
+observed)), and the Algorithm-1 form the pipeline uses by default (no
+leading gamma, swapped critic arguments). They differ only by gamma factors
+and argument order; the RBF critic is symmetric, so the pipeline is
+insensitive to the latter.
 """
 from __future__ import annotations
 
@@ -20,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import AdamState, Mlp, Node, adam_step, backward, flat_grads
-from .mdp import GaussianPolicy, SoftmaxPolicy, TabularMdp, policy_log_prob
+from .mdp import GaussianPolicy, SoftmaxPolicy, TabularMdp, sample_trajectory
 from .occupancy import occupancy_measure, truncation_horizon
 
 logger = logging.getLogger(__name__)
@@ -31,12 +35,11 @@ Array = np.ndarray
 @dataclass
 class AugmentedRewardConfig:
     gamma: float = 0.9
-    lambda_pi: float = 0.1      # pipeline auto-tunes this; fixed here
     lambda_f: float = 0.005
     use_alg1_form: bool = True  # pipeline shape vs gradient-identity shape
 
     def __post_init__(self):
-        if self.lambda_pi < 0 or self.lambda_f < 0:
+        if self.lambda_f < 0:
             raise ValueError("reward weights must be non-negative")
 
 
@@ -155,13 +158,6 @@ class RbfCritic:
         return float(v) if v.ndim == 0 else v
 
 
-def reward_pi(policy, s, a, config: AugmentedRewardConfig) -> float:
-    """Policy-entropy reward: -log pi(a|s), or -(1+gamma) log pi(a|s) in the
-    gradient-identity form (the coefficient otherwise folds into lambda_pi)."""
-    logp = policy_log_prob(policy, s, a)
-    return -logp if config.use_alg1_form else -(1.0 + config.gamma) * logp
-
-
 def _mean_exp(values, lead: tuple, n: int) -> Array:
     """mean over the last axis of exp(values), which must have shape lead + (n,)."""
     values = np.asarray(values)
@@ -192,7 +188,7 @@ def nwj_reward(critic, s_t: Array, s_next: Array, cur: Array, nxt: Array,
     return gamma * f(s_t, s_next) - (gamma / math.e) * cross
 
 
-def reward_f(critic, s_t: Array, a_t, s_next: Array, buffer: TimestepReplayBuffer,
+def reward_f(critic, s_t: Array, s_next: Array, buffer: TimestepReplayBuffer,
              t: int, config: AugmentedRewardConfig,
              n_marginal_samples: int | None = None) -> float:
     """Mutual-information reward against replay-bucket marginal samples.
@@ -221,27 +217,15 @@ def reward_f(critic, s_t: Array, a_t, s_next: Array, buffer: TimestepReplayBuffe
     return nwj_reward(critic, s_t, s_next, cur, nxt, config)
 
 
-@dataclass
-class TransitionContext:
-    """One collected step in both native and embedded coordinates."""
+def augmented_reward(log_q, r_f, config: AugmentedRewardConfig):
+    """The reward soft RL maximizes: log q(s, a) + lambda_f r_f, elementwise,
+    so it serves one transition (floats) or a whole (S, A) table (arrays).
 
-    t: int
-    s: object          # native state for the policy (index or vector)
-    a: object          # native action
-    s_vec: Array       # embedded state for density model and critic
-    a_vec: Array
-    s_next_vec: Array
-
-
-def augmented_reward(density_model, policy, critic, transition: TransitionContext,
-                     buffer: TimestepReplayBuffer, config: AugmentedRewardConfig,
-                     n_marginal_samples: int | None = None) -> float:
-    """log q(s, a) + lambda_pi r_pi + lambda_f r_f."""
-    log_q = density_model.log_density(np.concatenate([transition.s_vec, transition.a_vec]))
-    r_pi = reward_pi(policy, transition.s, transition.a, config)
-    r_f = reward_f(critic, transition.s_vec, transition.a_vec, transition.s_next_vec,
-                   buffer, transition.t, config, n_marginal_samples)
-    return float(log_q + config.lambda_pi * r_pi + config.lambda_f * r_f)
+    The policy-entropy term lambda_pi r_pi is not added here: the learner
+    carries lambda_pi as its soft-RL temperature (soft policy iteration's
+    tau on tabular runs, SAC's alpha on the point mass).
+    """
+    return log_q + config.lambda_f * r_f
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +397,6 @@ class SacLearner:
 
 def _rollout_states(policy, mdp_or_env, n_states: int, seed: int,
                     episode_len: int = 50) -> list:
-    from .mdp import sample_trajectory
     rng = np.random.default_rng(seed)
     states = []
     ep = 0
@@ -468,53 +451,46 @@ def evaluate_policy_kl(policy, expert_policy, mdp_or_env, n_eval_states: int = 2
     return mean_kl(policy) / denom
 
 
-def evaluate_return(policy, mdp_or_env, reward_source="environment",
-                    n_episodes: int = 20, seed: int = 0, horizon: int | None = None,
-                    tol: float = 1e-9) -> tuple[float, float]:
-    """Sampled mean return with its standard error.
+def evaluate_return(policy, mdp_or_env, n_episodes: int = 20, seed: int = 0,
+                    reward_fn=None) -> tuple[float, float, float | None]:
+    """Sampled mean environment return, its standard error, and the mean
+    return under ``reward_fn`` (s, a, s_next, t) -> reward over the same
+    episodes (None when no ``reward_fn`` is given). Each episode is rolled
+    once.
 
-    Tabular environments use discounted returns over a horizon chosen from
-    ``tol``; continuous episodes sum undiscounted rewards over the episode.
-    ``reward_source`` is "environment", an (S, A) table, or a callable
-    (s, a, s_next, t) -> reward.
+    Tabular environments use discounted returns over a horizon that leaves a
+    tail below 1e-9; continuous episodes sum undiscounted rewards over the
+    episode.
     """
     if n_episodes < 1:
         raise ValueError("n_episodes must be >= 1")
-    from .mdp import sample_trajectory
     rng = np.random.default_rng(seed)
-    returns = np.empty(n_episodes)
     tabular = isinstance(mdp_or_env, TabularMdp)
-    if tabular and horizon is None:
+    if tabular:
         bound = max(1.0, float(np.abs(mdp_or_env.reward).max()))
-        horizon = truncation_horizon(mdp_or_env.discount, tol, bound)
-    if not tabular and horizon is None:
+        horizon = truncation_horizon(mdp_or_env.discount, 1e-9, bound)
+    else:
         horizon = mdp_or_env.spec.episode_len
 
+    def total(rewards) -> float:
+        if tabular:
+            return float((mdp_or_env.discount ** np.arange(len(rewards)) * rewards).sum())
+        return float(rewards.sum())
+
+    returns = np.empty(n_episodes)
+    shaped = np.empty(n_episodes)
     for ep in range(n_episodes):
         traj = sample_trajectory(mdp_or_env, policy, horizon, int(rng.integers(0, 2 ** 31)))
-        if isinstance(reward_source, str):
-            if reward_source != "environment":
-                raise ValueError(f"unknown reward source {reward_source!r}")
-            rewards = traj.rewards
-        elif callable(reward_source):
-            rewards = np.array([reward_source(traj.states[t], traj.actions[t],
-                                              traj.next_states[t], t)
-                                for t in range(len(traj))])
-        else:
-            table = np.asarray(reward_source)
-            rewards = table[traj.states, traj.actions]
-        if tabular:
-            disc = mdp_or_env.discount ** np.arange(len(rewards))
-            returns[ep] = float((disc * rewards).sum())
-        else:
-            returns[ep] = float(rewards.sum())
+        returns[ep] = total(traj.rewards)
+        if reward_fn is not None:
+            shaped[ep] = total(np.array([reward_fn(traj.states[t], traj.actions[t],
+                                                   traj.next_states[t], t)
+                                         for t in range(len(traj))]))
     stderr = float(returns.std(ddof=1) / math.sqrt(n_episodes)) if n_episodes > 1 else 0.0
-    return float(returns.mean()), stderr
+    return float(returns.mean()), stderr, (None if reward_fn is None else float(shaped.mean()))
 
 
-def exact_discounted_return(mdp: TabularMdp, policy: SoftmaxPolicy,
-                            reward: Array | None = None) -> float:
+def exact_discounted_return(mdp: TabularMdp, policy: SoftmaxPolicy) -> float:
     """Occupancy-weighted expected reward (the sampling-free oracle)."""
-    r = mdp.reward if reward is None else np.asarray(reward, dtype=np.float64)
     occ = occupancy_measure(mdp, policy)
-    return float((occ.rho * r).sum())
+    return float((occ.rho * mdp.reward).sum())

@@ -199,15 +199,6 @@ def state_marginals(mdp: TabularMdp, policy: SoftmaxPolicy, horizon: int) -> Mar
     return MarginalSchedule(p, horizon)
 
 
-def policy_log_prob(policy, s, a) -> float:
-    """Exact log-probability of action ``a`` in state ``s``."""
-    if isinstance(policy, SoftmaxPolicy):
-        return float(policy.log_probs()[int(s), int(a)])
-    if isinstance(policy, GaussianPolicy):
-        return policy.log_prob(s, a)
-    raise TypeError(f"unsupported policy type {type(policy)!r}")
-
-
 def sample_trajectory(mdp_or_env, policy, max_steps: int, seed: int) -> Trajectory:
     """Roll out ``policy`` for exactly ``max_steps`` steps, reproducibly."""
     if max_steps < 1:

@@ -1,16 +1,22 @@
 """The end-to-end pipeline: demonstration generation, density fitting,
 maximum-occupancy-entropy RL with the augmented reward, and evaluation.
 
-Reward composition during training is r = log q(s, a) + lambda_f * r_f, with
-the policy-entropy weight lambda_pi realized as the soft-RL temperature
-rather than added to the reward table; the two are equivalent and keep a
-single entropy knob. The tabular soft-policy-iteration temperature starts at
-the configured lambda_pi and, in auto mode, adapts toward the target entropy.
-SAC's entropy coefficient is lambda_pi in fixed mode; in auto mode SAC tunes
-it from its own initial value (0.2) and the configured lambda_pi is unused.
+Both trainers reward r = log q(s, a) + lambda_f * r_f through
+``imitation.augmented_reward``: the tabular trainer on the (S, A) tables,
+the continuous one per transition. The policy-entropy weight lambda_pi is
+realized as the soft-RL temperature rather than added to the reward; the two
+are equivalent and keep a single entropy knob. The tabular
+soft-policy-iteration temperature starts at the configured lambda_pi and, in
+auto mode, adapts toward the target entropy. SAC's entropy coefficient is
+lambda_pi in fixed mode; in auto mode SAC tunes it from its own initial
+value (0.2) and the configured lambda_pi is unused.
+
 Model selection never reads the environment reward: the best checkpoint is
 the one with the highest augmented return, and the metrics log makes that
-auditable.
+auditable. Tabular runs score it exactly (the discounted expectation of r
+plus lambda_pi times the policy entropy); point-mass runs take the sampled,
+undiscounted episode sum of r over the same rolled-once episodes that give
+the environment return.
 """
 from __future__ import annotations
 
@@ -41,6 +47,7 @@ from .imitation import (
     SacConfig,
     SacLearner,
     TimestepReplayBuffer,
+    augmented_reward,
     evaluate_policy_kl,
     evaluate_return,
     exact_discounted_return,
@@ -84,8 +91,8 @@ def cmd_gen_demos(config: ExperimentConfig, out_dir=None) -> Path:
         expert_return = exact_discounted_return(bundle.mdp, expert)
         descriptor = f"soft-optimal(tau={bundle.expert_tau})"
     else:
-        expert_return, _ = evaluate_return(expert, bundle.env, n_episodes=config.eval_episodes,
-                                           seed=config.seed)
+        expert_return, _, _ = evaluate_return(expert, bundle.env,
+                                              n_episodes=config.eval_episodes, seed=config.seed)
         descriptor = "pd-controller"
     demos = DemoSet(states, actions, np.array(episodes), np.array(timesteps),
                     meta={"env": config.env, "expert": descriptor,
@@ -146,8 +153,7 @@ def _train_tabular(config: ExperimentConfig, bundle: TabularEnvBundle, density_m
     mdp, embed = bundle.mdp, bundle.embedding
     S, A = mdp.n_states, mdp.n_actions
     expert = bundle.expert()
-    rcfg = AugmentedRewardConfig(gamma=mdp.discount, lambda_pi=config.lambda_pi,
-                                 lambda_f=config.lambda_f,
+    rcfg = AugmentedRewardConfig(gamma=mdp.discount, lambda_f=config.lambda_f,
                                  use_alg1_form=(config.reward_form == "alg1"))
 
     # density reward table over the embedded grid
@@ -200,7 +206,7 @@ def _train_tabular(config: ExperimentConfig, bundle: TabularEnvBundle, density_m
         for traj in trajs:
             for t in range(len(traj)):
                 s, a = int(traj.states[t]), int(traj.actions[t])
-                val = reward_f(critic, zstate[s], None, zstate[traj.next_states[t]],
+                val = reward_f(critic, zstate[s], zstate[traj.next_states[t]],
                                buffer, t, rcfg, config.n_marginal_samples)
                 r_f_sum[s, a] += val
                 r_f_count[s, a] += 1
@@ -216,12 +222,12 @@ def _train_tabular(config: ExperimentConfig, bundle: TabularEnvBundle, density_m
                 critic, zstate[cells_s], zstate[mdp.transition[cells_s, cells_a]],
                 pool_samples, pool_samples, rcfg)
 
-        base_table = logq + config.lambda_f * r_f_table
+        reward_table = augmented_reward(logq, r_f_table, rcfg)
         policy = soft_policy_iteration(mdp, temperature=max(lambda_pi, 1e-6),
-                                       reward=base_table, tol=config.spi_tol)
+                                       reward=reward_table, tol=config.spi_tol)
 
         occ = occupancy_measure(mdp, policy)
-        aug_return = float((occ.rho * base_table).sum()) \
+        aug_return = float((occ.rho * reward_table).sum()) \
             + lambda_pi * -(occ.rho * policy.log_probs()).sum()
         env_return = float((occ.rho * mdp.reward).sum())
         norm_kl = evaluate_policy_kl(policy, expert, mdp, config.n_eval_states,
@@ -245,8 +251,7 @@ def _train_tabular(config: ExperimentConfig, bundle: TabularEnvBundle, density_m
 
 def _train_continuous(config: ExperimentConfig, bundle: ContinuousEnvBundle, density_model):
     env, expert = bundle.env, bundle.expert()
-    rcfg = AugmentedRewardConfig(gamma=config.gamma, lambda_pi=config.lambda_pi,
-                                 lambda_f=config.lambda_f,
+    rcfg = AugmentedRewardConfig(gamma=config.gamma, lambda_f=config.lambda_f,
                                  use_alg1_form=(config.reward_form == "alg1"))
     std = density_model.standardizer
     ds = env.state_dim
@@ -266,9 +271,8 @@ def _train_continuous(config: ExperimentConfig, bundle: ContinuousEnvBundle, den
 
     def augmented(s, a, s2, t):
         log_q = density_model.log_density(np.concatenate([np.asarray(s), np.asarray(a)]))
-        r_f = reward_f(critic, zstate(s), a, zstate(s2), buffer, t, rcfg,
-                       config.n_marginal_samples)
-        return float(log_q + config.lambda_f * r_f)
+        r_f = reward_f(critic, zstate(s), zstate(s2), buffer, t, rcfg, config.n_marginal_samples)
+        return float(augmented_reward(log_q, r_f, rcfg))
 
     rng = np.random.default_rng(config.seed)
     rows = []
@@ -303,12 +307,9 @@ def _train_continuous(config: ExperimentConfig, bundle: ContinuousEnvBundle, den
         if env_steps > warmup and len(sac.buffer) >= config.sac_batch:
             sac.step()
         if env_steps % config.eval_every == 0 or env_steps == config.sac_steps:
-            aug_mean, _ = evaluate_return(sac.policy, env, reward_source=augmented,
-                                          n_episodes=max(2, config.eval_episodes // 4),
-                                          seed=config.seed + env_steps)
-            env_mean, _ = evaluate_return(sac.policy, env,
-                                          n_episodes=max(2, config.eval_episodes // 4),
-                                          seed=config.seed + env_steps)
+            env_mean, _, aug_mean = evaluate_return(
+                sac.policy, env, n_episodes=max(2, config.eval_episodes // 4),
+                seed=config.seed + env_steps, reward_fn=augmented)
             norm_kl = evaluate_policy_kl(sac.policy, expert, env, config.n_eval_states // 4,
                                          seed=config.seed, episode_len=episode_len)
             rows.append((len(rows), env_steps, float(aug_mean), float(env_mean),
@@ -368,19 +369,25 @@ def cmd_eval(config: ExperimentConfig, policy_path, out_dir=None) -> dict:
     bundle = get_env(config.env, config.gamma, config.expert_tau)
     expert = bundle.expert()
     if bundle.kind == "tabular":
-        mdp = bundle.mdp
         policy, _ = load_softmax_policy(policy_path)
+        got, want = policy.logits.shape, (bundle.mdp.n_states, bundle.mdp.n_actions)
         episode_len = config.rollout_len
-        occ = occupancy_measure(mdp, policy)
-        exact = {"exact_env_return": float((occ.rho * mdp.reward).sum()),
-                 "occupancy_reverse_kl": reverse_kl_occupancy(
-                     occ, occupancy_measure(mdp, expert))}
     else:
         policy, _ = load_gaussian_policy(policy_path)
+        got = (policy.state_dim, policy.action_dim)
+        want = (bundle.env.state_dim, bundle.env.action_dim)
         episode_len = bundle.env.spec.episode_len
-        exact = {}
-    mean, stderr = evaluate_return(policy, bundle.dynamics, n_episodes=config.eval_episodes,
-                                   seed=config.seed)
+    if got != want:
+        raise ValueError(f"{policy_path}: policy is for (states, actions) {got}, "
+                         f"but env {config.env} has {want}")
+    exact = {}
+    if bundle.kind == "tabular":
+        occ = occupancy_measure(bundle.mdp, policy)
+        exact = {"exact_env_return": float((occ.rho * bundle.mdp.reward).sum()),
+                 "occupancy_reverse_kl": reverse_kl_occupancy(
+                     occ, occupancy_measure(bundle.mdp, expert))}
+    mean, stderr, _ = evaluate_return(policy, bundle.dynamics,
+                                      n_episodes=config.eval_episodes, seed=config.seed)
     norm_kl = evaluate_policy_kl(policy, expert, bundle.dynamics, config.n_eval_states,
                                  seed=config.seed, episode_len=episode_len)
     summary = {"env_return_mean": float(mean), "env_return_stderr": float(stderr),

@@ -1,11 +1,14 @@
 """Tests for configuration parsing, demo files, checkpoints, the pipeline
 commands, and the command-line interface contracts."""
 import functools
+import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ndilab import imitation
 from ndilab.checkpoint import (
     load_checkpoint,
     load_density_model,
@@ -359,9 +362,15 @@ class TestTrainCommand:
         cfg = make_config(tmp_path)
         r1 = run_full_pipeline(cfg, tmp_path / "x1")
         r2 = run_full_pipeline(cfg, tmp_path / "x2")
-        for name in ("demos.csv", "model.ckpt", "policy.ckpt"):
+        for name in ("demos.csv", "density_curve.csv", "model.ckpt", "policy.ckpt",
+                     "train_summary.json"):
             assert (tmp_path / "x1" / name).read_bytes() == \
                 (tmp_path / "x2" / name).read_bytes(), name
+        # the eval summary names its run directory in "checkpoint" and nowhere else
+        e1, e2 = (json.loads((tmp_path / x / "eval_summary.json").read_text())
+                  for x in ("x1", "x2"))
+        assert e1.pop("checkpoint") != e2.pop("checkpoint")
+        assert e1 == e2
         # metrics match column-for-column apart from the measured wallclock
         m1 = [r.split(",") for r in (tmp_path / "x1" / "metrics.csv").read_text().splitlines()]
         m2 = [r.split(",") for r in (tmp_path / "x2" / "metrics.csv").read_text().splitlines()]
@@ -380,6 +389,22 @@ class TestContinuousPipeline:
         metrics = (tmp_path / "pm" / "metrics.csv").read_text().splitlines()
         assert len(metrics) == 4  # header + one row per eval checkpoint
         assert summary["train"]["selection_rule"] == "augmented_return"
+
+    def test_each_evaluation_rolls_its_episodes_once(self, tmp_path, monkeypatch):
+        cfg = smoke_pointmass_config(tmp_path)
+        out = tmp_path / "pm"
+        model = cmd_fit_density(cfg, cmd_gen_demos(cfg, out), out)
+        calls, sample_trajectory = [], imitation.sample_trajectory
+
+        def counting(*args, **kwargs):
+            calls.append(sys._getframe(1).f_code.co_name)
+            return sample_trajectory(*args, **kwargs)
+
+        monkeypatch.setattr(imitation, "sample_trajectory", counting)
+        result = cmd_train(cfg, model, out)
+        rows = len(result.metrics_path.read_text().splitlines()) - 1
+        assert rows == 3
+        assert calls.count("evaluate_return") == rows * max(2, cfg.eval_episodes // 4)
 
 
 class TestEvalCommand:
@@ -401,6 +426,31 @@ class TestEvalCommand:
                                                         bundle.mdp.n_actions), {})
         summary = cmd_eval(cfg, path)
         assert summary["normalized_kl"] == pytest.approx(1.0)
+
+    def test_policy_for_another_env_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "chain.cfg"
+        cfg.write_text(f"env = chain-4\nout_dir = {tmp_path}\n")
+        path = tmp_path / "grid_policy.ckpt"
+        save_softmax_policy(path, SoftmaxPolicy.uniform(25, 5), {})
+        assert main(["eval", "--config", str(cfg), "--policy", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "grid_policy.ckpt" in err
+        assert "(25, 5)" in err and "(4, 2)" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_policy_of_the_other_kind_names_the_file(self, tmp_path):
+        cfg = quick_config(tmp_path)
+        path = tmp_path / "pm_policy.ckpt"
+        save_gaussian_policy(path, GaussianPolicy(state_dim=4, action_dim=2, hidden=(4,)))
+        with pytest.raises(ValueError, match=r"pm_policy\.ckpt: not a softmax policy"):
+            cmd_eval(cfg, path)
+
+    def test_gaussian_policy_with_other_dims_rejected(self, tmp_path):
+        cfg = ExperimentConfig(env="pointmass", out_dir=str(tmp_path))
+        path = tmp_path / "wide.ckpt"
+        save_gaussian_policy(path, GaussianPolicy(state_dim=3, action_dim=1, hidden=(4,)))
+        with pytest.raises(ValueError, match=r"wide\.ckpt.*\(3, 1\).*\(4, 2\)"):
+            cmd_eval(cfg, path)
 
 
 class TestCliFrontend:
@@ -454,6 +504,29 @@ class TestCliFrontend:
         assert main(["train", "--config", str(cfg), "--model", str(model)]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "model.ckpt" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("edit", ["nan", "inf", "ragged", "fractional_episode", "header"])
+    def test_bad_demo_record_is_usage_error(self, tmp_path, capsys, edit):
+        cfg = self.write_cfg(tmp_path)
+        assert main(["gen-demos", "--config", str(cfg)]) == EXIT_OK
+        demos = tmp_path / "run" / "demos.csv"
+        lines = demos.read_text().splitlines()
+        header = next(k for k, line in enumerate(lines) if line.startswith("episode,"))
+        i = header if edit == "header" else header + 3
+        fields = lines[i].split(",")
+        if edit == "ragged":
+            fields.append("0.5")
+        elif edit in ("fractional_episode", "header"):
+            fields[0] = "0.5"
+        else:
+            fields[-1] = edit
+        lines[i] = ",".join(fields)
+        demos.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["fit-density", "--config", str(cfg)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"demos.csv line {i + 1}" in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_zero_eval_every_is_usage_error(self, tmp_path, capsys):

@@ -14,14 +14,12 @@ from ndilab.imitation import (
     SacConfig,
     SacLearner,
     TimestepReplayBuffer,
-    TransitionContext,
     augmented_reward,
     evaluate_policy_kl,
     evaluate_return,
     exact_discounted_return,
     nwj_reward,
     reward_f,
-    reward_pi,
     soft_policy_iteration,
 )
 from ndilab.mdp import GaussianPolicy, SoftmaxPolicy, TabularMdp, sample_trajectory
@@ -76,23 +74,6 @@ class TestRbfCritic:
         assert critic.normalizer == pytest.approx(batch, rel=1e-12)
 
 
-class TestRewardPi:
-    def test_uniform_alg1_form(self):
-        policy = SoftmaxPolicy.uniform(1, 2)
-        cfg = AugmentedRewardConfig(gamma=0.9, use_alg1_form=True)
-        assert reward_pi(policy, 0, 0, cfg) == pytest.approx(math.log(2))
-
-    def test_uniform_identity_form_carries_one_plus_gamma(self):
-        policy = SoftmaxPolicy.uniform(1, 2)
-        cfg = AugmentedRewardConfig(gamma=0.9, use_alg1_form=False)
-        assert reward_pi(policy, 0, 0, cfg) == pytest.approx(1.9 * math.log(2))
-
-    def test_near_deterministic_at_argmax(self):
-        policy = SoftmaxPolicy(np.array([[30.0, 0.0]]))
-        cfg = AugmentedRewardConfig(gamma=0.9)
-        assert reward_pi(policy, 0, 0, cfg) == pytest.approx(0.0, abs=1e-12)
-
-
 class ConstantCritic:
     def __init__(self, value):
         self._v = value
@@ -110,7 +91,7 @@ class TestRewardF:
             buffer.add(t, s)
         cfg = AugmentedRewardConfig(gamma=0.9, use_alg1_form=True)
         critic = RbfCritic()  # all states equal -> kernel 1, normalizer 1, f = 1
-        got = reward_f(critic, s, None, s, buffer, t=0, config=cfg)
+        got = reward_f(critic, s, s, buffer, t=0, config=cfg)
         assert got == pytest.approx(1.0 - 2 * 0.9, abs=1e-12)
 
     def test_gamma_zero_reduces_to_critic_value(self):
@@ -121,7 +102,7 @@ class TestRewardF:
         cfg = AugmentedRewardConfig(gamma=0.0, use_alg1_form=True)
         critic = RbfCritic()
         s, s2 = rng.normal(size=2), rng.normal(size=2)
-        assert reward_f(critic, s, None, s2, buffer, 0, cfg) == pytest.approx(
+        assert reward_f(critic, s, s2, buffer, 0, cfg) == pytest.approx(
             critic.value(s, s2), abs=1e-12)
 
     def test_matches_exhaustive_expectation_oracle(self):
@@ -135,7 +116,7 @@ class TestRewardF:
         critic.value = lambda x, y: -0.5 * np.sum((np.asarray(x) - np.asarray(y)) ** 2, axis=-1)
         cfg = AugmentedRewardConfig(gamma=0.9, use_alg1_form=True)
         s, s2 = np.array([0.25]), np.array([0.75])
-        got = reward_f(critic, s, None, s2, buffer, 0, cfg)
+        got = reward_f(critic, s, s2, buffer, 0, cfg)
         f = critic.value
         cross = np.mean([math.exp(f(s2, x)) for x in states[0]]) + \
             np.mean([math.exp(f(y, s)) for y in states[1]])
@@ -150,7 +131,7 @@ class TestRewardF:
         asym.value = lambda x, y: np.asarray(x)[..., 0] - 2.0 * np.asarray(y)[..., 0]
         cfg = AugmentedRewardConfig(gamma=0.5, use_alg1_form=False)
         s, s2 = np.array([3.0]), np.array([1.0])
-        got = reward_f(asym, s, None, s2, buffer, 0, cfg)
+        got = reward_f(asym, s, s2, buffer, 0, cfg)
         f = asym.value
         expected = 0.5 * f(s, s2) - (0.5 / math.e) * (math.exp(f(np.array([0.0]), s2))
                                                       + math.exp(f(s, np.array([1.0]))))
@@ -161,7 +142,7 @@ class TestRewardF:
         buffer.add(0, np.array([0.0]))
         cfg = AugmentedRewardConfig(gamma=0.9)
         with caplog.at_level(logging.WARNING):
-            val = reward_f(RbfCritic(), np.zeros(1), None, np.zeros(1), buffer, 5, cfg,
+            val = reward_f(RbfCritic(), np.zeros(1), np.zeros(1), buffer, 5, cfg,
                            n_marginal_samples=4)
         assert "pooled" in caplog.text
         assert np.isfinite(val)
@@ -188,7 +169,7 @@ class TestRewardF:
                 cross = np.mean([math.exp(f(x, s2)) for x in cur]) + \
                     np.mean([math.exp(f(s, y)) for y in nxt])
                 expected = 0.8 * f(s, s2) - (0.8 / math.e) * cross
-            got = reward_f(critic, s, None, s2, buffer, 3, cfg)
+            got = reward_f(critic, s, s2, buffer, 3, cfg)
             assert got == pytest.approx(expected, abs=1e-12)
 
     def test_nwj_reward_over_many_transitions_matches_one_at_a_time(self):
@@ -211,56 +192,49 @@ class TestRewardF:
                 buffer.add(t, np.array([float(k)]))
         cfg = AugmentedRewardConfig(gamma=0.9)
         with pytest.raises(ValueError, match="broadcast"):
-            reward_f(ConstantCritic(0.0), np.zeros(1), None, np.ones(1), buffer, 0, cfg)
+            reward_f(ConstantCritic(0.0), np.zeros(1), np.ones(1), buffer, 0, cfg)
         scalar_sum = lambda x, y: float(np.sum(np.asarray(x) - np.asarray(y)))  # noqa: E731
         with pytest.raises(ValueError, match="broadcast"):
-            reward_f(scalar_sum, np.zeros(1), None, np.ones(1), buffer, 0, cfg,
+            reward_f(scalar_sum, np.zeros(1), np.ones(1), buffer, 0, cfg,
                      n_marginal_samples=4)
 
 
-class StubDensity:
-    def __init__(self, value):
-        self._v = value
-
-    def log_density(self, x):
-        return self._v
-
-
 class TestAugmentedReward:
-    def _context(self):
-        return TransitionContext(t=0, s=0, a=0, s_vec=np.array([0.0]),
-                                 a_vec=np.array([0.0]), s_next_vec=np.array([0.0]))
+    @staticmethod
+    def _r_f(cfg):
+        buffer = TimestepReplayBuffer(seed=0)
+        for t in (0, 1):
+            buffer.add(t, np.array([0.0]))
+        return reward_f(RbfCritic(), np.array([0.0]), np.array([0.0]), buffer, 0, cfg)
 
     def test_zero_weights_give_log_density(self):
-        buffer = TimestepReplayBuffer(seed=0)
-        for t in (0, 1):
-            buffer.add(t, np.array([0.0]))
-        cfg = AugmentedRewardConfig(gamma=0.9, lambda_pi=0.0, lambda_f=0.0)
-        got = augmented_reward(StubDensity(1.5), SoftmaxPolicy.uniform(1, 2), RbfCritic(),
-                               self._context(), buffer, cfg)
-        assert got == pytest.approx(1.5)
+        cfg = AugmentedRewardConfig(gamma=0.9, lambda_f=0.0)
+        assert augmented_reward(1.5, self._r_f(cfg), cfg) == pytest.approx(1.5)
 
     def test_hand_computed_fixture(self):
-        # log q = 1.5, r_pi = ln 2, r_f = 1 - 2*0.9 = -0.8 (identical states)
-        buffer = TimestepReplayBuffer(seed=0)
-        for t in (0, 1):
-            buffer.add(t, np.array([0.0]))
-        cfg = AugmentedRewardConfig(gamma=0.9, lambda_pi=0.1, lambda_f=0.005)
-        got = augmented_reward(StubDensity(1.5), SoftmaxPolicy.uniform(1, 2), RbfCritic(),
-                               self._context(), buffer, cfg)
-        assert got == pytest.approx(1.5 + 0.1 * math.log(2) + 0.005 * (-0.8), abs=1e-9)
-        assert got == pytest.approx(1.5653, abs=5e-4)
+        # log q = 1.5, r_f = 1 - 2*0.9 = -0.8 (identical states); lambda_pi r_pi
+        # is the learner's temperature, not a reward term
+        cfg = AugmentedRewardConfig(gamma=0.9, lambda_f=0.005)
+        got = augmented_reward(1.5, self._r_f(cfg), cfg)
+        assert got == pytest.approx(1.5 + 0.005 * (-0.8), abs=1e-9)
+        assert got == pytest.approx(1.496, abs=5e-4)
 
     def test_constant_density_leaves_entropy_terms_only(self):
-        buffer = TimestepReplayBuffer(seed=0)
-        for t in (0, 1):
-            buffer.add(t, np.array([0.0]))
-        cfg = AugmentedRewardConfig(gamma=0.9, lambda_pi=0.2, lambda_f=0.01)
-        a = augmented_reward(StubDensity(4.0), SoftmaxPolicy.uniform(1, 2), RbfCritic(),
-                             self._context(), buffer, cfg)
-        b = augmented_reward(StubDensity(6.0), SoftmaxPolicy.uniform(1, 2), RbfCritic(),
-                             self._context(), buffer, cfg)
+        cfg = AugmentedRewardConfig(gamma=0.9, lambda_f=0.01)
+        r_f = self._r_f(cfg)
+        a = augmented_reward(4.0, r_f, cfg)
+        b = augmented_reward(6.0, r_f, cfg)
         assert b - a == pytest.approx(2.0, abs=1e-12)
+
+    def test_table_form_matches_per_cell_scalars(self):
+        rng = np.random.default_rng(3)
+        log_q, r_f = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+        cfg = AugmentedRewardConfig(gamma=0.9, lambda_f=0.3)
+        table = augmented_reward(log_q, r_f, cfg)
+        assert table.shape == (4, 3)
+        expected = [[augmented_reward(float(q), float(f), cfg) for q, f in zip(qr, fr)]
+                    for qr, fr in zip(log_q, r_f)]
+        np.testing.assert_array_equal(table, expected)
 
 
 class TestTimestepReplayBuffer:
@@ -480,36 +454,37 @@ class TestEvaluatePolicyKl:
 class TestEvaluateReturn:
     def test_single_state_unit_reward(self):
         mdp = TabularMdp(np.zeros((1, 1), dtype=int), np.ones(1), np.ones((1, 1)), 0.9)
-        mean, stderr = evaluate_return(SoftmaxPolicy.uniform(1, 1), mdp, n_episodes=3, seed=0)
+        mean, stderr, _ = evaluate_return(SoftmaxPolicy.uniform(1, 1), mdp, n_episodes=3,
+                                          seed=0)
         assert mean == pytest.approx(10.0, abs=1e-6)
         assert stderr == pytest.approx(0.0, abs=1e-12)
 
     def test_deterministic_setup_zero_stderr(self):
         mdp = build_chain(4, gamma=0.9)
         right = SoftmaxPolicy(np.array([[0.0, 60.0]] * 4))
-        _, stderr = evaluate_return(right, mdp, n_episodes=5, seed=0)
+        _, stderr, _ = evaluate_return(right, mdp, n_episodes=5, seed=0)
         assert stderr == 0.0
 
     def test_epsilon_greedy_chain_matches_occupancy_oracle(self):
         mdp = build_chain(3, gamma=0.9, goal_reward=1.0)
         policy = SoftmaxPolicy(np.tile(np.log([0.1, 0.9]), (3, 1)))
-        mean, stderr = evaluate_return(policy, mdp, n_episodes=400, seed=3)
+        mean, stderr, _ = evaluate_return(policy, mdp, n_episodes=400, seed=3)
         exact = exact_discounted_return(mdp, policy)
         assert abs(mean - exact) < 3 * max(stderr, 1e-12)
 
-    def test_augmented_reward_table_source(self):
-        mdp = build_chain(3, gamma=0.9)
-        table = np.full((3, 2), 2.0)
-        mean, _ = evaluate_return(SoftmaxPolicy.uniform(3, 2), mdp, reward_source=table,
-                                  n_episodes=2, seed=0)
-        assert mean == pytest.approx(2.0 / 0.1, abs=1e-6)
+    def test_env_reward_fn_mean_is_bit_equal_to_env_mean(self):
+        mdp = build_chain(3, gamma=0.9, goal_reward=1.0)
+        policy = SoftmaxPolicy.uniform(3, 2)
+        mean, _, shaped = evaluate_return(policy, mdp, n_episodes=5, seed=1,
+                                          reward_fn=lambda s, a, s2, t: mdp.reward[s, a])
+        assert shaped == mean
+        assert evaluate_return(policy, mdp, n_episodes=5, seed=1)[2] is None
 
     def test_constant_shift_moves_return_by_geometric_factor(self):
         mdp = build_chain(3, gamma=0.9)
         policy = SoftmaxPolicy.uniform(3, 2)
-        base, _ = evaluate_return(policy, mdp, reward_source=mdp.reward, n_episodes=5, seed=1)
-        shifted, _ = evaluate_return(policy, mdp, reward_source=mdp.reward + 1.5,
-                                     n_episodes=5, seed=1)
+        base, _, shifted = evaluate_return(policy, mdp, n_episodes=5, seed=1,
+                                           reward_fn=lambda s, a, s2, t: mdp.reward[s, a] + 1.5)
         assert shifted - base == pytest.approx(1.5 / 0.1, abs=1e-6)
 
 

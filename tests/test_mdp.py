@@ -8,7 +8,6 @@ from ndilab.mdp import (
     SoftmaxPolicy,
     TabularMdp,
     check_injective_dynamics,
-    policy_log_prob,
     sample_trajectory,
     state_marginals,
 )
@@ -161,12 +160,6 @@ class TestSampleTrajectory:
 
 
 class TestPolicyLogProb:
-    def test_uniform_two_action(self):
-        assert policy_log_prob(SoftmaxPolicy.uniform(1, 2), 0, 0) == pytest.approx(np.log(0.5))
-
-    def test_single_action_is_zero(self):
-        assert policy_log_prob(SoftmaxPolicy.uniform(3, 1), 1, 0) == pytest.approx(0.0)
-
     def test_gaussian_at_mean(self):
         policy = GaussianPolicy(state_dim=2, action_dim=1, hidden=(8,), seed=0)
         policy.log_std[:] = 0.0
