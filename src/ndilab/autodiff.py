@@ -3,12 +3,13 @@ normalization, and an adaptive-moment optimizer.
 
 The engine is deliberately small: it supports exactly the operations that
 dense feed-forward networks with tanh activations need (matmul, broadcasted
-add/mul, elementwise transcendentals, reductions, slicing, concatenation),
-plus one fused ``dense`` node, ``tanh(h @ W.T + b)``, that every network
-layer uses. Each ``Mlp`` keeps all its parameters in one flat vector
-(``Mlp.flat``); the per-layer weights and biases are views into it, so an
-optimizer updates a whole network in one call. Values and gradients are
-float64 numpy arrays throughout.
+add/sub/mul, tanh/exp/square, reductions, slicing, concatenation), plus one
+fused ``dense`` node, ``tanh(h @ W.T + b)``, that every network layer uses.
+Ops are called by name (``add(a, b)``, not ``a + b``); slicing a ``Node``
+with ``[...]`` is the only operator it defines. Each ``Mlp`` keeps all its
+parameters in one flat vector (``Mlp.flat``); the per-layer weights and
+biases are views into it, so an optimizer updates a whole network in one
+call. Values and gradients are float64 numpy arrays throughout.
 """
 from __future__ import annotations
 
@@ -32,38 +33,6 @@ class Node:
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
         self.parents = parents
-
-    @property
-    def shape(self):
-        return self.value.shape
-
-    # -- operator sugar ----------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, idx):
         return getitem(self, idx)
@@ -111,14 +80,6 @@ def mul(a, b) -> Node:
     ))
 
 
-def div(a, b) -> Node:
-    a, b = as_node(a), as_node(b)
-    return Node(a.value / b.value, (
-        (a, lambda g: _unbroadcast(g / b.value, a.value.shape)),
-        (b, lambda g: _unbroadcast(-g * a.value / b.value ** 2, b.value.shape)),
-    ))
-
-
 def matmul(a, b) -> Node:
     a, b = as_node(a), as_node(b)
     return Node(a.value @ b.value, (
@@ -137,11 +98,6 @@ def exp(a) -> Node:
     a = as_node(a)
     e = np.exp(a.value)
     return Node(e, ((a, lambda g: g * e),))
-
-
-def log(a) -> Node:
-    a = as_node(a)
-    return Node(np.log(a.value), ((a, lambda g: g / a.value),))
 
 
 def square(a) -> Node:
@@ -322,7 +278,6 @@ def spectral_normalize(weight: Array, n_power_iterations: int, u: Array | None =
 class Layer:
     weight: Array            # (out, in)
     bias: Array              # (out,)
-    spectral_norm: bool = False
     u: Array | None = None   # persistent power-iteration vector
     sigma: float = 1.0       # current top-singular-value estimate
     mask: Array | None = None  # fixed 0/1 connectivity, (out, in)
@@ -361,7 +316,7 @@ class Mlp:
             b = self.flat[start:start + fan_out]
             start += fan_out
             mask = None if masks is None else masks[i]
-            self.layers.append(Layer(W, b, spectral_norm=spectral_norm, mask=mask))
+            self.layers.append(Layer(W, b, mask=mask))
         if spectral_norm:
             self.refresh_spectral_norm(n_power_iterations=10)
 
@@ -385,12 +340,13 @@ class Mlp:
             dst[...] = src
 
     def refresh_spectral_norm(self, n_power_iterations: int = 1) -> None:
+        if not self.spectral_norm:
+            return
         for layer in self.layers:
-            if layer.spectral_norm:
-                W = layer.weight if layer.mask is None else layer.mask * layer.weight
-                _, sigma, u = spectral_normalize(W, n_power_iterations, layer.u)
-                layer.sigma = max(sigma, 1e-12)
-                layer.u = u
+            W = layer.weight if layer.mask is None else layer.mask * layer.weight
+            _, sigma, u = spectral_normalize(W, n_power_iterations, layer.u)
+            layer.sigma = max(sigma, 1e-12)
+            layer.u = u
 
     def effective_weight(self, i: int, weight: Node | None = None) -> Node:
         """Layer ``i``'s weight as the forward pass uses it: masked, then
@@ -400,7 +356,7 @@ class Mlp:
         W = Node(layer.weight) if weight is None else weight
         if layer.mask is not None:
             W = mul(W, layer.mask)
-        if layer.spectral_norm:
+        if self.spectral_norm:
             W = mul(W, 1.0 / layer.sigma)
         return W
 

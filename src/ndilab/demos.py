@@ -4,9 +4,9 @@ CSV layout: comment lines "# key=value" carry provenance (environment name,
 expert descriptor, seed, record count, expert return), then a header row
 "episode,t,s_0..s_{ds-1},a_0..a_{da-1}" and one row per step. Floats are
 written with 17 significant digits, which round-trips 64-bit values exactly.
-``load_demos`` rejects a header not starting "episode,t" and a record with a
-non-finite value, a column count that differs from the header, or a
-non-integer episode or t, naming the file and line.
+``load_demos`` rejects a header not exactly that with ds, da >= 1, and a
+record with a non-finite value, a column count that differs from the
+header, or a non-integer episode or t, naming the file and line.
 """
 from __future__ import annotations
 
@@ -56,13 +56,14 @@ class DemoSet:
         return np.concatenate([self.states, self.actions], axis=1)
 
 
+def _columns(ds: int, da: int) -> list[str]:
+    return ["episode", "t"] + [f"s_{i}" for i in range(ds)] + [f"a_{i}" for i in range(da)]
+
+
 def save_demos(path, demos: DemoSet) -> None:
     path = Path(path)
-    ds, da = demos.state_dim, demos.action_dim
-    cols = (["episode", "t"] + [f"s_{i}" for i in range(ds)]
-            + [f"a_{i}" for i in range(da)])
     lines = [f"# {k}={v}" for k, v in sorted(demos.meta.items())]
-    lines.append(",".join(cols))
+    lines.append(",".join(_columns(demos.state_dim, demos.action_dim)))
     for i in range(len(demos)):
         row = [str(int(demos.episodes[i])), str(int(demos.timesteps[i]))]
         row += [f"{x:.17g}" for x in demos.states[i]]
@@ -101,15 +102,16 @@ def load_demos(path) -> DemoSet:
             continue
         if header is None:
             header = line.split(",")
-            if header[:2] != ["episode", "t"]:
-                raise ValueError(f"{path} line {lineno}: header must start with episode,t")
+            ds = sum(c.startswith("s_") for c in header)
+            da = sum(c.startswith("a_") for c in header)
+            if ds < 1 or da < 1 or header != _columns(ds, da):
+                raise ValueError(f"{path} line {lineno}: header must be "
+                                 "episode,t,s_0..s_{ds-1},a_0..a_{da-1} with ds, da >= 1")
             continue
         rows.append(_parse_row(line.split(","), len(header), f"{path} line {lineno}"))
     if header is None or not rows:
         raise ValueError(f"no demonstration records in {path}")
-    ds = sum(c.startswith("s_") for c in header)
-    da = sum(c.startswith("a_") for c in header)
     data = np.array(rows)
-    return DemoSet(states=data[:, 2:2 + ds], actions=data[:, 2 + ds:2 + ds + da],
+    return DemoSet(states=data[:, 2:2 + ds], actions=data[:, 2 + ds:],
                    episodes=data[:, 0].astype(np.int64),
                    timesteps=data[:, 1].astype(np.int64), meta=meta)

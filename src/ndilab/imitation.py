@@ -189,31 +189,21 @@ def nwj_reward(critic, s_t: Array, s_next: Array, cur: Array, nxt: Array,
 
 
 def reward_f(critic, s_t: Array, s_next: Array, buffer: TimestepReplayBuffer,
-             t: int, config: AugmentedRewardConfig,
-             n_marginal_samples: int | None = None) -> float:
+             t: int, config: AugmentedRewardConfig, n_marginal_samples: int) -> float:
     """Mutual-information reward against replay-bucket marginal samples.
 
-    With samples x ~ bucket t and y ~ bucket t+1:
+    Draws ``n_marginal_samples`` states x from bucket t and then as many
+    states y from bucket t+1 (``TimestepReplayBuffer.sample``, so an empty
+    bucket falls back to the pooled buffer), and returns ``nwj_reward``:
       pipeline form:  f(s_t, s') - (gamma/e) mean[e^{f(s', x)} + e^{f(y, s_t)}]
       identity form:  gamma f(s_t, s') - (gamma/e) mean[e^{f(x, s')} + e^{f(s_t, y)}]
-    ``n_marginal_samples`` of None uses every bucket element (exhaustive).
     The critic f is evaluated once per cross term on the whole (n, d) sample
     batch, so ``critic.value`` (or ``critic`` itself, if callable) must
     broadcast over leading axes; a scalar result for a batch raises
     ``ValueError``.
     """
-    if n_marginal_samples is None:
-        cur, nxt = buffer.bucket(t), buffer.bucket(t + 1)
-        if not len(cur) or not len(nxt):
-            logger.warning("bucket %d or %d empty; falling back to pooled replay sampling",
-                           t, t + 1)
-            cur = cur if len(cur) else buffer.pooled()
-            nxt = nxt if len(nxt) else buffer.pooled()
-        if not len(cur) or not len(nxt):
-            raise ValueError(f"buckets {t} and {t + 1} are empty")
-    else:
-        cur = buffer.sample(t, n_marginal_samples)
-        nxt = buffer.sample(t + 1, n_marginal_samples)
+    cur = buffer.sample(t, n_marginal_samples)
+    nxt = buffer.sample(t + 1, n_marginal_samples)
     return nwj_reward(critic, s_t, s_next, cur, nxt, config)
 
 
@@ -260,25 +250,28 @@ def soft_policy_iteration(mdp: TabularMdp, temperature: float, tol: float = 1e-1
 # ---------------------------------------------------------------------------
 
 
+# unsquashed Gaussian policies need the mean held inside the action box,
+# otherwise Q extrapolation beyond the bound runs away
+ACTION_BOUND = 1.0
+BOUND_PENALTY = 10.0
+POLYAK = 0.005
+
+
 @dataclass
 class SacConfig:
     gamma: float = 0.99
     lr: float = 3e-4
     lr_alpha: float = 3e-4
     batch_size: int = 64
-    polyak: float = 0.005
     hidden: tuple = (64, 64)
-    target_entropy: float | None = None   # defaults to -action_dim
     buffer_capacity: int = 100_000
     seed: int = 0
-    # unsquashed Gaussian policies need the mean held inside the action box,
-    # otherwise Q extrapolation beyond the bound runs away
-    action_bound: float | None = 1.0
-    bound_penalty: float = 10.0
 
 
 class SacLearner:
-    """Twin-Q soft actor-critic with automatic temperature tuning."""
+    """Twin-Q soft actor-critic with the temperature tuned toward entropy
+    -action_dim, stored actions clipped to +-ACTION_BOUND, BOUND_PENALTY times
+    the policy's squared excess beyond it, and Polyak rate POLYAK."""
 
     def __init__(self, state_dim: int, action_dim: int, config: SacConfig):
         self.config = config
@@ -291,8 +284,7 @@ class SacLearner:
         self.q1_target = Mlp([state_dim + action_dim, *config.hidden, 1], seed=config.seed + 1)
         self.q2_target = Mlp([state_dim + action_dim, *config.hidden, 1], seed=config.seed + 2)
         self.log_alpha = np.array([math.log(0.2)])
-        self.target_entropy = (config.target_entropy if config.target_entropy is not None
-                               else -float(action_dim))
+        self.target_entropy = -float(action_dim)
         # one row per transition: s, a, r, s2, done
         self.buffer = Ring(config.buffer_capacity, (2 * state_dim + action_dim + 2,))
         self.rng = np.random.default_rng(config.seed)
@@ -303,9 +295,7 @@ class SacLearner:
         self.opt_alpha = AdamState(lr=config.lr_alpha)
 
     def add_transition(self, s, a, r, s2, done: bool) -> None:
-        a = np.asarray(a, dtype=np.float64)
-        if self.config.action_bound is not None:
-            a = np.clip(a, -self.config.action_bound, self.config.action_bound)
+        a = np.clip(np.asarray(a, dtype=np.float64), -ACTION_BOUND, ACTION_BOUND)
         self.buffer.add(np.concatenate([np.asarray(s, float), a, [float(r)],
                                         np.asarray(s2, float), [float(done)]]))
 
@@ -365,10 +355,9 @@ class SacLearner:
         qmin = ad.minimum(self.q1.forward(xa), self.q2.forward(xa))
         pi_loss = ad.nmean(ad.sub(ad.mul(logp_node, self.alpha),
                                   ad.reshape(qmin, (B,))))
-        if cfg.action_bound is not None:
-            overflow = ad.sub(a_new, ad.clip(a_new, -cfg.action_bound, cfg.action_bound))
-            pi_loss = ad.add(pi_loss, ad.mul(ad.nmean(ad.nsum(ad.square(overflow), axis=1)),
-                                             cfg.bound_penalty))
+        overflow = ad.sub(a_new, ad.clip(a_new, -ACTION_BOUND, ACTION_BOUND))
+        pi_loss = ad.add(pi_loss, ad.mul(ad.nmean(ad.nsum(ad.square(overflow), axis=1)),
+                                         BOUND_PENALTY))
         if not np.isfinite(pi_loss.value):
             raise FloatingPointError("non-finite policy loss")
         backward(pi_loss)
@@ -385,8 +374,8 @@ class SacLearner:
 
         # Polyak averaging of the targets
         for net, target in ((self.q1, self.q1_target), (self.q2, self.q2_target)):
-            target.flat *= (1.0 - cfg.polyak)
-            target.flat += cfg.polyak * net.flat
+            target.flat *= (1.0 - POLYAK)
+            target.flat += POLYAK * net.flat
         return losses
 
 

@@ -140,12 +140,6 @@ class GaussianPolicy:
             raise FloatingPointError(f"non-finite action sampled at state {s!r}")
         return a
 
-    def log_prob(self, s: Array, a: Array) -> float:
-        mu = self.mean(s)
-        log_std = self.clamped_log_std()
-        z = (np.asarray(a, dtype=np.float64) - mu) / np.exp(log_std)
-        return float(-0.5 * np.sum(z ** 2) - np.sum(log_std) - 0.5 * self.action_dim * np.log(2 * np.pi))
-
 
 @dataclass
 class Trajectory:
@@ -165,10 +159,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.rewards)
-
-    @property
-    def timesteps(self) -> Array:
-        return np.arange(len(self.rewards))
 
 
 @dataclass

@@ -149,15 +149,17 @@ def mutual_information(joint: JointTable) -> float:
     return max(out, 0.0)
 
 
-def _overflow_cell(f: Array) -> tuple:
-    return tuple(int(i) for i in np.unravel_index(int(f.argmax()), f.shape))
+def _exp_safe_max(f: Array) -> float:
+    """``f.max()``; raises OverflowError naming the cell if exp(f) would overflow."""
+    fmax = float(f.max())
+    if fmax > EXP_OVERFLOW:
+        cell = tuple(int(i) for i in np.unravel_index(int(f.argmax()), f.shape))
+        raise OverflowError(f"critic value {fmax:.3g} at cell {cell} would overflow exp")
+    return fmax
 
 
 def _nwj(joint: Array, marg_x: Array, marg_y: Array, f: Array) -> float:
-    fmax = f.max()
-    if fmax > EXP_OVERFLOW:
-        raise OverflowError(
-            f"critic value {fmax:.3g} at cell {_overflow_cell(f)} would overflow exp")
+    _exp_safe_max(f)
     cross = float(marg_x @ np.exp(f) @ marg_y)
     return float((joint * f).sum()) - math.exp(-1.0) * cross
 
@@ -219,10 +221,7 @@ def conditional_action_entropy(mdp: TabularMdp, policy: SoftmaxPolicy, t: int) -
 def _critic_bound(tables: list[Array]) -> float:
     worst = 1.0
     for f in tables:
-        fmax = float(f.max())
-        if fmax > EXP_OVERFLOW:
-            raise OverflowError(
-                f"critic value {fmax:.3g} at cell {_overflow_cell(f)} would overflow exp")
+        fmax = _exp_safe_max(f)
         worst = max(worst, float(np.abs(f).max()) + math.exp(fmax - 1.0))
     return worst
 
@@ -231,9 +230,9 @@ def resolve_critic_schedule(mdp: TabularMdp, policy: SoftmaxPolicy, critic_famil
                             tol: float) -> tuple[list[Array], int]:
     """Freeze one critic table per timestep t = 0..T, choosing T from tol.
 
-    ``critic_family`` may be a CriticTable / array (used at every t), a
-    callable t -> CriticTable, or the string "optimal" (per-t optimal critic
-    for the current policy's consecutive-state joints, then frozen).
+    ``critic_family`` is a CriticTable or an (S, S) array, used at every t,
+    or the string "optimal" (per-t optimal critic for the current policy's
+    consecutive-state joints, then frozen).
     """
     gamma = mdp.discount
     optimal = isinstance(critic_family, str) and critic_family == "optimal"
@@ -244,10 +243,7 @@ def resolve_critic_schedule(mdp: TabularMdp, policy: SoftmaxPolicy, critic_famil
                 consecutive_state_joint(mdp, policy, marginals[t])).values
         if isinstance(critic_family, CriticTable):
             return critic_family.values
-        if isinstance(critic_family, np.ndarray):
-            return critic_family
-        out = critic_family(t)
-        return out.values if isinstance(out, CriticTable) else np.asarray(out)
+        return np.asarray(critic_family)
 
     base_bound = max(1.0, math.log(max(mdp.n_actions, 2)))
     if optimal:
@@ -340,9 +336,7 @@ def _frozen_reward_tables(mdp: TabularMdp, policy: SoftmaxPolicy,
     rewards = []
     for t in range(T + 1):
         f = critic_tables[t]
-        if f.max() > EXP_OVERFLOW:
-            raise OverflowError(
-                f"critic value at cell {_overflow_cell(f)} would overflow exp")
+        _exp_safe_max(f)
         ef = np.exp(f)
         ex_in = marg[t] @ ef          # (S',): E_{x~q_t} e^{f(x, s')}
         ex_out = ef @ marg[t + 1]     # (S,):  E_{y~q_{t+1}} e^{f(s, y)}

@@ -109,6 +109,15 @@ def cmd_fit_density(config: ExperimentConfig, demos_path, out_dir=None) -> Path:
     out = Path(out_dir or config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     demos = load_demos(demos_path)
+    bundle = get_env(config.env, config.gamma, config.expert_tau)
+    if bundle.kind == "tabular":
+        want = (bundle.embedding.state_coords.shape[1], bundle.embedding.action_coords.shape[1])
+    else:
+        want = (bundle.env.state_dim, bundle.env.action_dim)
+    got = (demos.state_dim, demos.action_dim)
+    if got != want:
+        raise ValueError(f"{demos_path}: demos have (state, action) dims {got}, "
+                         f"but env {config.env} has {want}")
     if config.density_kind == "made":
         model, curve = made_fit(demos, MadeConfig(
             hidden=config.density_hidden, n_components=config.made_components,

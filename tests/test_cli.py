@@ -529,6 +529,38 @@ class TestCliFrontend:
         assert err.startswith("error: ") and f"demos.csv line {i + 1}" in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("cut", [4, 3], ids=["a_0", "s_1"])
+    def test_demos_with_a_cut_column_are_usage_error(self, tmp_path, capsys, cut):
+        cfg = self.write_cfg(tmp_path)
+        assert main(["gen-demos", "--config", str(cfg)]) == EXIT_OK
+        demos = tmp_path / "run" / "demos.csv"
+        lines = demos.read_text().splitlines()
+        assert "episode,t,s_0,s_1,a_0" in lines
+        for i, line in enumerate(lines):
+            if not line.startswith("#"):
+                fields = line.split(",")
+                del fields[cut]
+                lines[i] = ",".join(fields)
+        demos.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["fit-density", "--config", str(cfg)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "demos.csv" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "run" / "model.ckpt").exists()
+
+    def test_pointmass_demos_under_grid_config_are_usage_error(self, tmp_path, capsys):
+        pm = tmp_path / "pm.cfg"
+        pm.write_text(f"env = pointmass\nseed = 0\nout_dir = {tmp_path / 'run'}\n"
+                      "n_demo_trajectories = 1\ndemo_len = 10\neval_episodes = 1\n")
+        assert main(["gen-demos", "--config", str(pm)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["fit-density", "--config", str(self.write_cfg(tmp_path))]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "demos.csv" in err
+        assert "(4, 2)" in err and "(2, 1)" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_zero_eval_every_is_usage_error(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path, "eval_every = 0\n")
         assert main(["train", "--config", str(cfg)]) == EXIT_USAGE

@@ -226,14 +226,6 @@ class TestSsmLoss:
         with pytest.raises(ValueError):
             ssm_loss(QuadraticEnergy(np.eye(2)), np.zeros((0, 2)), SsmConfig(), seed=0)
 
-    def test_sliced_norm_variant(self):
-        quad = QuadraticEnergy(np.eye(2))
-        x = np.array([[1.0, 1.0]])
-        cfg = SsmConfig(exact_trace=True, sliced_norm=True, hvp_epsilon=1e-4)
-        # basis slices: sum of v^T H v = trace; grad term = mean of (v . grad)^2 / 2
-        expected = -2.0 + 0.5 * ((1.0) ** 2 + (1.0) ** 2) / 2
-        assert ssm_loss(quad, x, cfg, seed=0).value == pytest.approx(expected, abs=1e-8)
-
 
 class TestEbmFit:
     def test_standard_gaussian_score_direction_reduced(self):

@@ -1,5 +1,6 @@
 """Tests for augmented rewards, the RBF critic, the timestep replay buffer,
 soft policy iteration, the toy SAC learner, and policy evaluation."""
+import copy
 import logging
 import math
 from collections import deque
@@ -91,7 +92,7 @@ class TestRewardF:
             buffer.add(t, s)
         cfg = AugmentedRewardConfig(gamma=0.9, use_alg1_form=True)
         critic = RbfCritic()  # all states equal -> kernel 1, normalizer 1, f = 1
-        got = reward_f(critic, s, s, buffer, t=0, config=cfg)
+        got = nwj_reward(critic, s, s, buffer.bucket(0), buffer.bucket(1), cfg)
         assert got == pytest.approx(1.0 - 2 * 0.9, abs=1e-12)
 
     def test_gamma_zero_reduces_to_critic_value(self):
@@ -102,8 +103,8 @@ class TestRewardF:
         cfg = AugmentedRewardConfig(gamma=0.0, use_alg1_form=True)
         critic = RbfCritic()
         s, s2 = rng.normal(size=2), rng.normal(size=2)
-        assert reward_f(critic, s, s2, buffer, 0, cfg) == pytest.approx(
-            critic.value(s, s2), abs=1e-12)
+        got = nwj_reward(critic, s, s2, buffer.bucket(0), buffer.bucket(1), cfg)
+        assert got == pytest.approx(critic.value(s, s2), abs=1e-12)
 
     def test_matches_exhaustive_expectation_oracle(self):
         buffer = TimestepReplayBuffer(seed=0)
@@ -116,7 +117,7 @@ class TestRewardF:
         critic.value = lambda x, y: -0.5 * np.sum((np.asarray(x) - np.asarray(y)) ** 2, axis=-1)
         cfg = AugmentedRewardConfig(gamma=0.9, use_alg1_form=True)
         s, s2 = np.array([0.25]), np.array([0.75])
-        got = reward_f(critic, s, s2, buffer, 0, cfg)
+        got = nwj_reward(critic, s, s2, buffer.bucket(0), buffer.bucket(1), cfg)
         f = critic.value
         cross = np.mean([math.exp(f(s2, x)) for x in states[0]]) + \
             np.mean([math.exp(f(y, s)) for y in states[1]])
@@ -131,7 +132,7 @@ class TestRewardF:
         asym.value = lambda x, y: np.asarray(x)[..., 0] - 2.0 * np.asarray(y)[..., 0]
         cfg = AugmentedRewardConfig(gamma=0.5, use_alg1_form=False)
         s, s2 = np.array([3.0]), np.array([1.0])
-        got = reward_f(asym, s, s2, buffer, 0, cfg)
+        got = nwj_reward(asym, s, s2, buffer.bucket(0), buffer.bucket(1), cfg)
         f = asym.value
         expected = 0.5 * f(s, s2) - (0.5 / math.e) * (math.exp(f(np.array([0.0]), s2))
                                                       + math.exp(f(s, np.array([1.0]))))
@@ -169,8 +170,25 @@ class TestRewardF:
                 cross = np.mean([math.exp(f(x, s2)) for x in cur]) + \
                     np.mean([math.exp(f(s, y)) for y in nxt])
                 expected = 0.8 * f(s, s2) - (0.8 / math.e) * cross
-            got = reward_f(critic, s, s2, buffer, 3, cfg)
+            got = nwj_reward(critic, s, s2, buffer.bucket(3), buffer.bucket(4), cfg)
             assert got == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("alg1", [True, False])
+    def test_is_two_bucket_draws_then_nwj_reward(self, alg1):
+        rng = np.random.default_rng(9)
+        buffer = TimestepReplayBuffer(capacity_per_bucket=8, seed=5)
+        for t in (2, 3):
+            for _ in range(13):   # wraps each ring
+                buffer.add(t, rng.normal(size=3))
+        twin = copy.deepcopy(buffer)
+        critic = RbfCritic(bandwidth=1.5)
+        critic.observe_pairs([(rng.normal(size=3), rng.normal(size=3)) for _ in range(4)])
+        cfg = AugmentedRewardConfig(gamma=0.9, use_alg1_form=alg1)
+        for _ in range(3):
+            s, s2 = rng.normal(size=3), rng.normal(size=3)
+            got = reward_f(critic, s, s2, buffer, 2, cfg, 6)
+            expected = nwj_reward(critic, s, s2, twin.sample(2, 6), twin.sample(3, 6), cfg)
+            assert got == expected
 
     def test_nwj_reward_over_many_transitions_matches_one_at_a_time(self):
         rng = np.random.default_rng(8)
@@ -192,7 +210,8 @@ class TestRewardF:
                 buffer.add(t, np.array([float(k)]))
         cfg = AugmentedRewardConfig(gamma=0.9)
         with pytest.raises(ValueError, match="broadcast"):
-            reward_f(ConstantCritic(0.0), np.zeros(1), np.ones(1), buffer, 0, cfg)
+            nwj_reward(ConstantCritic(0.0), np.zeros(1), np.ones(1), buffer.bucket(0),
+                       buffer.bucket(1), cfg)
         scalar_sum = lambda x, y: float(np.sum(np.asarray(x) - np.asarray(y)))  # noqa: E731
         with pytest.raises(ValueError, match="broadcast"):
             reward_f(scalar_sum, np.zeros(1), np.ones(1), buffer, 0, cfg,
@@ -205,7 +224,8 @@ class TestAugmentedReward:
         buffer = TimestepReplayBuffer(seed=0)
         for t in (0, 1):
             buffer.add(t, np.array([0.0]))
-        return reward_f(RbfCritic(), np.array([0.0]), np.array([0.0]), buffer, 0, cfg)
+        return nwj_reward(RbfCritic(), np.array([0.0]), np.array([0.0]), buffer.bucket(0),
+                          buffer.bucket(1), cfg)
 
     def test_zero_weights_give_log_density(self):
         cfg = AugmentedRewardConfig(gamma=0.9, lambda_f=0.0)

@@ -160,21 +160,6 @@ class TestSampleTrajectory:
 
 
 class TestPolicyLogProb:
-    def test_gaussian_at_mean(self):
-        policy = GaussianPolicy(state_dim=2, action_dim=1, hidden=(8,), seed=0)
-        policy.log_std[:] = 0.0
-        s = np.array([0.3, -0.2])
-        a = policy.mean(s)
-        assert policy.log_prob(s, a) == pytest.approx(-0.5 * np.log(2 * np.pi), abs=1e-12)
-
-    def test_gaussian_log_prob_finite_for_samples(self):
-        policy = GaussianPolicy(state_dim=3, action_dim=2, hidden=(8,), seed=1)
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            s = rng.normal(size=3)
-            a = policy.sample(s, rng)
-            assert np.isfinite(policy.log_prob(s, a))
-
     def test_nonfinite_action_aborts_with_diagnostic(self):
         policy = GaussianPolicy(state_dim=2, action_dim=1, hidden=(4,), seed=0)
         policy.mean_net.layers[-1].bias[:] = np.nan

@@ -285,6 +285,17 @@ class TestSaelbo:
         raw = saelbo(mdp, policy, np.zeros((3, 3)))
         assert raw == saelbo(mdp, policy, CriticTable(np.zeros((3, 3))))
 
+    @pytest.mark.parametrize("objective", [
+        lambda mdp, theta, critic: saelbo(mdp, SoftmaxPolicy(theta), critic),
+        saelbo_gradient_pg,
+    ], ids=["saelbo", "saelbo_gradient_pg"])
+    def test_overflowing_critic_reported_with_cell(self, objective):
+        mdp = build_chain(3)
+        critic = np.zeros((3, 3))
+        critic[2, 1] = 750.0
+        with pytest.raises(OverflowError, match=r"750 at cell \(2, 1\)"):
+            objective(mdp, np.zeros((3, 2)), CriticTable(critic))
+
     def test_random_critic_dominated_by_optimal(self):
         rng = np.random.default_rng(6)
         for _ in range(5):
