@@ -2,14 +2,20 @@
 normalization, and an adaptive-moment optimizer.
 
 The engine is deliberately small: it supports exactly the operations that
-dense feed-forward networks with tanh activations need (matmul, broadcasted
-add/sub/mul, tanh/exp/square, reductions, slicing, concatenation), plus one
-fused ``dense`` node, ``tanh(h @ W.T + b)``, that every network layer uses.
-Ops are called by name (``add(a, b)``, not ``a + b``); slicing a ``Node``
-with ``[...]`` is the only operator it defines. Each ``Mlp`` keeps all its
+the density models need (matmul, broadcasted add/sub/mul, tanh/exp/square,
+clamping, reductions, log-sum-exp, slicing, reshaping), plus one fused
+``dense`` node, ``tanh(h @ W.T + b)``, that every network layer uses. Ops
+are called by name (``add(a, b)``, not ``a + b``); slicing a ``Node`` with
+``[...]`` is the only operator it defines. Each ``Mlp`` keeps all its
 parameters in one flat vector (``Mlp.flat``); the per-layer weights and
 biases are views into it, so an optimizer updates a whole network in one
 call. Values and gradients are float64 numpy arrays throughout.
+
+Density fitting (score matching, MADE likelihood) runs on the graph. Soft
+actor-critic and every value-only network call run on the layer tape
+instead: ``Mlp.forward_tape`` keeps each layer's activation as an array and
+``Mlp.backward_tape`` applies ``dense``'s VJPs to it. The tape builds no
+``Node`` and gives the same bytes as ``Mlp.forward`` and ``backward``.
 """
 from __future__ import annotations
 
@@ -112,16 +118,6 @@ def clip(a, lo: float, hi: float) -> Node:
     return Node(np.clip(a.value, lo, hi), ((a, lambda g: g * gate),))
 
 
-def minimum(a, b) -> Node:
-    """Elementwise min; the gradient follows the smaller branch (ties -> a)."""
-    a, b = as_node(a), as_node(b)
-    take_a = (a.value <= b.value).astype(np.float64)
-    return Node(np.minimum(a.value, b.value), (
-        (a, lambda g: _unbroadcast(g * take_a, a.value.shape)),
-        (b, lambda g: _unbroadcast(g * (1.0 - take_a), b.value.shape)),
-    ))
-
-
 def nsum(a, axis=None, keepdims=False) -> Node:
     a = as_node(a)
     val = a.value.sum(axis=axis, keepdims=keepdims)
@@ -163,22 +159,6 @@ def getitem(a, idx) -> Node:
         return out
 
     return Node(a.value[idx], ((a, vjp),))
-
-
-def concat(nodes, axis: int = -1) -> Node:
-    nodes = [as_node(n) for n in nodes]
-    sizes = [n.value.shape[axis] for n in nodes]
-    offsets = np.cumsum([0] + sizes)
-
-    def make_vjp(i):
-        sl = [slice(None)] * nodes[i].value.ndim
-        ax = axis if axis >= 0 else nodes[i].value.ndim + axis
-        sl[ax] = slice(offsets[i], offsets[i + 1])
-        sl = tuple(sl)
-        return lambda g: g[sl]
-
-    val = np.concatenate([n.value for n in nodes], axis=axis)
-    return Node(val, tuple((nodes[i], make_vjp(i)) for i in range(len(nodes))))
 
 
 def reshape(a, shape) -> Node:
@@ -380,8 +360,64 @@ class Mlp:
                       activate=i < n - 1)
         return h
 
+    def weight(self, i: int) -> Array:
+        """Layer ``i``'s effective weight as an array, by the same products as
+        ``effective_weight``."""
+        layer = self.layers[i]
+        W = layer.weight
+        if layer.mask is not None:
+            W = W * layer.mask
+        if self.spectral_norm:
+            W = W * (1.0 / layer.sigma)
+        return W
+
+    def forward_tape(self, x) -> list[Array]:
+        """The layer tape: the (batch, in) input followed by every layer's
+        activation, computed on arrays with ``dense``'s expressions, so each
+        entry is byte-identical to the value ``forward`` gives. ``x`` is
+        (batch, in) or (in,)."""
+        h = np.asarray(x, dtype=np.float64)
+        if h.ndim == 1:
+            h = h.reshape((1, -1))
+        if h.shape[1] != self.widths[0]:
+            raise ValueError(f"input width {h.shape[1]} != expected {self.widths[0]}")
+        tape = [h]
+        n = len(self.layers)
+        for i in range(n):
+            z = h @ self.weight(i).T + self.layers[i].bias
+            h = np.tanh(z) if i < n - 1 else z
+            tape.append(h)
+        return tape
+
+    def backward_tape(self, tape: list[Array], g: Array, input_grad: bool = False):
+        """Gradient of ``sum(g * output)`` for the ``forward_tape`` result
+        ``tape``, with the parameters unchanged since it was taken.
+
+        Returns ``(flat_grad, x_grad)``: the gradient of ``flat`` (in its
+        layout) and, when ``input_grad`` is set, of the input (else None).
+        Each step is the VJP that ``dense`` and the mask and spectral-norm
+        ``mul`` nodes apply, so the result is byte-identical to ``backward``
+        on the ``forward`` graph.
+        """
+        n = len(self.layers)
+        grads: list[Array] = [None] * (2 * n)
+        for i in reversed(range(n)):
+            layer, h, z = self.layers[i], tape[i], tape[i + 1]
+            local = g * (1.0 - z ** 2) if i < n - 1 else g
+            gW = (h.T @ local).T
+            if self.spectral_norm:
+                gW = gW * (1.0 / layer.sigma)
+            if layer.mask is not None:
+                gW = gW * layer.mask
+            grads[2 * i] = gW.reshape(-1)
+            grads[2 * i + 1] = _unbroadcast(local, layer.bias.shape)
+            if i > 0 or input_grad:
+                g = local @ self.weight(i)
+        return np.concatenate(grads), (g if input_grad else None)
+
     def __call__(self, x) -> Array:
-        return self.forward(x).value
+        """The network's output for ``x``, as an array (no graph)."""
+        return self.forward_tape(x)[-1]
 
 
 def transpose(a) -> Node:

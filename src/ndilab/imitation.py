@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import AdamState, Mlp, Node, adam_step, backward, flat_grads
+from .autodiff import AdamState, Mlp, adam_step
 from .mdp import GaussianPolicy, SoftmaxPolicy, TabularMdp, sample_trajectory
 from .occupancy import occupancy_measure, truncation_horizon
 
@@ -320,55 +319,69 @@ class SacLearner:
         B = len(S)
 
         # target: r + gamma (1 - d) (min Q_target(s', a') - alpha log pi(a'|s'))
+        alpha, ds, da = self.alpha, self.state_dim, self.action_dim
+        log_std = self.policy.log_std
+        log_std_c = self.policy.clamped_log_std()
+        std = np.exp(log_std_c)
         mu2 = self.policy.mean_net(S2)
-        std = np.exp(self.policy.clamped_log_std())
-        eps2 = self.rng.standard_normal((B, self.action_dim))
+        eps2 = self.rng.standard_normal((B, da))
         A2 = mu2 + std * eps2
-        logp2 = (-0.5 * eps2 ** 2 - self.policy.clamped_log_std()
-                 - 0.5 * math.log(2 * math.pi)).sum(axis=1)
+        logp2 = (-0.5 * eps2 ** 2 - log_std_c - 0.5 * math.log(2 * math.pi)).sum(axis=1)
         x2 = np.concatenate([S2, A2], axis=1)
         q_min = np.minimum(self.q1_target(x2)[:, 0], self.q2_target(x2)[:, 0])
-        y = R + cfg.gamma * (1.0 - D) * (q_min - self.alpha * logp2)
+        y = R + cfg.gamma * (1.0 - D) * (q_min - alpha * logp2)
 
+        # Both losses and their gradients are written out on arrays (no
+        # graph). Each expression, and the order of the one three-term sum
+        # (the a_new gradient), is the one backward() evaluates on the same
+        # losses built as a graph, so the update is byte-identical to it;
+        # graph_step in tests/test_imitation.py is that reference.
         x = np.concatenate([S, A], axis=1)
         losses = {}
         for name, net, opt in (("q1", self.q1, self.opt_q1), ("q2", self.q2, self.opt_q2)):
-            params = [Node(p) for p in net.params()]
-            pred = net.forward(x, params)
-            loss = ad.nmean(ad.square(ad.sub(pred, y[:, None])))
-            if not np.isfinite(loss.value):
+            tape = net.forward_tape(x)
+            diff = tape[-1] - y[:, None]
+            loss = float((diff ** 2).sum() * (1.0 / B))   # nmean of the squared error
+            if not np.isfinite(loss):
                 raise FloatingPointError(f"non-finite {name} loss")
-            backward(loss)
-            adam_step(opt, [net.flat], [flat_grads(params)])
-            losses[name] = float(loss.value)
+            grad, _ = net.backward_tape(tape, (1.0 / B) * 2.0 * diff)
+            adam_step(opt, [net.flat], [grad])
+            losses[name] = loss
 
         # policy: maximize min Q(s, a~) - alpha log pi(a~|s) with reparameterized a~
-        mean_params = [Node(p) for p in self.policy.mean_net.params()]
-        log_std_base = Node(self.policy.log_std)
-        log_std_node = ad.clip(log_std_base, -5.0, 2.0)
-        eps = self.rng.standard_normal((B, self.action_dim))
-        mu = self.policy.mean_net.forward(S, mean_params)
-        a_new = ad.add(mu, ad.mul(ad.exp(log_std_node), eps))
-        logp_node = ad.nsum(ad.sub(ad.mul(ad.square(Node(eps)), -0.5),
-                                   ad.add(log_std_node, 0.5 * math.log(2 * math.pi))), axis=1)
-        xa = ad.concat([Node(S), a_new], axis=1)
-        qmin = ad.minimum(self.q1.forward(xa), self.q2.forward(xa))
-        pi_loss = ad.nmean(ad.sub(ad.mul(logp_node, self.alpha),
-                                  ad.reshape(qmin, (B,))))
-        overflow = ad.sub(a_new, ad.clip(a_new, -ACTION_BOUND, ACTION_BOUND))
-        pi_loss = ad.add(pi_loss, ad.mul(ad.nmean(ad.nsum(ad.square(overflow), axis=1)),
-                                         BOUND_PENALTY))
-        if not np.isfinite(pi_loss.value):
+        eps = self.rng.standard_normal((B, da))
+        mean_tape = self.policy.mean_net.forward_tape(S)
+        a_new = mean_tape[-1] + std * eps
+        logp = (eps ** 2 * -0.5 - (log_std_c + 0.5 * math.log(2 * math.pi))).sum(axis=1)
+        xa = np.concatenate([S, a_new], axis=1)
+        tape1, tape2 = self.q1.forward_tape(xa), self.q2.forward_tape(xa)
+        take1 = (tape1[-1] <= tape2[-1]).astype(np.float64)   # ties take q1
+        qmin = np.minimum(tape1[-1], tape2[-1])
+        pi_loss = (logp * alpha - qmin.reshape((B,))).sum() * (1.0 / B)
+        a_clipped = np.clip(a_new, -ACTION_BOUND, ACTION_BOUND)
+        overflow = a_new - a_clipped
+        pi_loss = pi_loss + (overflow ** 2).sum(axis=1).sum() * (1.0 / B) * BOUND_PENALTY
+        if not np.isfinite(pi_loss):
             raise FloatingPointError("non-finite policy loss")
-        backward(pi_loss)
-        adam_step(self.opt_pi, [self.policy.mean_net.flat], [flat_grads(mean_params)])
-        lsg = log_std_base.grad if log_std_base.grad is not None else np.zeros_like(self.policy.log_std)
-        adam_step(self.opt_log_std, [self.policy.log_std], [lsg])
-        losses["pi"] = float(pi_loss.value)
+
+        g_q = -(1.0 / B)   # d pi_loss / d qmin, per row
+        _, gx1 = self.q1.backward_tape(tape1, g_q * take1, input_grad=True)
+        _, gx2 = self.q2.backward_tape(tape2, g_q * (1.0 - take1), input_grad=True)
+        g_over = BOUND_PENALTY * (1.0 / B) * 2.0 * overflow
+        # a clamp passes gradient only where its input lies inside the bounds
+        g_a = ((gx1 + gx2)[:, ds:] + g_over) + (-g_over) * (a_clipped == a_new)
+        mean_grad, _ = self.policy.mean_net.backward_tape(mean_tape, g_a)
+        # log_std reaches the loss through std * eps and through logp (whose
+        # per-row gradient alpha / B is broadcast over the action columns)
+        g_logp = np.full((B, da), (1.0 / B) * alpha)
+        g_log_std = (g_a * eps).sum(axis=0) * std + (-g_logp).sum(axis=0)
+        g_log_std = g_log_std * (log_std_c == log_std)
+        adam_step(self.opt_pi, [self.policy.mean_net.flat], [mean_grad])
+        adam_step(self.opt_log_std, [log_std], [g_log_std])
+        losses["pi"] = float(pi_loss)
 
         # temperature: alpha <- alpha - lr d/dlog_alpha [-log_alpha (logp + target)]
-        logp_detached = logp_node.value
-        alpha_grad = np.array([-(logp_detached.mean() + self.target_entropy)])
+        alpha_grad = np.array([-(logp.mean() + self.target_entropy)])
         adam_step(self.opt_alpha, [self.log_alpha], [alpha_grad])
         losses["alpha"] = self.alpha
 

@@ -218,12 +218,8 @@ def conditional_action_entropy(mdp: TabularMdp, policy: SoftmaxPolicy, t: int) -
 # ---------------------------------------------------------------------------
 
 
-def _critic_bound(tables: list[Array]) -> float:
-    worst = 1.0
-    for f in tables:
-        fmax = _exp_safe_max(f)
-        worst = max(worst, float(np.abs(f).max()) + math.exp(fmax - 1.0))
-    return worst
+def _critic_bound(f: Array) -> float:
+    return max(1.0, float(np.abs(f).max()) + math.exp(_exp_safe_max(f) - 1.0))
 
 
 def resolve_critic_schedule(mdp: TabularMdp, policy: SoftmaxPolicy, critic_family,
@@ -235,31 +231,19 @@ def resolve_critic_schedule(mdp: TabularMdp, policy: SoftmaxPolicy, critic_famil
     consecutive-state joints, then frozen).
     """
     gamma = mdp.discount
-    optimal = isinstance(critic_family, str) and critic_family == "optimal"
-
-    def fetch(t: int, marginals: Array) -> Array:
-        if optimal:
-            return optimal_critic_table(
-                consecutive_state_joint(mdp, policy, marginals[t])).values
-        if isinstance(critic_family, CriticTable):
-            return critic_family.values
-        return np.asarray(critic_family)
-
     base_bound = max(1.0, math.log(max(mdp.n_actions, 2)))
-    if optimal:
+    if isinstance(critic_family, str) and critic_family == "optimal":
         # NWJ at the optimal critic equals the MI, which is at most log S.
         T = truncation_horizon(gamma, tol, max(base_bound, math.log(mdp.n_states) + 1.0))
         marg = state_marginals(mdp, policy, T + 1).per_timestep
-        return [fetch(t, marg) for t in range(T + 1)], T
-    T = truncation_horizon(gamma, tol, base_bound)
-    marg = state_marginals(mdp, policy, T + 1).per_timestep
-    tables = [fetch(t, marg) for t in range(T + 1)]
-    T2 = truncation_horizon(gamma, tol, max(_critic_bound(tables), base_bound))
-    if T2 > T:
-        marg = state_marginals(mdp, policy, T2 + 1).per_timestep
-        tables += [fetch(t, marg) for t in range(T + 1, T2 + 1)]
-        T = T2
-    return tables, T
+        return [optimal_critic_table(consecutive_state_joint(mdp, policy, marg[t])).values
+                for t in range(T + 1)], T
+    # a constant critic needs no marginals, and its own bound can only
+    # lengthen the horizon
+    table = (critic_family.values if isinstance(critic_family, CriticTable)
+             else np.asarray(critic_family))
+    T = truncation_horizon(gamma, tol, max(_critic_bound(table), base_bound))
+    return [table] * (T + 1), T
 
 
 def _saelbo_terms(mdp: TabularMdp, policy: SoftmaxPolicy, critic_tables: list[Array],

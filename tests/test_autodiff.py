@@ -3,7 +3,17 @@ import numpy as np
 import pytest
 
 from ndilab import autodiff as ad
-from ndilab.autodiff import AdamState, Mlp, Node, adam_step, backward, grad_check, spectral_normalize
+from ndilab.autodiff import (
+    AdamState,
+    Mlp,
+    Node,
+    adam_step,
+    backward,
+    flat_grads,
+    grad_check,
+    spectral_normalize,
+)
+from ndilab.density import MadeModel
 
 
 class TestMlpForward:
@@ -35,6 +45,60 @@ class TestMlpForward:
         model = Mlp([3, 4, 1], seed=0)
         with pytest.raises(ValueError):
             model.forward(np.zeros(5))
+
+
+def tape_nets():
+    """One net of each kind the forward handles: plain, MADE-masked,
+    spectral-normalized, and both."""
+    return {
+        "plain": Mlp([4, 16, 16, 2], seed=3),
+        "masked": MadeModel(4, hidden=(16, 16), n_components=2, spectral_norm=False).net,
+        "spectral": Mlp([4, 16, 16, 2], seed=5, spectral_norm=True),
+        "masked_spectral": MadeModel(4, hidden=(16, 16), n_components=2, seed=7).net,
+    }
+
+
+def assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestLayerTape:
+    """``Mlp.__call__``/``forward_tape`` and ``backward_tape`` against the
+    ``forward`` graph and ``backward``: equal byte for byte."""
+
+    @pytest.mark.parametrize("kind", list(tape_nets()))
+    @pytest.mark.parametrize("shape", [(4,), (1, 4), (96, 4)])
+    def test_call_equals_the_graph_forward_value(self, kind, shape):
+        net = tape_nets()[kind]
+        x = np.random.default_rng(8).normal(size=shape)
+        assert_same_bytes(net(x), net.forward(x).value)
+        tape = net.forward_tape(x)
+        assert len(tape) == len(net.layers) + 1
+        assert_same_bytes(tape[-1], net(x))
+
+    @pytest.mark.parametrize("kind", list(tape_nets()))
+    def test_wrong_input_width_rejected(self, kind):
+        net = tape_nets()[kind]
+        for x in (np.zeros(5), np.zeros((3, 5))):
+            with pytest.raises(ValueError, match="input width 5"):
+                net(x)
+
+    @pytest.mark.parametrize("kind", list(tape_nets()))
+    @pytest.mark.parametrize("rows", [1, 96])
+    def test_backward_tape_equals_the_graph_gradients(self, kind, rows):
+        net = tape_nets()[kind]
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(rows, 4))
+        upstream = rng.normal(size=(rows, net.widths[-1]))
+        params, x_node = [Node(p) for p in net.params()], Node(x)
+        backward(ad.nsum(ad.mul(net.forward(x_node, params), upstream)))
+        flat, x_grad = net.backward_tape(net.forward_tape(x), upstream, input_grad=True)
+        assert_same_bytes(flat, flat_grads(params))
+        assert_same_bytes(x_grad, x_node.grad)
+        flat_only, none = net.backward_tape(net.forward_tape(x), upstream)
+        assert none is None
+        assert_same_bytes(flat_only, flat)
 
 
 class TestBackward:
@@ -200,12 +264,12 @@ def all_ops_graph(params):
     h = ad.matmul(pa, pb)                      # (3, 2)
     h = ad.add(h, pc)                          # broadcast bias
     h = ad.tanh(h)
-    h = ad.concat([h, ad.square(h)], axis=1)   # (3, 4)
+    h = ad.add(h, ad.square(h))
     h = ad.mul(h, 0.5)
     h = ad.sub(h, 0.1)
     h = ad.clip(h, -0.5, 0.5)  # inactive here; saturation tested separately
     g = ad.exp(ad.getitem(h, (slice(None), 0)))
-    lse = ad.logsumexp(ad.reshape(h, (3, 4)), axis=1)
+    lse = ad.logsumexp(ad.reshape(h, (2, 3)), axis=1)
     return ad.add(ad.add(ad.nmean(g), ad.nsum(lse)), ad.nmean(h))
 
 

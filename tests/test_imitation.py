@@ -8,8 +8,14 @@ from collections import deque
 import numpy as np
 import pytest
 
+from ndilab import autodiff as ad
+from ndilab import imitation
+from ndilab.autodiff import Node, adam_step, backward, flat_grads
 from ndilab.envs import PointMassEnv, PointMassSpec, build_chain, soft_optimal_policy
 from ndilab.imitation import (
+    ACTION_BOUND,
+    BOUND_PENALTY,
+    POLYAK,
     AugmentedRewardConfig,
     RbfCritic,
     SacConfig,
@@ -352,6 +358,112 @@ class TestSoftPolicyIteration:
             soft_policy_iteration(build_chain(3), temperature=0.0)
 
 
+def graph_minimum(a, b):
+    """Elementwise min as one graph node; the gradient follows the smaller
+    branch, ties to ``a``."""
+    take_a = (a.value <= b.value).astype(np.float64)
+    return Node(np.minimum(a.value, b.value), ((a, lambda g: g * take_a),
+                                               (b, lambda g: g * (1.0 - take_a))))
+
+
+def graph_concat(a, b):
+    """The columns of ``a`` then ``b`` as one graph node."""
+    n = a.value.shape[1]
+    return Node(np.concatenate([a.value, b.value], axis=1),
+                ((a, lambda g: g[:, :n]), (b, lambda g: g[:, n:])))
+
+
+def graph_step(learner):
+    """``SacLearner.step`` with both losses built as autodiff graphs and
+    differentiated by ``backward``: the reference for the array version.
+
+    Returns the losses, the gradients handed to each Adam update (q1, q2,
+    policy mean, log-std, log-alpha), and how many batch rows tie
+    (q1 == q2) or push the action past the bound.
+    """
+    S, A, R, S2, D = learner._batch()
+    B = len(S)
+    mu2 = learner.policy.mean_net.forward(S2).value
+    std = np.exp(learner.policy.clamped_log_std())
+    eps2 = learner.rng.standard_normal((B, learner.action_dim))
+    A2 = mu2 + std * eps2
+    logp2 = (-0.5 * eps2 ** 2 - learner.policy.clamped_log_std()
+             - 0.5 * math.log(2 * math.pi)).sum(axis=1)
+    x2 = np.concatenate([S2, A2], axis=1)
+    q_min = np.minimum(learner.q1_target.forward(x2).value[:, 0],
+                       learner.q2_target.forward(x2).value[:, 0])
+    y = R + learner.config.gamma * (1.0 - D) * (q_min - learner.alpha * logp2)
+
+    x = np.concatenate([S, A], axis=1)
+    losses, grads = {}, []
+    for name, net, opt in (("q1", learner.q1, learner.opt_q1), ("q2", learner.q2, learner.opt_q2)):
+        params = [Node(p) for p in net.params()]
+        loss = ad.nmean(ad.square(ad.sub(net.forward(x, params), y[:, None])))
+        backward(loss)
+        grads.append(flat_grads(params))
+        adam_step(opt, [net.flat], [grads[-1]])
+        losses[name] = float(loss.value)
+
+    mean_params = [Node(p) for p in learner.policy.mean_net.params()]
+    log_std_base = Node(learner.policy.log_std)
+    log_std_node = ad.clip(log_std_base, -5.0, 2.0)
+    eps = learner.rng.standard_normal((B, learner.action_dim))
+    mu = learner.policy.mean_net.forward(S, mean_params)
+    a_new = ad.add(mu, ad.mul(ad.exp(log_std_node), eps))
+    logp_node = ad.nsum(ad.sub(ad.mul(ad.square(Node(eps)), -0.5),
+                               ad.add(log_std_node, 0.5 * math.log(2 * math.pi))), axis=1)
+    xa = graph_concat(Node(S), a_new)
+    q1, q2 = learner.q1.forward(xa), learner.q2.forward(xa)
+    qmin = graph_minimum(q1, q2)
+    pi_loss = ad.nmean(ad.sub(ad.mul(logp_node, learner.alpha), ad.reshape(qmin, (B,))))
+    overflow = ad.sub(a_new, ad.clip(a_new, -ACTION_BOUND, ACTION_BOUND))
+    pi_loss = ad.add(pi_loss, ad.mul(ad.nmean(ad.nsum(ad.square(overflow), axis=1)),
+                                     BOUND_PENALTY))
+    backward(pi_loss)
+    grads += [flat_grads(mean_params), log_std_base.grad]
+    adam_step(learner.opt_pi, [learner.policy.mean_net.flat], [grads[-2]])
+    adam_step(learner.opt_log_std, [learner.policy.log_std], [grads[-1]])
+    losses["pi"] = float(pi_loss.value)
+
+    grads.append(np.array([-(logp_node.value.mean() + learner.target_entropy)]))
+    adam_step(learner.opt_alpha, [learner.log_alpha], [grads[-1]])
+    losses["alpha"] = learner.alpha
+    for net, target in ((learner.q1, learner.q1_target), (learner.q2, learner.q2_target)):
+        target.flat *= (1.0 - POLYAK)
+        target.flat += POLYAK * net.flat
+    ties = int((q1.value == q2.value).sum())
+    out_of_bound = int((overflow.value != 0).any(axis=1).sum())
+    return losses, grads, ties, out_of_bound
+
+
+def tape_fixture() -> SacLearner:
+    """A learner whose next batch exercises every branch of the policy
+    loss: q2 is q1 with a different weight on state coordinate 0, so rows
+    with s_0 = 0 tie (and the Q nets do not learn, keeping the tie; on those
+    rows both nets have the same action gradient, so the tie checks values,
+    not which net the gradient follows); the first log-std sits above its
+    clamp and the mean is pushed toward the second action bound, so some
+    sampled actions cross the bound."""
+    learner = SacLearner(state_dim=2, action_dim=2,
+                         config=SacConfig(batch_size=48, hidden=(8, 8), seed=0))
+    rng = np.random.default_rng(11)
+    for k in range(64):
+        s, s2 = rng.normal(size=2), rng.normal(size=2)
+        s[0] *= k % 2
+        learner.add_transition(s, rng.normal(size=2), rng.normal(), s2, done=k % 7 == 0)
+    learner.q2.flat[...] = learner.q1.flat
+    learner.q2.layers[0].weight[:, 0] += 0.5
+    learner.opt_q1.lr = learner.opt_q2.lr = 0.0
+    learner.policy.log_std[:] = [2.5, -0.5]
+    learner.policy.mean_net.layers[-1].bias[:] = [0.0, 0.8]
+    return learner
+
+
+def learner_arrays(learner: SacLearner) -> list:
+    return [learner.q1.flat, learner.q2.flat, learner.q1_target.flat, learner.q2_target.flat,
+            learner.policy.mean_net.flat, learner.policy.log_std, learner.log_alpha]
+
+
 class TestSacLearner:
     def test_zero_learning_rates_leave_everything_unchanged(self):
         cfg = SacConfig(lr=0.0, lr_alpha=0.0, batch_size=8, hidden=(8,), seed=0)
@@ -370,6 +482,41 @@ class TestSacLearner:
                  + [learner.log_alpha, learner.policy.log_std])
         for b, a in zip(before, after):
             np.testing.assert_array_equal(b, a)
+
+    def test_step_is_bit_equal_to_the_graph_step(self, monkeypatch):
+        reference = tape_fixture()
+        want_losses, want_grads, ties, out_of_bound = graph_step(reference)
+        assert 0 < ties < reference.config.batch_size
+        assert 0 < out_of_bound < reference.config.batch_size
+
+        learner, got_grads = tape_fixture(), []
+
+        def recording_adam_step(state, params, grads):
+            got_grads.append([g.copy() for g in grads])
+            adam_step(state, params, grads)
+
+        monkeypatch.setattr(imitation, "adam_step", recording_adam_step)
+        assert learner.step() == want_losses
+        assert len(got_grads) == len(want_grads)
+        for (got,), want in zip(got_grads, want_grads):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        for got, want in zip(learner_arrays(learner), learner_arrays(reference)):
+            assert got.tobytes() == want.tobytes()
+        assert learner.rng.bit_generator.state == reference.rng.bit_generator.state
+
+    def test_step_builds_no_graph(self, monkeypatch):
+        learner, nodes = tape_fixture(), []
+        init = Node.__init__
+
+        def counting_init(self, *args, **kwargs):
+            nodes.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Node, "__init__", counting_init)
+        learner.step()
+        assert len(nodes) == 0
+        learner.q1.forward(np.zeros((1, 4)))   # the count does see graph work
+        assert len(nodes) > 0
 
     def test_replay_ring_after_wraparound_matches_a_deque(self):
         # reference: the transitions kept in a deque(maxlen=capacity) and

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ndilab import occupancy
 from ndilab.envs import GridworldSpec, build_chain, build_gridworld
 from ndilab.mdp import SoftmaxPolicy, TabularMdp, state_marginals
 from ndilab.occupancy import (
@@ -23,6 +24,7 @@ from ndilab.occupancy import (
     nwj_bound,
     occupancy_measure,
     optimal_critic_table,
+    resolve_critic_schedule,
     reverse_kl_occupancy,
     saelbo,
     saelbo_gradient_fd,
@@ -252,6 +254,22 @@ class TestConditionalEntropies:
                 diff = abs(conditional_state_entropy(mdp, policy, t)
                            - conditional_action_entropy(mdp, policy, t))
                 assert diff < 1e-10
+
+
+class TestResolveCriticSchedule:
+    @pytest.mark.parametrize("critic, bound", [
+        (CriticTable(np.full((3, 3), 6.0)), 6.0 + math.exp(5.0)),   # lengthens T
+        (np.zeros((3, 3)), 1.0),
+    ], ids=["table", "array"])
+    def test_constant_critic_needs_no_state_marginals(self, critic, bound, monkeypatch):
+        calls = []
+        monkeypatch.setattr(occupancy, "state_marginals", lambda *args: calls.append(args))
+        mdp = build_chain(3)
+        tables, T = resolve_critic_schedule(mdp, SoftmaxPolicy.uniform(3, 2), critic, 1e-10)
+        assert calls == []
+        assert T == truncation_horizon(mdp.discount, 1e-10, bound)
+        values = getattr(critic, "values", critic)
+        assert len(tables) == T + 1 and all(table is values for table in tables)
 
 
 class TestSaelbo:
