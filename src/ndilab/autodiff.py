@@ -19,7 +19,7 @@ instead: ``Mlp.forward_tape`` keeps each layer's activation as an array and
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -118,14 +118,12 @@ def clip(a, lo: float, hi: float) -> Node:
     return Node(np.clip(a.value, lo, hi), ((a, lambda g: g * gate),))
 
 
-def nsum(a, axis=None, keepdims=False) -> Node:
+def nsum(a, axis=None) -> Node:
     a = as_node(a)
-    val = a.value.sum(axis=axis, keepdims=keepdims)
+    val = a.value.sum(axis=axis)
 
     def vjp(g):
-        if axis is None:
-            return np.broadcast_to(g, a.value.shape).copy()
-        gg = g if keepdims else np.expand_dims(g, axis)
+        gg = g if axis is None else np.expand_dims(g, axis)
         return np.broadcast_to(gg, a.value.shape).copy()
 
     return Node(val, ((a, vjp),))
@@ -430,39 +428,40 @@ def transpose(a) -> Node:
 # ---------------------------------------------------------------------------
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
-    """Bias-corrected adaptive-moment optimizer state."""
+    """Bias-corrected adaptive-moment optimizer state of one parameter
+    array; the moments are allocated by the first step."""
 
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
-    m: list[Array] = field(default_factory=list)
-    v: list[Array] = field(default_factory=list)
+    m: Array | None = None
+    v: Array | None = None
 
 
-def adam_step(state: AdamState, params: list[Array], grads: list[Array]) -> None:
-    """One in-place update of ``params``. Shapes of grads must match params."""
-    if not state.m:
-        state.m = [np.zeros_like(p) for p in params]
-        state.v = [np.zeros_like(p) for p in params]
-    if len(params) != len(grads) or any(p.shape != g.shape for p, g in zip(params, grads)):
+def adam_step(state: AdamState, param: Array, grad: Array) -> None:
+    """One in-place update of ``param``; ``grad`` must have its shape."""
+    if param.shape != grad.shape:
         raise ValueError("parameter/gradient shape mismatch")
-    for g in grads:
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError("non-finite gradient in adam_step")
+    if not np.all(np.isfinite(grad)):
+        raise FloatingPointError("non-finite gradient in adam_step")
+    if state.m is None:
+        state.m, state.v = np.zeros_like(param), np.zeros_like(param)
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g ** 2
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
+    m, v = state.m, state.v
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grad
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * grad ** 2
+    param -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 def collect_grads(param_nodes: list[Node]) -> list[Array]:

@@ -34,6 +34,8 @@ COUNT_KEYS = ("n_demo_trajectories", "demo_len", "made_components", "density_epo
               "density_batch", "ssm_slices", "rl_iterations", "rollouts_per_iter",
               "rollout_len", "buffer_capacity", "n_marginal_samples", "sac_steps",
               "sac_batch", "eval_every", "eval_episodes", "n_eval_states")
+# step sizes and temperatures: each must be > 0 (NaN fails too)
+RATE_KEYS = ("density_lr", "sac_lr", "expert_tau", "ssm_hvp_epsilon")
 
 
 @dataclass
@@ -58,15 +60,12 @@ class ExperimentConfig:
     lambda_pi: float = 0.05            # fixed value, or tabular auto's initial one;
                                        # SAC auto starts at 0.2 and ignores it
     lambda_f: float = 0.005
-    reward_form: str = "alg1"          # alg1 | identity
-    target_entropy_factor: float = 0.5  # times log|A| on discrete actions
 
     rl_iterations: int = 30
     rollouts_per_iter: int = 8
     rollout_len: int = 40
     buffer_capacity: int = 1024
     n_marginal_samples: int = 64
-    spi_tol: float = 1e-9
 
     sac_steps: int = 8000
     sac_batch: int = 96
@@ -84,8 +83,6 @@ class ExperimentConfig:
             raise ConfigError(f"density_kind must be made|ebm, got {self.density_kind!r}")
         if self.lambda_pi_mode not in ("auto", "fixed"):
             raise ConfigError(f"lambda_pi_mode must be auto|fixed, got {self.lambda_pi_mode!r}")
-        if self.reward_form not in ("alg1", "identity"):
-            raise ConfigError(f"reward_form must be alg1|identity, got {self.reward_form!r}")
         if not (0.0 <= self.gamma < 1.0):
             raise ConfigError("gamma must lie in [0, 1)")
         if self.lambda_f < 0 or self.lambda_pi < 0:
@@ -93,6 +90,11 @@ class ExperimentConfig:
         for key in COUNT_KEYS:
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
+        for key in RATE_KEYS:
+            if not getattr(self, key) > 0:
+                raise ConfigError(f"{key} must be > 0, got {getattr(self, key)}")
+        if not all(width >= 1 for width in self.density_hidden):
+            raise ConfigError(f"density_hidden widths must be >= 1, got {self.density_hidden}")
 
     def hash(self) -> str:
         payload = ";".join(f"{f.name}={getattr(self, f.name)!r}"

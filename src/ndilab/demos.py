@@ -6,7 +6,8 @@ expert descriptor, seed, record count, expert return), then a header row
 written with 17 significant digits, which round-trips 64-bit values exactly.
 ``load_demos`` rejects a header not exactly that with ds, da >= 1, and a
 record with a non-finite value, a column count that differs from the
-header, or a non-integer episode or t, naming the file and line.
+header, or a non-integer episode or t, naming the file and line, and an
+episode whose t values are not consecutive, naming the file.
 """
 from __future__ import annotations
 
@@ -112,6 +113,9 @@ def load_demos(path) -> DemoSet:
     if header is None or not rows:
         raise ValueError(f"no demonstration records in {path}")
     data = np.array(rows)
-    return DemoSet(states=data[:, 2:2 + ds], actions=data[:, 2 + ds:],
-                   episodes=data[:, 0].astype(np.int64),
-                   timesteps=data[:, 1].astype(np.int64), meta=meta)
+    try:
+        return DemoSet(states=data[:, 2:2 + ds], actions=data[:, 2 + ds:],
+                       episodes=data[:, 0].astype(np.int64),
+                       timesteps=data[:, 1].astype(np.int64), meta=meta)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None

@@ -191,7 +191,7 @@ def _adam_fit(model, Z: Array, config, loss_fn) -> Array:
             if not np.isfinite(loss.value):
                 raise FloatingPointError(f"NaN training loss at epoch {epoch}")
             backward(loss)
-            adam_step(state, [model.net.flat], [flat_grads(params)])
+            adam_step(state, model.net.flat, flat_grads(params))
             model.refresh_spectral_norm()
             losses.append(float(loss.value))
             step += 1

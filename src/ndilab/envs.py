@@ -33,8 +33,9 @@ class TabularEmbedding:
         return self.action_coords[int(a)]
 
 
-def build_chain(n_states: int, gamma: float = 0.9, goal_reward: float = 1.0) -> TabularMdp:
-    """Cyclic chain with left/right actions and the goal at the last state.
+def build_chain(n_states: int, gamma: float = 0.9) -> TabularMdp:
+    """Cyclic chain with left/right actions and the goal at the last state;
+    a move into the goal earns 1, every other move 0.
 
     Wrap-around keeps the dynamics injective for n >= 3. For n == 2 the
     left/right translations coincide, so the two actions become stay/flip
@@ -51,7 +52,7 @@ def build_chain(n_states: int, gamma: float = 0.9, goal_reward: float = 1.0) -> 
         transition[:, 0] = (np.arange(S) - 1) % S
         transition[:, 1] = (np.arange(S) + 1) % S
     goal = S - 1
-    reward = np.where(transition == goal, goal_reward, 0.0)
+    reward = np.where(transition == goal, 1.0, 0.0)
     initial = np.zeros(S)
     initial[0] = 1.0
     return TabularMdp(transition, initial, reward, gamma)
@@ -64,13 +65,13 @@ def chain_embedding(n_states: int) -> TabularEmbedding:
 
 @dataclass
 class GridworldSpec:
+    """A W x H torus that starts in cell (0, 0); a move into ``goal`` earns
+    1, every other move 0."""
+
     width: int = 5
     height: int = 5
     goal: tuple[int, int] = (4, 4)
-    step_reward: float = 0.0
-    goal_reward: float = 1.0
     discount: float = 0.9
-    start: tuple[int, int] = (0, 0)
 
 
 # Candidate displacement vectors, in preference order, used to replace moves
@@ -107,9 +108,9 @@ def build_gridworld(spec: GridworldSpec) -> TabularMdp:
         for a, (dx, dy) in enumerate(used):
             transition[s, a] = ((x + dx) % W) + ((y + dy) % H) * W
     goal_idx = spec.goal[0] + spec.goal[1] * W
-    reward = np.where(transition == goal_idx, spec.goal_reward, spec.step_reward)
+    reward = np.where(transition == goal_idx, 1.0, 0.0)
     initial = np.zeros(S)
-    initial[spec.start[0] + spec.start[1] * W] = 1.0
+    initial[0] = 1.0
     mdp = TabularMdp(transition, initial, reward, spec.discount)
     if not check_injective_dynamics(mdp):
         raise ValueError(f"gridworld spec {spec} yields non-injective dynamics")
@@ -150,16 +151,15 @@ def pointmass_step(spec: PointMassSpec, s: Array, a: Array) -> Array:
 class PointMassEnv:
     """Episodic wrapper around the point-mass dynamics.
 
-    State is (x, y, vx, vy); reward defaults to -||position||^2 which drives
-    the mass toward the origin.
+    State is (x, y, vx, vy); the reward -||position||^2 drives the mass
+    toward the origin.
     """
 
     state_dim = 4
     action_dim = 2
 
-    def __init__(self, spec: PointMassSpec | None = None, reward_fn=None):
+    def __init__(self, spec: PointMassSpec | None = None):
         self.spec = spec or PointMassSpec()
-        self.reward_fn = reward_fn or (lambda s, a, s2: -float(s2[:2] @ s2[:2]))
 
     def reset(self, rng: np.random.Generator) -> Array:
         angle = rng.uniform(0, 2 * np.pi)
@@ -168,7 +168,7 @@ class PointMassEnv:
 
     def step(self, s: Array, a: Array) -> tuple[Array, float]:
         s2 = pointmass_step(self.spec, s, a)
-        return s2, self.reward_fn(s, a, s2)
+        return s2, -float(s2[:2] @ s2[:2])
 
 
 def pd_controller_action(s: Array, kp: float = 1.5, kd: float = 2.5,
@@ -183,10 +183,9 @@ def pd_controller_action(s: Array, kp: float = 1.5, kd: float = 2.5,
 # ---------------------------------------------------------------------------
 
 
-def soft_optimal_policy(mdp: TabularMdp, temperature: float = 0.05,
-                        tol: float = 1e-10, max_iters: int = 100_000) -> SoftmaxPolicy:
+def soft_optimal_policy(mdp: TabularMdp, temperature: float = 0.05) -> SoftmaxPolicy:
     """Soft value iteration on the environment reward; the fixture expert."""
-    return soft_policy_iteration(mdp, temperature, tol=tol, max_iters=max_iters)
+    return soft_policy_iteration(mdp, temperature, max_iters=100_000)
 
 
 @dataclass

@@ -7,12 +7,12 @@ toy continuous runs, and policy evaluation.
 both trainers call it; the policy-entropy weight lambda_pi is the learner's
 soft-RL temperature, not a reward term.
 
-The NWJ term r_f has two shapes behind a flag: the gradient-identity form
-(leading gamma on the critic term, marginal samples paired as (sampled,
-observed)), and the Algorithm-1 form the pipeline uses by default (no
-leading gamma, swapped critic arguments). They differ only by gamma factors
-and argument order; the RBF critic is symmetric, so the pipeline is
-insensitive to the latter.
+The NWJ term r_f takes the Algorithm-1 shape, f(s, s') - (gamma/e) times
+the two sampled cross terms. The gradient-identity shape (a leading gamma on
+f(s, s') and swapped critic arguments in the cross terms) is computed
+exactly, from occupancy marginals rather than replay samples, by
+``occupancy._frozen_reward_tables`` for the verification suite; the RBF
+critic is symmetric, so the swap does not change its rewards.
 """
 from __future__ import annotations
 
@@ -29,17 +29,6 @@ from .occupancy import occupancy_measure, truncation_horizon
 logger = logging.getLogger(__name__)
 
 Array = np.ndarray
-
-
-@dataclass
-class AugmentedRewardConfig:
-    gamma: float = 0.9
-    lambda_f: float = 0.005
-    use_alg1_form: bool = True  # pipeline shape vs gradient-identity shape
-
-    def __post_init__(self):
-        if self.lambda_f < 0:
-            raise ValueError("reward weights must be non-negative")
 
 
 class Ring:
@@ -166,8 +155,7 @@ def _mean_exp(values, lead: tuple, n: int) -> Array:
     return np.mean(np.exp(values), axis=-1)
 
 
-def nwj_reward(critic, s_t: Array, s_next: Array, cur: Array, nxt: Array,
-               config: AugmentedRewardConfig):
+def nwj_reward(critic, s_t: Array, s_next: Array, cur: Array, nxt: Array, gamma: float):
     """The NWJ mutual-information reward of ``reward_f`` against explicit
     marginal samples ``cur`` (n, d) and ``nxt`` (m, d).
 
@@ -179,23 +167,18 @@ def nwj_reward(critic, s_t: Array, s_next: Array, cur: Array, nxt: Array,
     s_t, s_next = np.asarray(s_t), np.asarray(s_next)
     lead = s_t.shape[:-1]
     a, b = s_next[..., None, :], s_t[..., None, :]
-    gamma = config.gamma
-    if config.use_alg1_form:
-        cross = _mean_exp(f(a, cur), lead, len(cur)) + _mean_exp(f(nxt, b), lead, len(nxt))
-        return f(s_t, s_next) - (gamma / math.e) * cross
-    cross = _mean_exp(f(cur, a), lead, len(cur)) + _mean_exp(f(b, nxt), lead, len(nxt))
-    return gamma * f(s_t, s_next) - (gamma / math.e) * cross
+    cross = _mean_exp(f(a, cur), lead, len(cur)) + _mean_exp(f(nxt, b), lead, len(nxt))
+    return f(s_t, s_next) - (gamma / math.e) * cross
 
 
 def reward_f(critic, s_t: Array, s_next: Array, buffer: TimestepReplayBuffer,
-             t: int, config: AugmentedRewardConfig, n_marginal_samples: int) -> float:
+             t: int, gamma: float, n_marginal_samples: int) -> float:
     """Mutual-information reward against replay-bucket marginal samples.
 
     Draws ``n_marginal_samples`` states x from bucket t and then as many
     states y from bucket t+1 (``TimestepReplayBuffer.sample``, so an empty
     bucket falls back to the pooled buffer), and returns ``nwj_reward``:
-      pipeline form:  f(s_t, s') - (gamma/e) mean[e^{f(s', x)} + e^{f(y, s_t)}]
-      identity form:  gamma f(s_t, s') - (gamma/e) mean[e^{f(x, s')} + e^{f(s_t, y)}]
+      f(s_t, s') - (gamma/e) mean[e^{f(s', x)} + e^{f(y, s_t)}]
     The critic f is evaluated once per cross term on the whole (n, d) sample
     batch, so ``critic.value`` (or ``critic`` itself, if callable) must
     broadcast over leading axes; a scalar result for a batch raises
@@ -203,10 +186,10 @@ def reward_f(critic, s_t: Array, s_next: Array, buffer: TimestepReplayBuffer,
     """
     cur = buffer.sample(t, n_marginal_samples)
     nxt = buffer.sample(t + 1, n_marginal_samples)
-    return nwj_reward(critic, s_t, s_next, cur, nxt, config)
+    return nwj_reward(critic, s_t, s_next, cur, nxt, gamma)
 
 
-def augmented_reward(log_q, r_f, config: AugmentedRewardConfig):
+def augmented_reward(log_q, r_f, lambda_f: float):
     """The reward soft RL maximizes: log q(s, a) + lambda_f r_f, elementwise,
     so it serves one transition (floats) or a whole (S, A) table (arrays).
 
@@ -214,7 +197,7 @@ def augmented_reward(log_q, r_f, config: AugmentedRewardConfig):
     carries lambda_pi as its soft-RL temperature (soft policy iteration's
     tau on tabular runs, SAC's alpha on the point mass).
     """
-    return log_q + config.lambda_f * r_f
+    return log_q + lambda_f * r_f
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +328,7 @@ class SacLearner:
             if not np.isfinite(loss):
                 raise FloatingPointError(f"non-finite {name} loss")
             grad, _ = net.backward_tape(tape, (1.0 / B) * 2.0 * diff)
-            adam_step(opt, [net.flat], [grad])
+            adam_step(opt, net.flat, grad)
             losses[name] = loss
 
         # policy: maximize min Q(s, a~) - alpha log pi(a~|s) with reparameterized a~
@@ -376,13 +359,13 @@ class SacLearner:
         g_logp = np.full((B, da), (1.0 / B) * alpha)
         g_log_std = (g_a * eps).sum(axis=0) * std + (-g_logp).sum(axis=0)
         g_log_std = g_log_std * (log_std_c == log_std)
-        adam_step(self.opt_pi, [self.policy.mean_net.flat], [mean_grad])
-        adam_step(self.opt_log_std, [log_std], [g_log_std])
+        adam_step(self.opt_pi, self.policy.mean_net.flat, mean_grad)
+        adam_step(self.opt_log_std, log_std, g_log_std)
         losses["pi"] = float(pi_loss)
 
         # temperature: alpha <- alpha - lr d/dlog_alpha [-log_alpha (logp + target)]
         alpha_grad = np.array([-(logp.mean() + self.target_entropy)])
-        adam_step(self.opt_alpha, [self.log_alpha], [alpha_grad])
+        adam_step(self.opt_alpha, self.log_alpha, alpha_grad)
         losses["alpha"] = self.alpha
 
         # Polyak averaging of the targets

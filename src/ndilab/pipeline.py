@@ -3,13 +3,15 @@ maximum-occupancy-entropy RL with the augmented reward, and evaluation.
 
 Both trainers reward r = log q(s, a) + lambda_f * r_f through
 ``imitation.augmented_reward``: the tabular trainer on the (S, A) tables,
-the continuous one per transition. The policy-entropy weight lambda_pi is
-realized as the soft-RL temperature rather than added to the reward; the two
-are equivalent and keep a single entropy knob. The tabular
-soft-policy-iteration temperature starts at the configured lambda_pi and, in
-auto mode, adapts toward the target entropy. SAC's entropy coefficient is
-lambda_pi in fixed mode; in auto mode SAC tunes it from its own initial
-value (0.2) and the configured lambda_pi is unused.
+the continuous one per transition. r_f is the Algorithm-1 NWJ term
+(``imitation.reward_f``) with the configured gamma. The policy-entropy
+weight lambda_pi is realized as the soft-RL temperature rather than added
+to the reward; the two are equivalent and keep a single entropy knob. The
+tabular soft-policy-iteration temperature starts at the configured
+lambda_pi and, in auto mode, adapts after each iteration toward a target
+entropy of 0.5 log|A|. SAC's entropy coefficient is lambda_pi in fixed mode;
+in auto mode SAC tunes it from its own initial value (0.2) and the
+configured lambda_pi is unused.
 
 Model selection never reads the environment reward: the best checkpoint is
 the one with the highest augmented return, and the metrics log makes that
@@ -42,7 +44,6 @@ from .demos import DemoSet, load_demos, save_demos
 from .density import MadeConfig, SsmConfig, ebm_fit, made_fit, smoothed_curve_is_monotone
 from .envs import ContinuousEnvBundle, TabularEnvBundle, get_env
 from .imitation import (
-    AugmentedRewardConfig,
     RbfCritic,
     SacConfig,
     SacLearner,
@@ -57,6 +58,9 @@ from .imitation import (
 )
 from .mdp import GaussianPolicy, SoftmaxPolicy, sample_trajectory
 from .occupancy import occupancy_measure, reverse_kl_occupancy
+
+# residual at which the tabular trainer's soft policy iteration stops
+SPI_TOL = 1e-9
 
 METRICS_COLUMNS = ["iteration", "env_steps", "augmented_return", "env_return",
                    "normalized_kl", "lambda_pi", "wallclock", "config_hash", "seed"]
@@ -162,8 +166,6 @@ def _train_tabular(config: ExperimentConfig, bundle: TabularEnvBundle, density_m
     mdp, embed = bundle.mdp, bundle.embedding
     S, A = mdp.n_states, mdp.n_actions
     expert = bundle.expert()
-    rcfg = AugmentedRewardConfig(gamma=mdp.discount, lambda_f=config.lambda_f,
-                                 use_alg1_form=(config.reward_form == "alg1"))
 
     # density reward table over the embedded grid
     logq = np.empty((S, A))
@@ -182,7 +184,7 @@ def _train_tabular(config: ExperimentConfig, bundle: TabularEnvBundle, density_m
     buffer = TimestepReplayBuffer(config.buffer_capacity, seed=config.seed)
     pair_rng = np.random.default_rng(config.seed + 101)
     lambda_pi = config.lambda_pi
-    target_entropy = config.target_entropy_factor * math.log(A)
+    target_entropy = 0.5 * math.log(A)   # half the uniform policy's entropy
     policy = SoftmaxPolicy.uniform(S, A)
 
     rows = []
@@ -216,7 +218,7 @@ def _train_tabular(config: ExperimentConfig, bundle: TabularEnvBundle, density_m
             for t in range(len(traj)):
                 s, a = int(traj.states[t]), int(traj.actions[t])
                 val = reward_f(critic, zstate[s], zstate[traj.next_states[t]],
-                               buffer, t, rcfg, config.n_marginal_samples)
+                               buffer, t, mdp.discount, config.n_marginal_samples)
                 r_f_sum[s, a] += val
                 r_f_count[s, a] += 1
         pooled = buffer.pooled()
@@ -229,11 +231,11 @@ def _train_tabular(config: ExperimentConfig, bundle: TabularEnvBundle, density_m
         if len(cells_s):
             r_f_table[cells_s, cells_a] = nwj_reward(
                 critic, zstate[cells_s], zstate[mdp.transition[cells_s, cells_a]],
-                pool_samples, pool_samples, rcfg)
+                pool_samples, pool_samples, mdp.discount)
 
-        reward_table = augmented_reward(logq, r_f_table, rcfg)
+        reward_table = augmented_reward(logq, r_f_table, config.lambda_f)
         policy = soft_policy_iteration(mdp, temperature=max(lambda_pi, 1e-6),
-                                       reward=reward_table, tol=config.spi_tol)
+                                       reward=reward_table, tol=SPI_TOL)
 
         occ = occupancy_measure(mdp, policy)
         aug_return = float((occ.rho * reward_table).sum()) \
@@ -260,8 +262,6 @@ def _train_tabular(config: ExperimentConfig, bundle: TabularEnvBundle, density_m
 
 def _train_continuous(config: ExperimentConfig, bundle: ContinuousEnvBundle, density_model):
     env, expert = bundle.env, bundle.expert()
-    rcfg = AugmentedRewardConfig(gamma=config.gamma, lambda_f=config.lambda_f,
-                                 use_alg1_form=(config.reward_form == "alg1"))
     std = density_model.standardizer
     ds = env.state_dim
 
@@ -280,8 +280,9 @@ def _train_continuous(config: ExperimentConfig, bundle: ContinuousEnvBundle, den
 
     def augmented(s, a, s2, t):
         log_q = density_model.log_density(np.concatenate([np.asarray(s), np.asarray(a)]))
-        r_f = reward_f(critic, zstate(s), zstate(s2), buffer, t, rcfg, config.n_marginal_samples)
-        return float(augmented_reward(log_q, r_f, rcfg))
+        r_f = reward_f(critic, zstate(s), zstate(s2), buffer, t, config.gamma,
+                       config.n_marginal_samples)
+        return float(augmented_reward(log_q, r_f, config.lambda_f))
 
     rng = np.random.default_rng(config.seed)
     rows = []

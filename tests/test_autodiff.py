@@ -218,15 +218,18 @@ class TestFlatParameters:
         rng = np.random.default_rng(3)
         X, y = rng.normal(size=(16, 3)), rng.normal(size=(16, 1))
         flat_model, split_model = Mlp([3, 6, 1], seed=5), Mlp([3, 6, 1], seed=5)
-        flat_state, split_state = AdamState(lr=1e-2), AdamState(lr=1e-2)
+        flat_state = AdamState(lr=1e-2)
+        split_states = [AdamState(lr=1e-2) for _ in split_model.params()]
         for _ in range(50):
-            for model, state in ((flat_model, flat_state), (split_model, split_state)):
+            for model in (flat_model, split_model):
                 params = [Node(p) for p in model.params()]
                 backward(ad.nmean(ad.square(ad.sub(model.forward(X, params), y))))
                 if model is flat_model:
-                    adam_step(state, [model.flat], [ad.flat_grads(params)])
+                    adam_step(flat_state, model.flat, ad.flat_grads(params))
                 else:
-                    adam_step(state, model.params(), ad.collect_grads(params))
+                    for state, p, g in zip(split_states, model.params(),
+                                           ad.collect_grads(params)):
+                        adam_step(state, p, g)
         np.testing.assert_array_equal(flat_model.flat, split_model.flat)
 
 
@@ -316,13 +319,13 @@ class TestAdam:
     def test_zero_gradient_leaves_params_unchanged(self):
         w = np.array([1.0, -2.0])
         state = AdamState(lr=0.1)
-        adam_step(state, [w], [np.zeros(2)])
+        adam_step(state, w, np.zeros(2))
         np.testing.assert_array_equal(w, [1.0, -2.0])
 
     def test_first_step_is_signed_learning_rate(self):
         w = np.array([0.0])
         state = AdamState(lr=0.01)
-        adam_step(state, [w], [np.array([3.7])])
+        adam_step(state, w, np.array([3.7]))
         assert w[0] == pytest.approx(-0.01, rel=1e-6)
 
     def test_quadratic_convergence_with_smoothed_monotonicity(self):
@@ -332,7 +335,7 @@ class TestAdam:
         dist = []
         for _ in range(100):
             g = 2 * (w - 2.0)
-            adam_step(state, [w], [g])
+            adam_step(state, w, g)
             dist.append(abs(w[0] - 2.0))
         assert dist[-1] < 0.1
         windows = np.array(dist).reshape(5, 20).mean(axis=1)
@@ -341,12 +344,12 @@ class TestAdam:
     def test_nonfinite_gradient_aborts(self):
         state = AdamState(lr=0.1)
         with pytest.raises(FloatingPointError):
-            adam_step(state, [np.zeros(1)], [np.array([np.nan])])
+            adam_step(state, np.zeros(1), np.array([np.nan]))
 
     def test_shape_mismatch_rejected(self):
         state = AdamState(lr=0.1)
         with pytest.raises(ValueError):
-            adam_step(state, [np.zeros(2)], [np.zeros(3)])
+            adam_step(state, np.zeros(2), np.zeros(3))
 
 
 class TestSpectralNorm:
@@ -387,7 +390,7 @@ class TestSpectralNorm:
             pred = model.forward(X, params)
             loss = ad.nmean(ad.square(ad.sub(pred, y)))
             backward(loss)
-            adam_step(state, model.params(), ad.collect_grads(params))
+            adam_step(state, model.flat, ad.flat_grads(params))
             model.refresh_spectral_norm(n_power_iterations=1)
             if step % 10 == 0:
                 for i in range(len(model.layers)):
@@ -406,7 +409,7 @@ class TestReproducibility:
                 params = [Node(p) for p in model.params()]
                 loss = ad.nmean(ad.square(ad.sub(model.forward(X, params), y)))
                 backward(loss)
-                adam_step(state, model.params(), ad.collect_grads(params))
+                adam_step(state, model.flat, ad.flat_grads(params))
             return [p.copy() for p in model.params()]
 
         for p1, p2 in zip(run(), run()):

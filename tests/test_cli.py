@@ -1,7 +1,10 @@
 """Tests for configuration parsing, demo files, checkpoints, the pipeline
 commands, and the command-line interface contracts."""
+import dataclasses
 import functools
 import json
+import math
+import re
 import sys
 from pathlib import Path
 
@@ -20,13 +23,27 @@ from ndilab.checkpoint import (
     save_softmax_policy,
 )
 from ndilab.cli import EXIT_DIVERGENCE, EXIT_OK, EXIT_USAGE, main
-from ndilab.config import COUNT_KEYS, ConfigError, ExperimentConfig, load_config, parse_config_text
+from ndilab.config import (
+    COUNT_KEYS,
+    RATE_KEYS,
+    ConfigError,
+    ExperimentConfig,
+    load_config,
+    parse_config_text,
+)
 from ndilab.demos import DemoSet, load_demos, save_demos
 from ndilab.density import EbmModel, MadeConfig, made_fit
 from ndilab.envs import get_env, soft_optimal_policy
 from ndilab.imitation import evaluate_policy_kl, exact_discounted_return, soft_policy_iteration
 from ndilab.mdp import GaussianPolicy, SoftmaxPolicy
-from ndilab.pipeline import cmd_eval, cmd_fit_density, cmd_gen_demos, cmd_train, run_full_pipeline
+from ndilab.pipeline import (
+    SPI_TOL,
+    cmd_eval,
+    cmd_fit_density,
+    cmd_gen_demos,
+    cmd_train,
+    run_full_pipeline,
+)
 
 
 SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
@@ -85,6 +102,31 @@ class TestConfig:
         with pytest.raises(ConfigError, match=key):
             parse_config_text(f"{key} = 0")
         assert getattr(ExperimentConfig(**{key: 1}), key) == 1
+
+    @pytest.mark.parametrize("key", RATE_KEYS)
+    def test_rate_not_above_zero_rejected(self, key):
+        for bad in (0.0, -0.5, float("nan")):
+            with pytest.raises(ConfigError, match=key):
+                ExperimentConfig(**{key: bad})
+        with pytest.raises(ConfigError, match=key):
+            parse_config_text(f"{key} = 0")
+        assert getattr(ExperimentConfig(**{key: 1e-3}), key) == 1e-3
+
+    def test_zero_hidden_width_rejected(self):
+        for bad in ((64, 0), (-1,)):
+            with pytest.raises(ConfigError, match="density_hidden"):
+                ExperimentConfig(density_hidden=bad)
+        with pytest.raises(ConfigError, match="density_hidden"):
+            parse_config_text("density_hidden = 64,0")
+        assert ExperimentConfig(density_hidden="8,1").density_hidden == (8, 1)
+
+    def test_every_config_field_is_read_by_the_program(self):
+        src = Path(__file__).resolve().parents[1] / "src" / "ndilab"
+        text = "\n".join(path.read_text() for path in sorted(src.glob("*.py"))
+                         if path.name != "config.py")
+        unread = [f.name for f in dataclasses.fields(ExperimentConfig)
+                  if not re.search(rf"\bconfig\.{f.name}\b", text)]
+        assert unread == []
 
     def test_both_shipped_configs_are_found(self):
         names = {path.name for path in SHIPPED_CONFIGS}
@@ -318,7 +360,7 @@ class TestTrainCommand:
             bundle.embedding.state(s), bundle.embedding.action(a)]))
             for a in range(bundle.mdp.n_actions)] for s in range(bundle.mdp.n_states)])
         reference = soft_policy_iteration(bundle.mdp, temperature=1e-6, reward=logq,
-                                          tol=cfg.spi_tol)
+                                          tol=SPI_TOL)
         np.testing.assert_allclose(policy.probs(), reference.probs(), atol=1e-9)
 
     def test_metrics_carry_seed_and_hash_and_audit_holds(self, tmp_path):
@@ -340,6 +382,30 @@ class TestTrainCommand:
         aug = [float(r[header.index("augmented_return")]) for r in data]
         assert result.summary["chosen_iteration"] == int(np.argmax(aug))
         assert result.summary["selection_rule"] == "augmented_return"
+
+    def test_auto_lambda_pi_steps_toward_the_target_entropy(self, tmp_path, monkeypatch):
+        from ndilab import pipeline
+        entropy, entropies = pipeline._policy_entropy_weighted, []
+
+        def recording_entropy(occ, policy):
+            entropies.append(entropy(occ, policy))
+            return entropies[-1]
+
+        monkeypatch.setattr(pipeline, "_policy_entropy_weighted", recording_entropy)
+        cfg = quick_config(tmp_path, lambda_pi_mode="auto", rl_iterations=3)
+        out = tmp_path / "auto"
+        model = cmd_fit_density(cfg, cmd_gen_demos(cfg, out), out)
+        result = cmd_train(cfg, model, out)
+        rows = [line.split(",") for line in
+                result.metrics_path.read_text().strip().splitlines()]
+        lam = [float(r[rows[0].index("lambda_pi")]) for r in rows[1:]]
+        assert len(lam) == len(entropies) == 3
+        assert lam[0] == cfg.lambda_pi
+        n_actions = get_env(cfg.env).mdp.n_actions
+        for k in range(2):
+            step = lam[k] * math.exp(0.5 * (0.5 * math.log(n_actions) - entropies[k]))
+            assert lam[k + 1] == float(np.clip(step, 1e-4, 10.0))
+        assert lam[1] != lam[0] and lam[2] != lam[1]
 
     def test_five_seeds_produce_five_distinct_runs(self, tmp_path):
         seeds = []
@@ -506,7 +572,8 @@ class TestCliFrontend:
         assert err.startswith("error: ") and "model.ckpt" in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
-    @pytest.mark.parametrize("edit", ["nan", "inf", "ragged", "fractional_episode", "header"])
+    @pytest.mark.parametrize("edit", ["nan", "inf", "ragged", "fractional_episode", "header",
+                                      "t_gap"])
     def test_bad_demo_record_is_usage_error(self, tmp_path, capsys, edit):
         cfg = self.write_cfg(tmp_path)
         assert main(["gen-demos", "--config", str(cfg)]) == EXIT_OK
@@ -519,6 +586,8 @@ class TestCliFrontend:
             fields.append("0.5")
         elif edit in ("fractional_episode", "header"):
             fields[0] = "0.5"
+        elif edit == "t_gap":
+            fields[1] = str(int(fields[1]) + 1)
         else:
             fields[-1] = edit
         lines[i] = ",".join(fields)
@@ -526,7 +595,8 @@ class TestCliFrontend:
         capsys.readouterr()
         assert main(["fit-density", "--config", str(cfg)]) == EXIT_USAGE
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and f"demos.csv line {i + 1}" in err
+        where = f"{demos}: episode 0" if edit == "t_gap" else f"demos.csv line {i + 1}"
+        assert err.startswith("error: ") and where in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("cut", [4, 3], ids=["a_0", "s_1"])
@@ -566,6 +636,16 @@ class TestCliFrontend:
         assert main(["train", "--config", str(cfg)]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "eval_every" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("line", ["density_lr = -0.5", "sac_lr = -0.1",
+                                      "density_hidden = 64,0", "expert_tau = 0",
+                                      "ssm_hvp_epsilon = 0"])
+    def test_bad_rate_or_width_is_usage_error(self, tmp_path, capsys, line):
+        cfg = self.write_cfg(tmp_path, line + "\n")
+        assert main(["gen-demos", "--config", str(cfg)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and line.split(" = ")[0] in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_directory_as_model_is_usage_error(self, tmp_path, capsys):

@@ -72,7 +72,7 @@ class TestBuildGridworld:
         expert = soft_optimal_policy(mdp, temperature=0.01)
         # torus distance from (0,0) to (4,4) is 2; reward flows from step d-1 on
         d = 2
-        expected = spec.discount ** (d - 1) * spec.goal_reward / (1 - spec.discount)
+        expected = spec.discount ** (d - 1) * 1.0 / (1 - spec.discount)
         assert exact_discounted_return(mdp, expert) == pytest.approx(expected, rel=1e-6)
 
     def test_uniform_marginals_converge(self):

@@ -16,7 +16,6 @@ from ndilab.imitation import (
     ACTION_BOUND,
     BOUND_PENALTY,
     POLYAK,
-    AugmentedRewardConfig,
     RbfCritic,
     SacConfig,
     SacLearner,
@@ -96,9 +95,8 @@ class TestRewardF:
         s = np.array([0.5])
         for t in (0, 1):
             buffer.add(t, s)
-        cfg = AugmentedRewardConfig(gamma=0.9, use_alg1_form=True)
         critic = RbfCritic()  # all states equal -> kernel 1, normalizer 1, f = 1
-        got = nwj_reward(critic, s, s, buffer.bucket(0), buffer.bucket(1), cfg)
+        got = nwj_reward(critic, s, s, buffer.bucket(0), buffer.bucket(1), 0.9)
         assert got == pytest.approx(1.0 - 2 * 0.9, abs=1e-12)
 
     def test_gamma_zero_reduces_to_critic_value(self):
@@ -106,10 +104,9 @@ class TestRewardF:
         rng = np.random.default_rng(1)
         for t in (0, 1):
             buffer.add(t, rng.normal(size=2))
-        cfg = AugmentedRewardConfig(gamma=0.0, use_alg1_form=True)
         critic = RbfCritic()
         s, s2 = rng.normal(size=2), rng.normal(size=2)
-        got = nwj_reward(critic, s, s2, buffer.bucket(0), buffer.bucket(1), cfg)
+        got = nwj_reward(critic, s, s2, buffer.bucket(0), buffer.bucket(1), 0.0)
         assert got == pytest.approx(critic.value(s, s2), abs=1e-12)
 
     def test_matches_exhaustive_expectation_oracle(self):
@@ -121,41 +118,37 @@ class TestRewardF:
                 buffer.add(t, x)
         critic = ConstantCritic(0.0)
         critic.value = lambda x, y: -0.5 * np.sum((np.asarray(x) - np.asarray(y)) ** 2, axis=-1)
-        cfg = AugmentedRewardConfig(gamma=0.9, use_alg1_form=True)
         s, s2 = np.array([0.25]), np.array([0.75])
-        got = nwj_reward(critic, s, s2, buffer.bucket(0), buffer.bucket(1), cfg)
+        got = nwj_reward(critic, s, s2, buffer.bucket(0), buffer.bucket(1), 0.9)
         f = critic.value
         cross = np.mean([math.exp(f(s2, x)) for x in states[0]]) + \
             np.mean([math.exp(f(y, s)) for y in states[1]])
         expected = f(s, s2) - (0.9 / math.e) * cross
         assert got == pytest.approx(expected, abs=1e-12)
 
-    def test_identity_form_gamma_factor_and_argument_order(self):
+    def test_alg1_form_gamma_factor_and_argument_order(self):
         buffer = TimestepReplayBuffer(seed=0)
         for t in (0, 1):
             buffer.add(t, np.array([float(t)]))
         asym = ConstantCritic(0.0)
         asym.value = lambda x, y: np.asarray(x)[..., 0] - 2.0 * np.asarray(y)[..., 0]
-        cfg = AugmentedRewardConfig(gamma=0.5, use_alg1_form=False)
         s, s2 = np.array([3.0]), np.array([1.0])
-        got = nwj_reward(asym, s, s2, buffer.bucket(0), buffer.bucket(1), cfg)
+        got = nwj_reward(asym, s, s2, buffer.bucket(0), buffer.bucket(1), 0.5)
         f = asym.value
-        expected = 0.5 * f(s, s2) - (0.5 / math.e) * (math.exp(f(np.array([0.0]), s2))
-                                                      + math.exp(f(s, np.array([1.0]))))
+        expected = f(s, s2) - (0.5 / math.e) * (math.exp(f(s2, np.array([0.0])))
+                                                + math.exp(f(np.array([1.0]), s)))
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_empty_bucket_falls_back_with_warning(self, caplog):
         buffer = TimestepReplayBuffer(seed=0)
         buffer.add(0, np.array([0.0]))
-        cfg = AugmentedRewardConfig(gamma=0.9)
         with caplog.at_level(logging.WARNING):
-            val = reward_f(RbfCritic(), np.zeros(1), np.zeros(1), buffer, 5, cfg,
+            val = reward_f(RbfCritic(), np.zeros(1), np.zeros(1), buffer, 5, 0.9,
                            n_marginal_samples=4)
         assert "pooled" in caplog.text
         assert np.isfinite(val)
 
-    @pytest.mark.parametrize("alg1", [True, False])
-    def test_batched_reward_matches_scalar_exp_oracle(self, alg1):
+    def test_batched_reward_matches_scalar_exp_oracle(self):
         rng = np.random.default_rng(7)
         buffer = TimestepReplayBuffer(capacity_per_bucket=16, seed=0)
         for t in (3, 4):
@@ -163,24 +156,17 @@ class TestRewardF:
                 buffer.add(t, rng.normal(size=4))
         critic = RbfCritic(bandwidth=2.5)
         critic.observe_pairs([(rng.normal(size=4), rng.normal(size=4)) for _ in range(10)])
-        cfg = AugmentedRewardConfig(gamma=0.8, use_alg1_form=alg1)
         f = critic.value
         for _ in range(5):
             s, s2 = rng.normal(size=4), rng.normal(size=4)
             cur, nxt = list(buffer.bucket(3)), list(buffer.bucket(4))
-            if alg1:
-                cross = np.mean([math.exp(f(s2, x)) for x in cur]) + \
-                    np.mean([math.exp(f(y, s)) for y in nxt])
-                expected = f(s, s2) - (0.8 / math.e) * cross
-            else:
-                cross = np.mean([math.exp(f(x, s2)) for x in cur]) + \
-                    np.mean([math.exp(f(s, y)) for y in nxt])
-                expected = 0.8 * f(s, s2) - (0.8 / math.e) * cross
-            got = nwj_reward(critic, s, s2, buffer.bucket(3), buffer.bucket(4), cfg)
+            cross = np.mean([math.exp(f(s2, x)) for x in cur]) + \
+                np.mean([math.exp(f(y, s)) for y in nxt])
+            expected = f(s, s2) - (0.8 / math.e) * cross
+            got = nwj_reward(critic, s, s2, buffer.bucket(3), buffer.bucket(4), 0.8)
             assert got == pytest.approx(expected, abs=1e-12)
 
-    @pytest.mark.parametrize("alg1", [True, False])
-    def test_is_two_bucket_draws_then_nwj_reward(self, alg1):
+    def test_is_two_bucket_draws_then_nwj_reward(self):
         rng = np.random.default_rng(9)
         buffer = TimestepReplayBuffer(capacity_per_bucket=8, seed=5)
         for t in (2, 3):
@@ -189,11 +175,10 @@ class TestRewardF:
         twin = copy.deepcopy(buffer)
         critic = RbfCritic(bandwidth=1.5)
         critic.observe_pairs([(rng.normal(size=3), rng.normal(size=3)) for _ in range(4)])
-        cfg = AugmentedRewardConfig(gamma=0.9, use_alg1_form=alg1)
         for _ in range(3):
             s, s2 = rng.normal(size=3), rng.normal(size=3)
-            got = reward_f(critic, s, s2, buffer, 2, cfg, 6)
-            expected = nwj_reward(critic, s, s2, twin.sample(2, 6), twin.sample(3, 6), cfg)
+            got = reward_f(critic, s, s2, buffer, 2, 0.9, 6)
+            expected = nwj_reward(critic, s, s2, twin.sample(2, 6), twin.sample(3, 6), 0.9)
             assert got == expected
 
     def test_nwj_reward_over_many_transitions_matches_one_at_a_time(self):
@@ -202,63 +187,56 @@ class TestRewardF:
         critic.observe_pairs([(rng.normal(size=2), rng.normal(size=2)) for _ in range(6)])
         samples = rng.normal(size=(9, 2))
         S, S2 = rng.normal(size=(7, 2)), rng.normal(size=(7, 2))
-        for alg1 in (True, False):
-            cfg = AugmentedRewardConfig(gamma=0.9, use_alg1_form=alg1)
-            got = nwj_reward(critic, S, S2, samples, samples, cfg)
-            assert got.shape == (7,)
-            expected = [nwj_reward(critic, s, s2, samples, samples, cfg) for s, s2 in zip(S, S2)]
-            np.testing.assert_array_equal(got, expected)
+        got = nwj_reward(critic, S, S2, samples, samples, 0.9)
+        assert got.shape == (7,)
+        expected = [nwj_reward(critic, s, s2, samples, samples, 0.9) for s, s2 in zip(S, S2)]
+        np.testing.assert_array_equal(got, expected)
 
     def test_scalar_valued_critic_rejected(self):
         buffer = TimestepReplayBuffer(seed=0)
         for t in (0, 1):
             for k in range(3):
                 buffer.add(t, np.array([float(k)]))
-        cfg = AugmentedRewardConfig(gamma=0.9)
         with pytest.raises(ValueError, match="broadcast"):
             nwj_reward(ConstantCritic(0.0), np.zeros(1), np.ones(1), buffer.bucket(0),
-                       buffer.bucket(1), cfg)
+                       buffer.bucket(1), 0.9)
         scalar_sum = lambda x, y: float(np.sum(np.asarray(x) - np.asarray(y)))  # noqa: E731
         with pytest.raises(ValueError, match="broadcast"):
-            reward_f(scalar_sum, np.zeros(1), np.ones(1), buffer, 0, cfg,
+            reward_f(scalar_sum, np.zeros(1), np.ones(1), buffer, 0, 0.9,
                      n_marginal_samples=4)
 
 
 class TestAugmentedReward:
     @staticmethod
-    def _r_f(cfg):
+    def _r_f(gamma):
         buffer = TimestepReplayBuffer(seed=0)
         for t in (0, 1):
             buffer.add(t, np.array([0.0]))
         return nwj_reward(RbfCritic(), np.array([0.0]), np.array([0.0]), buffer.bucket(0),
-                          buffer.bucket(1), cfg)
+                          buffer.bucket(1), gamma)
 
     def test_zero_weights_give_log_density(self):
-        cfg = AugmentedRewardConfig(gamma=0.9, lambda_f=0.0)
-        assert augmented_reward(1.5, self._r_f(cfg), cfg) == pytest.approx(1.5)
+        assert augmented_reward(1.5, self._r_f(0.9), 0.0) == pytest.approx(1.5)
 
     def test_hand_computed_fixture(self):
         # log q = 1.5, r_f = 1 - 2*0.9 = -0.8 (identical states); lambda_pi r_pi
         # is the learner's temperature, not a reward term
-        cfg = AugmentedRewardConfig(gamma=0.9, lambda_f=0.005)
-        got = augmented_reward(1.5, self._r_f(cfg), cfg)
+        got = augmented_reward(1.5, self._r_f(0.9), 0.005)
         assert got == pytest.approx(1.5 + 0.005 * (-0.8), abs=1e-9)
         assert got == pytest.approx(1.496, abs=5e-4)
 
     def test_constant_density_leaves_entropy_terms_only(self):
-        cfg = AugmentedRewardConfig(gamma=0.9, lambda_f=0.01)
-        r_f = self._r_f(cfg)
-        a = augmented_reward(4.0, r_f, cfg)
-        b = augmented_reward(6.0, r_f, cfg)
+        r_f = self._r_f(0.9)
+        a = augmented_reward(4.0, r_f, 0.01)
+        b = augmented_reward(6.0, r_f, 0.01)
         assert b - a == pytest.approx(2.0, abs=1e-12)
 
     def test_table_form_matches_per_cell_scalars(self):
         rng = np.random.default_rng(3)
         log_q, r_f = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
-        cfg = AugmentedRewardConfig(gamma=0.9, lambda_f=0.3)
-        table = augmented_reward(log_q, r_f, cfg)
+        table = augmented_reward(log_q, r_f, 0.3)
         assert table.shape == (4, 3)
-        expected = [[augmented_reward(float(q), float(f), cfg) for q, f in zip(qr, fr)]
+        expected = [[augmented_reward(float(q), float(f), 0.3) for q, f in zip(qr, fr)]
                     for qr, fr in zip(log_q, r_f)]
         np.testing.assert_array_equal(table, expected)
 
@@ -342,7 +320,7 @@ class TestSoftPolicyIteration:
         assert policy.probs()[0, 0] > 0.999
 
     def test_matches_value_iteration_oracle_on_chain(self):
-        mdp = build_chain(3, gamma=0.9, goal_reward=1.0)
+        mdp = build_chain(3, gamma=0.9)
         greedy = value_iteration_greedy(mdp)
         policy = soft_policy_iteration(mdp, temperature=0.01)
         np.testing.assert_array_equal(policy.probs().argmax(axis=1), greedy)
@@ -401,7 +379,7 @@ def graph_step(learner):
         loss = ad.nmean(ad.square(ad.sub(net.forward(x, params), y[:, None])))
         backward(loss)
         grads.append(flat_grads(params))
-        adam_step(opt, [net.flat], [grads[-1]])
+        adam_step(opt, net.flat, grads[-1])
         losses[name] = float(loss.value)
 
     mean_params = [Node(p) for p in learner.policy.mean_net.params()]
@@ -421,12 +399,12 @@ def graph_step(learner):
                                      BOUND_PENALTY))
     backward(pi_loss)
     grads += [flat_grads(mean_params), log_std_base.grad]
-    adam_step(learner.opt_pi, [learner.policy.mean_net.flat], [grads[-2]])
-    adam_step(learner.opt_log_std, [learner.policy.log_std], [grads[-1]])
+    adam_step(learner.opt_pi, learner.policy.mean_net.flat, grads[-2])
+    adam_step(learner.opt_log_std, learner.policy.log_std, grads[-1])
     losses["pi"] = float(pi_loss.value)
 
     grads.append(np.array([-(logp_node.value.mean() + learner.target_entropy)]))
-    adam_step(learner.opt_alpha, [learner.log_alpha], [grads[-1]])
+    adam_step(learner.opt_alpha, learner.log_alpha, grads[-1])
     losses["alpha"] = learner.alpha
     for net, target in ((learner.q1, learner.q1_target), (learner.q2, learner.q2_target)):
         target.flat *= (1.0 - POLYAK)
@@ -491,14 +469,14 @@ class TestSacLearner:
 
         learner, got_grads = tape_fixture(), []
 
-        def recording_adam_step(state, params, grads):
-            got_grads.append([g.copy() for g in grads])
-            adam_step(state, params, grads)
+        def recording_adam_step(state, param, grad):
+            got_grads.append(grad.copy())
+            adam_step(state, param, grad)
 
         monkeypatch.setattr(imitation, "adam_step", recording_adam_step)
         assert learner.step() == want_losses
         assert len(got_grads) == len(want_grads)
-        for (got,), want in zip(got_grads, want_grads):
+        for got, want in zip(got_grads, want_grads):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
         for got, want in zip(learner_arrays(learner), learner_arrays(reference)):
             assert got.tobytes() == want.tobytes()
@@ -633,14 +611,14 @@ class TestEvaluateReturn:
         assert stderr == 0.0
 
     def test_epsilon_greedy_chain_matches_occupancy_oracle(self):
-        mdp = build_chain(3, gamma=0.9, goal_reward=1.0)
+        mdp = build_chain(3, gamma=0.9)
         policy = SoftmaxPolicy(np.tile(np.log([0.1, 0.9]), (3, 1)))
         mean, stderr, _ = evaluate_return(policy, mdp, n_episodes=400, seed=3)
         exact = exact_discounted_return(mdp, policy)
         assert abs(mean - exact) < 3 * max(stderr, 1e-12)
 
     def test_env_reward_fn_mean_is_bit_equal_to_env_mean(self):
-        mdp = build_chain(3, gamma=0.9, goal_reward=1.0)
+        mdp = build_chain(3, gamma=0.9)
         policy = SoftmaxPolicy.uniform(3, 2)
         mean, _, shaped = evaluate_return(policy, mdp, n_episodes=5, seed=1,
                                           reward_fn=lambda s, a, s2, t: mdp.reward[s, a])
@@ -678,7 +656,7 @@ class TestDensityRewardImitation:
     def test_log_expert_occupancy_reward_beats_uniform(self):
         # lambda_f = 0: soft policy iteration on log rho_E must reduce the
         # occupancy reverse KL below the uniform policy's
-        mdp = build_chain(5, gamma=0.9, goal_reward=1.0)
+        mdp = build_chain(5, gamma=0.9)
         expert = soft_optimal_policy(mdp, temperature=0.05)
         rho_e = occupancy_measure(mdp, expert)
         reward = np.log(np.maximum(rho_e.rho, 1e-300))
