@@ -7,6 +7,7 @@ hash so reruns are auditable.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -36,6 +37,8 @@ COUNT_KEYS = ("n_demo_trajectories", "demo_len", "made_components", "density_epo
               "sac_batch", "eval_every", "eval_episodes", "n_eval_states")
 # step sizes and temperatures: each must be > 0 (NaN fails too)
 RATE_KEYS = ("density_lr", "sac_lr", "expert_tau", "ssm_hvp_epsilon")
+# reward weights: each must be finite and >= 0
+WEIGHT_KEYS = ("lambda_f", "lambda_pi")
 
 
 @dataclass
@@ -85,8 +88,10 @@ class ExperimentConfig:
             raise ConfigError(f"lambda_pi_mode must be auto|fixed, got {self.lambda_pi_mode!r}")
         if not (0.0 <= self.gamma < 1.0):
             raise ConfigError("gamma must lie in [0, 1)")
-        if self.lambda_f < 0 or self.lambda_pi < 0:
-            raise ConfigError("reward weights must be non-negative")
+        for key in WEIGHT_KEYS:
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{key} must be finite and >= 0, got {value}")
         for key in COUNT_KEYS:
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")

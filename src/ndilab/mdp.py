@@ -182,11 +182,17 @@ def state_marginals(mdp: TabularMdp, policy: SoftmaxPolicy, horizon: int) -> Mar
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     M = mdp.policy_transition_matrix(policy)
-    p = np.zeros((horizon + 1, mdp.n_states))
-    p[0] = mdp.initial_dist
+    return MarginalSchedule(propagate_marginals(M, mdp.initial_dist, horizon), horizon)
+
+
+def propagate_marginals(M: Array, p0: Array, horizon: int) -> Array:
+    """Rows p_0 = p0, p_{t+1} = M^T p_t for t < horizon, as a (horizon + 1, S) array."""
+    p = np.zeros((horizon + 1, len(p0)))
+    p[0] = p0
+    MT = M.T
     for t in range(horizon):
-        p[t + 1] = M.T @ p[t]
-    return MarginalSchedule(p, horizon)
+        np.dot(MT, p[t], out=p[t + 1])
+    return p
 
 
 def sample_trajectory(mdp_or_env, policy, max_steps: int, seed: int) -> Trajectory:

@@ -5,6 +5,15 @@ and both sides of the gradient identity on tabular MDPs.
 Everything here is computed either in closed form (linear solves) or by
 truncated forward recursion with an explicit, reported truncation horizon.
 Infinite-horizon sums are cut at T with gamma^T * bound(summand) < tol.
+
+The lower bound, its optimal critics, its frozen reward tables and its
+policy gradient are computed over the whole marginal schedule at once: the
+transition matrix M is built once per call, the consecutive-state joints
+p_t(s) M(s, s') are stacked along a leading t axis, and the critic and NWJ
+formulas work on that stack. Only the sequential parts stay loops over t
+(the marginal recursion, the gradient's sensitivity recursion, and the
+discounted sums, which add their terms in t order so each total rounds as
+a loop over t would round it).
 """
 from __future__ import annotations
 
@@ -13,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import SoftmaxPolicy, TabularMdp, state_marginals
+from .mdp import SoftmaxPolicy, TabularMdp, propagate_marginals, state_marginals
 
 Array = np.ndarray
 
@@ -48,12 +57,7 @@ class JointTable:
     marg_y: Array
 
     def __post_init__(self):
-        if abs(self.joint.sum() - 1.0) > 1e-10:
-            raise ValueError("joint must sum to 1 within 1e-10")
-        if np.any(np.abs(self.joint.sum(axis=1) - self.marg_x) > 1e-10):
-            raise ValueError("marg_x must equal the joint's row sums")
-        if np.any(np.abs(self.joint.sum(axis=0) - self.marg_y) > 1e-10):
-            raise ValueError("marg_y must equal the joint's column sums")
+        _check_joints(self.joint, self.marg_x, self.marg_y)
 
     @staticmethod
     def from_joint(joint: Array) -> "JointTable":
@@ -68,8 +72,7 @@ class CriticTable:
     values: Array
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("critic values must be finite")
+        _check_critics(self.values)
 
 
 @dataclass
@@ -87,6 +90,22 @@ class SaelboReport:
     constant_c_gamma: float
     saelbo: float
     truncation_T: int
+
+
+def _check_joints(joint: Array, marg_x: Array, marg_y: Array) -> None:
+    """The JointTable checks, on one (X, Y) joint or a stack of them over
+    leading axes with matching stacks of marginals."""
+    if np.any(np.abs(joint.sum(axis=(-2, -1)) - 1.0) > 1e-10):
+        raise ValueError("joint must sum to 1 within 1e-10")
+    if np.any(np.abs(joint.sum(axis=-1) - marg_x) > 1e-10):
+        raise ValueError("marg_x must equal the joint's row sums")
+    if np.any(np.abs(joint.sum(axis=-2) - marg_y) > 1e-10):
+        raise ValueError("marg_y must equal the joint's column sums")
+
+
+def _check_critics(values: Array) -> None:
+    if not np.all(np.isfinite(values)):
+        raise ValueError("critic values must be finite")
 
 
 def truncation_horizon(gamma: float, tol: float, summand_bound: float = 1.0) -> int:
@@ -149,24 +168,32 @@ def mutual_information(joint: JointTable) -> float:
     return max(out, 0.0)
 
 
-def _exp_safe_max(f: Array) -> float:
-    """``f.max()``; raises OverflowError naming the cell if exp(f) would overflow."""
-    fmax = float(f.max())
-    if fmax > EXP_OVERFLOW:
-        cell = tuple(int(i) for i in np.unravel_index(int(f.argmax()), f.shape))
-        raise OverflowError(f"critic value {fmax:.3g} at cell {cell} would overflow exp")
+def _exp_safe_max(f: Array) -> Array:
+    """The max of each (X, Y) table in ``f`` (one table, or a stack over leading
+    axes). If exp would overflow on some table, raises OverflowError naming
+    the largest value and its cell in the first such table in stack order."""
+    fmax = f.max(axis=(-2, -1))
+    over = np.flatnonzero(fmax > EXP_OVERFLOW)
+    if over.size:
+        table = f.reshape(-1, *f.shape[-2:])[over[0]]
+        cell = tuple(int(i) for i in np.unravel_index(int(table.argmax()), table.shape))
+        raise OverflowError(f"critic value {float(table.max()):.3g} at cell {cell} "
+                            "would overflow exp")
     return fmax
 
 
-def _nwj(joint: Array, marg_x: Array, marg_y: Array, f: Array) -> float:
+def _nwj(joint: Array, marg_x: Array, marg_y: Array, f: Array) -> Array:
+    """NWJ value of one (X, Y) table, or of each table in a stack over a
+    leading axis (with (T, X) and (T, Y) marginal stacks)."""
     _exp_safe_max(f)
-    cross = float(marg_x @ np.exp(f) @ marg_y)
-    return float((joint * f).sum()) - math.exp(-1.0) * cross
+    cross = (marg_x[..., None, :] @ np.exp(f) @ marg_y[..., :, None])[..., 0, 0]
+    fit = (joint * f).reshape(*f.shape[:-2], -1).sum(axis=-1)
+    return fit - math.exp(-1.0) * cross
 
 
 def nwj_bound(joint: JointTable, critic: CriticTable) -> float:
     """E_joint[f] - e^{-1} E_{marg_x} E_{marg_y}[e^f]; never exceeds the MI."""
-    return _nwj(joint.joint, joint.marg_x, joint.marg_y, critic.values)
+    return float(_nwj(joint.joint, joint.marg_x, joint.marg_y, critic.values))
 
 
 def optimal_critic_table(joint: JointTable, floor: float = UNSUPPORTED_CRITIC_FLOOR) -> CriticTable:
@@ -177,13 +204,17 @@ def optimal_critic_table(joint: JointTable, floor: float = UNSUPPORTED_CRITIC_FL
     Cells below 1e-250 are treated as unsupported so denormal marginal
     products cannot poison the log ratio; their weight is untestably small.
     """
-    J = joint.joint
-    f = np.full_like(J, floor)
-    sup = J > 1e-250
-    mx = np.broadcast_to(joint.marg_x[:, None], J.shape)
-    my = np.broadcast_to(joint.marg_y[None, :], J.shape)
-    f[sup] = np.log(J[sup]) - np.log(mx[sup]) - np.log(my[sup]) + 1.0
-    return CriticTable(f)
+    return CriticTable(_log_ratio_critic(joint.joint, joint.marg_x, joint.marg_y, floor))
+
+
+def _log_ratio_critic(joint: Array, marg_x: Array, marg_y: Array, floor: float) -> Array:
+    """``optimal_critic_table``'s formula on one joint or a stack over leading axes."""
+    f = np.full_like(joint, floor)
+    sup = joint > 1e-250
+    mx = np.broadcast_to(marg_x[..., :, None], joint.shape)
+    my = np.broadcast_to(marg_y[..., None, :], joint.shape)
+    f[sup] = np.log(joint[sup]) - np.log(mx[sup]) - np.log(my[sup]) + 1.0
+    return f
 
 
 def consecutive_state_joint(mdp: TabularMdp, policy: SoftmaxPolicy, p_t: Array) -> JointTable:
@@ -219,7 +250,28 @@ def conditional_action_entropy(mdp: TabularMdp, policy: SoftmaxPolicy, t: int) -
 
 
 def _critic_bound(f: Array) -> float:
-    return max(1.0, float(np.abs(f).max()) + math.exp(_exp_safe_max(f) - 1.0))
+    return max(1.0, float(np.abs(f).max()) + math.exp(float(_exp_safe_max(f)) - 1.0))
+
+
+def _critic_stack(critic_tables, T: int) -> Array:
+    """The frozen critics f_0..f_T as one (T + 1, S, S) array."""
+    F = np.asarray(critic_tables[:T + 1], dtype=np.float64)
+    if len(F) != T + 1:
+        raise ValueError(f"need T + 1 = {T + 1} critic tables, got {len(F)}")
+    return F
+
+
+def _discounts(gamma: float, T: int) -> Array:
+    """gamma^t for t = 0..T, each the previous one times gamma."""
+    factors = np.full(T + 1, gamma)
+    factors[0] = 1.0
+    return np.cumprod(factors)
+
+
+def _sum_in_order(terms: Array) -> Array:
+    """terms[0] + terms[1] + ... along axis 0, added one by one from 0.0 in
+    t order, so the total rounds as a loop over t would round it."""
+    return np.add.accumulate(np.concatenate((np.zeros((1, *terms.shape[1:])), terms)))[-1]
 
 
 def resolve_critic_schedule(mdp: TabularMdp, policy: SoftmaxPolicy, critic_family,
@@ -235,9 +287,13 @@ def resolve_critic_schedule(mdp: TabularMdp, policy: SoftmaxPolicy, critic_famil
     if isinstance(critic_family, str) and critic_family == "optimal":
         # NWJ at the optimal critic equals the MI, which is at most log S.
         T = truncation_horizon(gamma, tol, max(base_bound, math.log(mdp.n_states) + 1.0))
-        marg = state_marginals(mdp, policy, T + 1).per_timestep
-        return [optimal_critic_table(consecutive_state_joint(mdp, policy, marg[t])).values
-                for t in range(T + 1)], T
+        M = mdp.policy_transition_matrix(policy)
+        marg = propagate_marginals(M, mdp.initial_dist, T + 1)
+        joints = marg[:-1, :, None] * M      # (s_t, s_{t+1}) for t = 0..T
+        _check_joints(joints, marg[:-1], marg[1:])
+        F = _log_ratio_critic(joints, marg[:-1], marg[1:], UNSUPPORTED_CRITIC_FLOOR)
+        _check_critics(F)
+        return list(F), T
     # a constant critic needs no marginals, and its own bound can only
     # lengthen the horizon
     table = (critic_family.values if isinstance(critic_family, CriticTable)
@@ -249,23 +305,17 @@ def resolve_critic_schedule(mdp: TabularMdp, policy: SoftmaxPolicy, critic_famil
 def _saelbo_terms(mdp: TabularMdp, policy: SoftmaxPolicy, critic_tables: list[Array],
                   T: int) -> tuple[float, float, float]:
     """(h_s0, h_policy, mi_sum) of the bound truncated at T for frozen critics."""
-    gamma = mdp.discount
+    F = _critic_stack(critic_tables, T)
     M = mdp.policy_transition_matrix(policy)
     probs, logp = policy.probs(), policy.log_probs()
     ent_rows = -(probs * np.where(probs > 0, logp, 0.0)).sum(axis=1)
+    marg = propagate_marginals(M, mdp.initial_dist, T + 1)
+    disc = _discounts(mdp.discount, T)
 
     h_s0 = generalized_entropy(mdp.initial_dist)
-    p = mdp.initial_dist.copy()
-    h_policy = 0.0
-    mi_sum = 0.0
-    disc = 1.0
-    for t in range(T + 1):
-        h_policy += disc * float(p @ ent_rows)
-        joint = p[:, None] * M
-        mi_sum += disc * _nwj(joint, p, M.T @ p, critic_tables[t])
-        p = M.T @ p
-        disc *= gamma
-    return h_s0, h_policy, mi_sum
+    h_policy = _sum_in_order(disc * (marg[:-1, None, :] @ ent_rows[:, None])[:, 0, 0])
+    mi_sum = _sum_in_order(disc * _nwj(marg[:-1, :, None] * M, marg[:-1], marg[1:], F))
+    return h_s0, float(h_policy), float(mi_sum)
 
 
 def saelbo_value(mdp: TabularMdp, logits: Array, critic_tables: list[Array], T: int) -> float:
@@ -304,8 +354,9 @@ def reverse_kl_occupancy(rho_p: OccupancyTable, rho_q: OccupancyTable) -> float:
 
 
 def _frozen_reward_tables(mdp: TabularMdp, policy: SoftmaxPolicy,
-                          critic_tables: list[Array], T: int) -> list[Array]:
-    """Per-timestep reward tables for the exact policy-gradient side.
+                          critic_tables: list[Array], T: int) -> Array:
+    """Per-timestep reward tables for the exact policy-gradient side, stacked
+    as a (T + 1, S, A) array.
 
     r_pi(s, a) = -(1+gamma) log q_pi(a|s) and, with s' = P(s, a),
     r_f(s, a, s') = gamma f_t(s, s')
@@ -313,23 +364,18 @@ def _frozen_reward_tables(mdp: TabularMdp, policy: SoftmaxPolicy,
     where q_pi and q_t are frozen copies of the current policy and marginals.
     """
     gamma = mdp.discount
-    S, A = mdp.n_states, mdp.n_actions
-    marg = state_marginals(mdp, policy, T + 2).per_timestep
+    F = _critic_stack(critic_tables, T)
+    M = mdp.policy_transition_matrix(policy)
+    marg = propagate_marginals(M, mdp.initial_dist, T + 1)
     r_pi = -(1.0 + gamma) * policy.log_probs()
-    rows = np.arange(S)
-    rewards = []
-    for t in range(T + 1):
-        f = critic_tables[t]
-        _exp_safe_max(f)
-        ef = np.exp(f)
-        ex_in = marg[t] @ ef          # (S',): E_{x~q_t} e^{f(x, s')}
-        ex_out = ef @ marg[t + 1]     # (S,):  E_{y~q_{t+1}} e^{f(s, y)}
-        r_f = np.empty((S, A))
-        for a in range(A):
-            nxt = mdp.transition[:, a]
-            r_f[:, a] = gamma * f[rows, nxt] - (gamma / math.e) * (ex_in[nxt] + ex_out)
-        rewards.append(r_pi + r_f)
-    return rewards
+    _exp_safe_max(F)
+    EF = np.exp(F)
+    ex_in = (marg[:-1, None, :] @ EF)[:, 0, :]    # (T+1, S'): E_{x~q_t} e^{f_t(x, s')}
+    ex_out = (EF @ marg[1:, :, None])[:, :, 0]    # (T+1, S):  E_{y~q_{t+1}} e^{f_t(s, y)}
+    nxt = mdp.transition
+    r_f = (gamma * F[:, np.arange(mdp.n_states)[:, None], nxt]
+           - (gamma / math.e) * (ex_in[:, nxt] + ex_out[:, :, None]))
+    return r_pi + r_f
 
 
 def discounted_policy_gradient(mdp: TabularMdp, theta: Array, rewards,
@@ -337,37 +383,40 @@ def discounted_policy_gradient(mdp: TabularMdp, theta: Array, rewards,
     """Exact gradient of J(pi_theta, r) = sum_t gamma^t E_{p_t, pi}[r_t(s, a)]
     for frozen reward tables, by forward sensitivity through the marginals.
 
-    ``rewards`` is one (S, A) table or a per-timestep list of length T + 1.
+    ``rewards`` is one (S, A) table used at every t, or T + 1 per-timestep
+    tables (a list or a (T + 1, S, A) array).
     """
     policy = SoftmaxPolicy(theta)
-    gamma = mdp.discount
     S, A = mdp.n_states, mdp.n_actions
     P = S * A
     probs = policy.probs()
     M = mdp.policy_transition_matrix(policy)
     # G[s, a, b] = d pi(a|s) / d logits[s, b]
     G = probs[:, :, None] * (np.eye(A)[None, :, :] - probs[:, None, :])
+    R = np.asarray(rewards, dtype=np.float64)
+    R = np.broadcast_to(R, (T + 1, S, A)) if R.ndim == 2 else R[:T + 1]
+    marg = propagate_marginals(M, mdp.initial_dist, T)
+    disc = _discounts(mdp.discount, T)
 
-    per_t = isinstance(rewards, (list, tuple))
-    p = mdp.initial_dist.copy()
-    dp = np.zeros((S, P))
-    grad = np.zeros(P)
-    disc = 1.0
-    for t in range(T + 1):
-        rbar = rewards[t] if per_t else rewards
-        c = (probs * rbar).sum(axis=1)
-        grad += disc * (dp.T @ c)
-        dc = np.einsum("sab,sa->sb", G, rbar)  # d c(s) / d logits[s, :]
-        grad += disc * (p[:, None] * dc).reshape(-1)
-        if t < T:
-            dp_next = M.T @ dp
-            for s in range(S):
-                for a in range(A):
-                    dp_next[mdp.transition[s, a], s * A:(s + 1) * A] += p[s] * G[s, a]
-            dp = dp_next
-            p = M.T @ p
-        disc *= gamma
-    return grad.reshape(S, A)
+    # dp[t] = d p_t / d logits: dp[t + 1] = M^T dp[t], plus p_t(s) G[s, a, :]
+    # in row transition[s, a] and the columns of state s, added in (s, a, b)
+    # order
+    rows = np.repeat(mdp.transition.reshape(-1), A)
+    cols = np.broadcast_to(np.arange(P).reshape(S, 1, A), (S, A, A)).reshape(-1)
+    pushed = (marg[:-1, :, None, None] * G).reshape(T, S * A * A)
+    dp = np.zeros((T + 1, S, P))
+    MT = M.T
+    for t in range(T):
+        np.dot(MT, dp[t], out=dp[t + 1])
+        np.add.at(dp[t + 1], (rows, cols), pushed[t])
+
+    c = (probs * R).sum(axis=2)                   # (T+1, S): E_pi[r_t(s, .)]
+    dc = np.einsum("sab,tsa->tsb", G, R)          # d c_t(s) / d logits[s, :]
+    through_marginals = disc[:, None] * (dp.transpose(0, 2, 1) @ c[:, :, None])[:, :, 0]
+    through_policy = disc[:, None] * (marg[:, :, None] * dc).reshape(T + 1, P)
+    # per t, the marginal term is added before the policy term
+    terms = np.stack((through_marginals, through_policy), axis=1).reshape(2 * (T + 1), P)
+    return _sum_in_order(terms).reshape(S, A)
 
 
 def saelbo_gradient_pg(mdp: TabularMdp, theta: Array, critic_family,

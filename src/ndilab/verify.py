@@ -236,8 +236,7 @@ def verify_coordinate_ascent(n_alternations: int = 200, seed: int = 6,
         history.append(objective_f)
 
         # policy update: ascent with backtracking on the exact objective
-        frozen = _frozen_reward_tables(mdp, policy, tables, T)
-        rewards = [frozen[t] + log_rho_e for t in range(T + 1)]
+        rewards = _frozen_reward_tables(mdp, policy, tables, T) + log_rho_e
         grad = discounted_policy_gradient(mdp, theta, rewards, T)
         trial = step
         for _ in range(40):

@@ -26,6 +26,7 @@ from ndilab.cli import EXIT_DIVERGENCE, EXIT_OK, EXIT_USAGE, main
 from ndilab.config import (
     COUNT_KEYS,
     RATE_KEYS,
+    WEIGHT_KEYS,
     ConfigError,
     ExperimentConfig,
     load_config,
@@ -111,6 +112,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match=key):
             parse_config_text(f"{key} = 0")
         assert getattr(ExperimentConfig(**{key: 1e-3}), key) == 1e-3
+
+    @pytest.mark.parametrize("key", WEIGHT_KEYS)
+    def test_reward_weight_not_finite_and_non_negative_rejected(self, key):
+        for bad in (float("nan"), float("inf"), -1.0):
+            with pytest.raises(ConfigError, match=key):
+                ExperimentConfig(**{key: bad})
+        for text in ("nan", "inf", "-1"):
+            with pytest.raises(ConfigError, match=key):
+                parse_config_text(f"{key} = {text}")
+        assert getattr(ExperimentConfig(**{key: 0.0}), key) == 0.0
 
     def test_zero_hidden_width_rejected(self):
         for bad in ((64, 0), (-1,)):
@@ -557,6 +568,18 @@ class TestCliFrontend:
         out = capsys.readouterr().out
         assert "documented expected-failure" in out
 
+    def test_verify_all_suites(self, capsys):
+        assert main(["verify", "--suite", "all"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        passed = [line for line in lines if line.startswith("PASS ")]
+        assert [line.split(":")[0] for line in passed] == [
+            "PASS lemma1", "PASS lemma2", "PASS theorem1", "PASS theorem2",
+            "PASS corollary1", "PASS nwj", "PASS coordinate-ascent"]
+        assert all(line.endswith(" 0 violations") for line in passed)
+        assert not any("violation:" in line or line.startswith("FAIL") for line in lines)
+        expected = [k for k, line in enumerate(lines) if "documented expected-failure" in line]
+        assert len(expected) == 1 and lines[expected[0] - 1].startswith("PASS theorem1:")
+
     def test_missing_subcommand_is_usage_error(self):
         assert main([]) == EXIT_USAGE
 
@@ -640,7 +663,9 @@ class TestCliFrontend:
 
     @pytest.mark.parametrize("line", ["density_lr = -0.5", "sac_lr = -0.1",
                                       "density_hidden = 64,0", "expert_tau = 0",
-                                      "ssm_hvp_epsilon = 0"])
+                                      "ssm_hvp_epsilon = 0", "lambda_f = nan",
+                                      "lambda_f = inf", "lambda_pi = nan",
+                                      "lambda_pi = inf"])
     def test_bad_rate_or_width_is_usage_error(self, tmp_path, capsys, line):
         cfg = self.write_cfg(tmp_path, line + "\n")
         assert main(["gen-demos", "--config", str(cfg)]) == EXIT_USAGE

@@ -88,6 +88,19 @@ class TestStateMarginals:
         sched = state_marginals(mdp, SoftmaxPolicy.uniform(4, 2), horizon=3)
         np.testing.assert_array_equal(sched.at(0), mdp.initial_dist)
 
+    @pytest.mark.parametrize("S", [1, 3, 25])
+    def test_rows_are_the_matrix_vector_recursion_byte_for_byte(self, S):
+        rng = np.random.default_rng(S)
+        A = 4
+        mdp = TabularMdp(rng.integers(0, S, size=(S, A)), rng.dirichlet(np.ones(S)),
+                         np.zeros((S, A)), 0.9)
+        policy = SoftmaxPolicy(rng.normal(size=(S, A)))
+        M = mdp.policy_transition_matrix(policy)
+        p = mdp.initial_dist.copy()
+        for row in state_marginals(mdp, policy, horizon=80).per_timestep:
+            assert row.tobytes() == p.tobytes()
+            p = M.T @ p
+
 
 class TestSampleTrajectory:
     def test_deterministic_policy_identical_across_seeds(self):

@@ -2,6 +2,7 @@
 bound, and the gradient identity between its finite-difference and exact
 policy-gradient forms."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -464,3 +465,243 @@ class TestJointHelpers:
         joint = consecutive_state_joint(mdp, policy, sched.at(2))
         np.testing.assert_allclose(joint.marg_x, sched.at(2), atol=1e-12)
         np.testing.assert_allclose(joint.marg_y, sched.at(3), atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The per-timestep loops the schedule-wide code replaced, kept as references:
+# the array versions must reproduce them byte for byte.
+# ---------------------------------------------------------------------------
+
+
+def loop_exp_safe_max(f):
+    fmax = float(f.max())
+    if fmax > 700.0:
+        cell = tuple(int(i) for i in np.unravel_index(int(f.argmax()), f.shape))
+        raise OverflowError(f"critic value {fmax:.3g} at cell {cell} would overflow exp")
+    return fmax
+
+
+def loop_nwj(joint, marg_x, marg_y, f):
+    loop_exp_safe_max(f)
+    cross = float(marg_x @ np.exp(f) @ marg_y)
+    return float((joint * f).sum()) - math.exp(-1.0) * cross
+
+
+def loop_optimal_schedule(mdp, policy, T):
+    """One consecutive-state joint and one log-ratio critic per t."""
+    marg = state_marginals(mdp, policy, T + 1).per_timestep
+    tables = []
+    for t in range(T + 1):
+        M = mdp.policy_transition_matrix(policy)
+        J = JointTable(marg[t][:, None] * M, marg[t], M.T @ marg[t])
+        f = np.full_like(J.joint, -30.0)
+        sup = J.joint > 1e-250
+        mx = np.broadcast_to(J.marg_x[:, None], J.joint.shape)
+        my = np.broadcast_to(J.marg_y[None, :], J.joint.shape)
+        f[sup] = np.log(J.joint[sup]) - np.log(mx[sup]) - np.log(my[sup]) + 1.0
+        tables.append(CriticTable(f).values)
+    return tables
+
+
+def loop_saelbo_terms(mdp, policy, critic_tables, T):
+    gamma = mdp.discount
+    M = mdp.policy_transition_matrix(policy)
+    probs, logp = policy.probs(), policy.log_probs()
+    ent_rows = -(probs * np.where(probs > 0, logp, 0.0)).sum(axis=1)
+    h_s0 = generalized_entropy(mdp.initial_dist)
+    p = mdp.initial_dist.copy()
+    h_policy = 0.0
+    mi_sum = 0.0
+    disc = 1.0
+    for t in range(T + 1):
+        h_policy += disc * float(p @ ent_rows)
+        joint = p[:, None] * M
+        mi_sum += disc * loop_nwj(joint, p, M.T @ p, critic_tables[t])
+        p = M.T @ p
+        disc *= gamma
+    return h_s0, h_policy, mi_sum
+
+
+def loop_frozen_reward_tables(mdp, policy, critic_tables, T):
+    gamma = mdp.discount
+    S, A = mdp.n_states, mdp.n_actions
+    marg = state_marginals(mdp, policy, T + 2).per_timestep
+    r_pi = -(1.0 + gamma) * policy.log_probs()
+    rows = np.arange(S)
+    rewards = []
+    for t in range(T + 1):
+        f = critic_tables[t]
+        loop_exp_safe_max(f)
+        ef = np.exp(f)
+        ex_in = marg[t] @ ef
+        ex_out = ef @ marg[t + 1]
+        r_f = np.empty((S, A))
+        for a in range(A):
+            nxt = mdp.transition[:, a]
+            r_f[:, a] = gamma * f[rows, nxt] - (gamma / math.e) * (ex_in[nxt] + ex_out)
+        rewards.append(r_pi + r_f)
+    return rewards
+
+
+def loop_policy_gradient(mdp, theta, rewards, T):
+    policy = SoftmaxPolicy(theta)
+    gamma = mdp.discount
+    S, A = mdp.n_states, mdp.n_actions
+    P = S * A
+    probs = policy.probs()
+    M = mdp.policy_transition_matrix(policy)
+    G = probs[:, :, None] * (np.eye(A)[None, :, :] - probs[:, None, :])
+    per_t = isinstance(rewards, (list, tuple))
+    p = mdp.initial_dist.copy()
+    dp = np.zeros((S, P))
+    grad = np.zeros(P)
+    disc = 1.0
+    for t in range(T + 1):
+        rbar = rewards[t] if per_t else rewards
+        c = (probs * rbar).sum(axis=1)
+        grad += disc * (dp.T @ c)
+        dc = np.einsum("sab,sa->sb", G, rbar)
+        grad += disc * (p[:, None] * dc).reshape(-1)
+        if t < T:
+            dp_next = M.T @ dp
+            for s in range(S):
+                for a in range(A):
+                    dp_next[mdp.transition[s, a], s * A:(s + 1) * A] += p[s] * G[s, a]
+            dp = dp_next
+            p = M.T @ p
+        disc *= gamma
+    return grad.reshape(S, A)
+
+
+def parity_fixture(kind):
+    """(mdp, logits, rng) of one fixture kind: S = 1, injective MDPs of
+    several sizes, and MDPs where two or more actions of one state reach the
+    same next state (one of them starting from a point mass, so some joint
+    cells are empty and get the critic floor)."""
+    rng = np.random.default_rng(PARITY_KINDS.index(kind))
+    if kind == "one-state-one-action":
+        mdp = one_state_mdp(n_actions=1, gamma=0.9)
+    elif kind == "one-state-three-actions":
+        mdp = one_state_mdp(n_actions=3, gamma=0.8)
+    elif kind == "non-injective":
+        trans = np.array([[1, 1, 2], [0, 2, 2], [3, 0, 3], [1, 1, 1]])
+        mdp = TabularMdp(trans, rng.dirichlet(np.ones(4)), np.zeros((4, 3)), 0.85)
+    elif kind == "non-injective-point-start":
+        trans = np.array([[0, 0, 1, 1], [2, 2, 2, 0], [1, 0, 1, 0]])
+        mdp = TabularMdp(trans, np.array([1.0, 0.0, 0.0]), np.zeros((3, 4)), 0.9)
+    else:
+        S, A = (int(n) for n in kind.split("x"))
+        mdp = random_injective_mdp(S, A, float(rng.uniform(0.5, 0.95)), rng)
+    theta = rng.normal(0, 1.5, size=(mdp.n_states, mdp.n_actions))
+    return mdp, theta, rng
+
+
+PARITY_KINDS = ["one-state-one-action", "one-state-three-actions", "non-injective",
+                "non-injective-point-start", "2x2", "3x2", "4x3", "6x4", "7x5"]
+
+
+def same_bytes(got, want):
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", PARITY_KINDS)
+class TestScheduleParity:
+    def critic_schedules(self, mdp, policy, rng):
+        S = mdp.n_states
+        tables, T = resolve_critic_schedule(mdp, policy, "optimal", 1e-10)
+        yield "optimal", tables, T
+        yield "per-t random", [rng.normal(0, 1.0, size=(S, S)) for _ in range(T + 1)], T
+        constant, T_c = resolve_critic_schedule(mdp, policy, rng.normal(0, 2.0, size=(S, S)),
+                                                1e-10)
+        yield "constant", constant, T_c
+
+    def test_optimal_critic_schedule(self, kind):
+        mdp, theta, _ = parity_fixture(kind)
+        policy = SoftmaxPolicy(theta)
+        tables, T = resolve_critic_schedule(mdp, policy, "optimal", 1e-10)
+        log_s = math.log(mdp.n_states) + 1.0
+        assert T == truncation_horizon(mdp.discount, 1e-10,
+                                       max(1.0, math.log(max(mdp.n_actions, 2)), log_s))
+        assert isinstance(tables, list) and len(tables) == T + 1
+        assert same_bytes(tables, loop_optimal_schedule(mdp, policy, T))
+
+    def test_saelbo_terms_and_value(self, kind):
+        mdp, theta, rng = parity_fixture(kind)
+        policy = SoftmaxPolicy(theta)
+        for name, tables, T in self.critic_schedules(mdp, policy, rng):
+            want = loop_saelbo_terms(mdp, policy, tables, T)
+            assert same_bytes(occupancy._saelbo_terms(mdp, policy, tables, T), want), name
+            h_s0, h_policy, mi_sum = want
+            value = h_s0 + (1.0 + mdp.discount) * h_policy + mdp.discount * mi_sum
+            assert same_bytes(occupancy.saelbo_value(mdp, theta, tables, T), value), name
+
+    def test_frozen_reward_tables(self, kind):
+        mdp, theta, rng = parity_fixture(kind)
+        policy = SoftmaxPolicy(theta)
+        for name, tables, T in self.critic_schedules(mdp, policy, rng):
+            got = occupancy._frozen_reward_tables(mdp, policy, tables, T)
+            assert same_bytes(got, loop_frozen_reward_tables(mdp, policy, tables, T)), name
+
+    def test_discounted_policy_gradient(self, kind):
+        mdp, theta, rng = parity_fixture(kind)
+        policy = SoftmaxPolicy(theta)
+        S, A = mdp.n_states, mdp.n_actions
+        tables, T = resolve_critic_schedule(mdp, policy, "optimal", 1e-10)
+        frozen = loop_frozen_reward_tables(mdp, policy, tables, T)
+        single = rng.normal(0, 1.0, size=(S, A))
+        per_t = [rng.normal(0, 1.0, size=(S, A)) for _ in range(T + 1)]
+        for name, rewards, loop_rewards in [("frozen list", frozen, frozen),
+                                            ("frozen array", np.stack(frozen), frozen),
+                                            ("single table", single, single),
+                                            ("random list", per_t, per_t)]:
+            want = loop_policy_gradient(mdp, theta, loop_rewards, T)
+            got = occupancy.discounted_policy_gradient(mdp, theta, rewards, T)
+            assert same_bytes(got, want), name
+        assert same_bytes(occupancy.saelbo_gradient_pg(mdp, theta, "optimal"),
+                          loop_policy_gradient(mdp, theta, frozen, T))
+
+    @pytest.mark.parametrize("T", [0, 1, 2])
+    def test_shortest_horizons(self, kind, T):
+        mdp, theta, rng = parity_fixture(kind)
+        policy = SoftmaxPolicy(theta)
+        S, A = mdp.n_states, mdp.n_actions
+        tables = [rng.normal(0, 1.0, size=(S, S)) for _ in range(T + 1)]
+        assert same_bytes(occupancy._saelbo_terms(mdp, policy, tables, T),
+                          loop_saelbo_terms(mdp, policy, tables, T))
+        frozen = loop_frozen_reward_tables(mdp, policy, tables, T)
+        assert same_bytes(occupancy._frozen_reward_tables(mdp, policy, tables, T), frozen)
+        for rewards in (frozen, frozen[0]):
+            assert same_bytes(occupancy.discounted_policy_gradient(mdp, theta, rewards, T),
+                              loop_policy_gradient(mdp, theta, rewards, T))
+
+
+class TestScheduleOverflowParity:
+    def schedule(self):
+        rng = np.random.default_rng(12)
+        mdp = random_injective_mdp(3, 2, 0.9, rng)
+        T = 10
+        tables = [rng.normal(0, 1.0, size=(3, 3)) for _ in range(T + 1)]
+        tables[3][1, 2] = 750.0     # the first entry above 700
+        tables[5][0, 0] = 900.0     # a later, larger one
+        tables[5][2, 2] = 800.0
+        return mdp, rng.normal(size=(3, 2)), tables, T
+
+    @pytest.mark.parametrize("name", ["saelbo_value", "_frozen_reward_tables"])
+    def test_first_offending_timestep_is_named_without_warnings(self, name):
+        mdp, theta, tables, T = self.schedule()
+        new, loop = {
+            "saelbo_value": (lambda: occupancy.saelbo_value(mdp, theta, tables, T),
+                             lambda: loop_saelbo_terms(mdp, SoftmaxPolicy(theta), tables, T)),
+            "_frozen_reward_tables": (
+                lambda: occupancy._frozen_reward_tables(mdp, SoftmaxPolicy(theta), tables, T),
+                lambda: loop_frozen_reward_tables(mdp, SoftmaxPolicy(theta), tables, T)),
+        }[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError) as want:
+                loop()
+            with pytest.raises(OverflowError) as got:
+                new()
+        assert str(got.value) == str(want.value)
+        assert str(got.value) == "critic value 750 at cell (1, 2) would overflow exp"
