@@ -92,18 +92,39 @@ class TimestepReplayBuffer:
             return np.empty((0, 0))
         return np.concatenate([self.bucket(t) for t in self.buckets])
 
-    def sample(self, t: int, n: int) -> Array:
-        """Uniform sample (with replacement) from bucket t as an ``(n, d)``
-        array; empty buckets fall back to the pooled buffer with a logged
-        warning."""
+    def _fallback(self, missing: list) -> Array:
+        """The pooled buffer, with one warning per timestep in ``missing``."""
+        items = self.pooled()
+        if not len(items):
+            raise ValueError("replay buffer is empty")
+        for t in missing:
+            logger.warning("bucket %d empty; falling back to pooled replay sampling", t)
+        return items
+
+    def sample(self, t, n: int) -> Array:
+        """Uniform sample (with replacement) of n states from bucket t as an
+        ``(n, d)`` array; empty buckets fall back to the pooled buffer with a
+        logged warning.
+
+        ``t`` may also be a 1-D array of k timesteps: the result is then
+        ``(k, n, d)``, drawn with one ``integers`` call whose rows, and the
+        generator state after it, equal k sequential scalar calls (one
+        warning per fallback row, as there).
+        """
+        if isinstance(t, np.ndarray) and t.ndim == 1:
+            ts = [int(x) for x in t]
+            rings = [self.buckets.get(x) for x in ts]
+            missing = [x for x, ring in zip(ts, rings) if ring is None]
+            pooled = self._fallback(missing) if missing else None
+            lens = np.array([len(pooled if ring is None else ring) for ring in rings])
+            idx = self.rng.integers(0, lens[:, None], size=(len(ts), n))
+            return np.stack([pooled[i] if ring is None else ring.take(i)
+                             for ring, i in zip(rings, idx)])
         t = int(t)
         ring = self.buckets.get(t)
         if ring is not None:
             return ring.take(self.rng.integers(0, len(ring), size=n))
-        items = self.pooled()
-        if not len(items):
-            raise ValueError("replay buffer is empty")
-        logger.warning("bucket %d empty; falling back to pooled replay sampling", t)
+        items = self._fallback([t])
         return items[self.rng.integers(0, len(items), size=n)]
 
     def __len__(self) -> int:
@@ -160,19 +181,22 @@ def nwj_reward(critic, s_t: Array, s_next: Array, cur: Array, nxt: Array, gamma:
     marginal samples ``cur`` (n, d) and ``nxt`` (m, d).
 
     ``s_t`` and ``s_next`` are (d,) for one transition or (k, d) for k
-    transitions at once (giving k rewards). ``critic`` is a callable or has
-    a ``value`` method; either way f(x, y) must broadcast over leading axes.
+    transitions at once (giving k rewards); with k transitions the samples
+    may also be per transition, ``cur`` (k, n, d) and ``nxt`` (k, m, d).
+    ``critic`` is a callable or has a ``value`` method; either way f(x, y)
+    must broadcast over leading axes.
     """
     f = getattr(critic, "value", critic)
-    s_t, s_next = np.asarray(s_t), np.asarray(s_next)
+    s_t, s_next, cur, nxt = map(np.asarray, (s_t, s_next, cur, nxt))
     lead = s_t.shape[:-1]
     a, b = s_next[..., None, :], s_t[..., None, :]
-    cross = _mean_exp(f(a, cur), lead, len(cur)) + _mean_exp(f(nxt, b), lead, len(nxt))
+    cross = (_mean_exp(f(a, cur), lead, cur.shape[-2])
+             + _mean_exp(f(nxt, b), lead, nxt.shape[-2]))
     return f(s_t, s_next) - (gamma / math.e) * cross
 
 
 def reward_f(critic, s_t: Array, s_next: Array, buffer: TimestepReplayBuffer,
-             t: int, gamma: float, n_marginal_samples: int) -> float:
+             t, gamma: float, n_marginal_samples: int):
     """Mutual-information reward against replay-bucket marginal samples.
 
     Draws ``n_marginal_samples`` states x from bucket t and then as many
@@ -183,9 +207,18 @@ def reward_f(critic, s_t: Array, s_next: Array, buffer: TimestepReplayBuffer,
     batch, so ``critic.value`` (or ``critic`` itself, if callable) must
     broadcast over leading axes; a scalar result for a batch raises
     ``ValueError``.
+
+    For k transitions at once, pass (k, d) states and a (k,) array of
+    timesteps: one ``sample`` call draws the buckets in the order
+    t_0, t_0+1, t_1, t_1+1, ..., so the k rewards equal k scalar calls
+    made in order, and so does the buffer's generator state afterwards.
     """
-    cur = buffer.sample(t, n_marginal_samples)
-    nxt = buffer.sample(t + 1, n_marginal_samples)
+    if isinstance(t, np.ndarray) and t.ndim == 1:
+        rows = buffer.sample(np.stack([t, t + 1], axis=1).ravel(), n_marginal_samples)
+        cur, nxt = rows[0::2], rows[1::2]
+    else:
+        cur = buffer.sample(t, n_marginal_samples)
+        nxt = buffer.sample(t + 1, n_marginal_samples)
     return nwj_reward(critic, s_t, s_next, cur, nxt, gamma)
 
 
@@ -408,13 +441,9 @@ def evaluate_policy_kl(policy, expert_policy, mdp_or_env, n_eval_states: int = 2
 
         def mean_kl(pol):
             states = _rollout_states(pol, mdp, n_eval_states, seed, episode_len)
-            P, E = pol.probs(), expert_policy.probs()
-            logP, logE = pol.log_probs(), expert_policy.log_probs()
-            vals = []
-            for s in states:
-                row = P[s]
-                vals.append(float(np.sum(np.where(row > 0, row * (logP[s] - logE[s]), 0.0))))
-            return float(np.mean(vals))
+            P = pol.probs()[states]
+            log_ratio = (pol.log_probs() - expert_policy.log_probs())[states]
+            return float(np.mean(np.where(P > 0, P * log_ratio, 0.0).sum(axis=1)))
     else:
         env = mdp_or_env
         random_policy = GaussianPolicy(env.state_dim, env.action_dim, hidden=(8,), seed=777)

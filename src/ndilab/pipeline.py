@@ -215,12 +215,12 @@ def _train_tabular(config: ExperimentConfig, bundle: TabularEnvBundle, density_m
         r_f_sum = np.zeros((S, A))
         r_f_count = np.zeros((S, A))
         for traj in trajs:
-            for t in range(len(traj)):
-                s, a = int(traj.states[t]), int(traj.actions[t])
-                val = reward_f(critic, zstate[s], zstate[traj.next_states[t]],
-                               buffer, t, mdp.discount, config.n_marginal_samples)
-                r_f_sum[s, a] += val
-                r_f_count[s, a] += 1
+            # one call per rollout; add.at sums each cell's values in visit order
+            vals = reward_f(critic, zstate[traj.states], zstate[traj.next_states], buffer,
+                            np.arange(len(traj)), mdp.discount, config.n_marginal_samples)
+            cells = (traj.states, traj.actions)
+            np.add.at(r_f_sum, cells, vals)
+            np.add.at(r_f_count, cells, 1.0)
         pooled = buffer.pooled()
         cross_rng = np.random.default_rng(config.seed + it)
         idx = cross_rng.integers(0, len(pooled), size=min(config.n_marginal_samples,

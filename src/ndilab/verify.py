@@ -225,9 +225,8 @@ def verify_coordinate_ascent(n_alternations: int = 200, seed: int = 6,
     for k in range(n_alternations):
         # critic update: per-timestep optimal critics for the current policy
         policy = SoftmaxPolicy(theta)
-        new_tables, _ = resolve_critic_schedule(mdp, policy, "optimal", 1e-10)
-        tables = [new_tables[t] if t < len(new_tables) else new_tables[-1]
-                  for t in range(T + 1)]
+        # the "optimal" horizon depends only on S, A, gamma and tol, so it stays T
+        tables, _ = resolve_critic_schedule(mdp, policy, "optimal", 1e-10)
         objective_f = coordinate_ascent_objective(mdp, theta, log_rho_e, tables, T)
         if objective_f < history[-1] - step_tol:
             result.violations.append(

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ndilab import imitation
+from ndilab import imitation, pipeline
 from ndilab.checkpoint import (
     load_checkpoint,
     load_density_model,
@@ -357,6 +357,45 @@ class TestFitDensityCommand:
 
 
 class TestTrainCommand:
+    def test_tabular_r_f_is_one_call_per_rollout_averaged_in_visit_order(self, tmp_path,
+                                                                          monkeypatch):
+        cfg = quick_config(tmp_path, rl_iterations=2, density_epochs=10)
+        out = tmp_path / "r"
+        model = cmd_fit_density(cfg, cmd_gen_demos(cfg, out), out)
+        trajs, calls, tables = [], [], []
+        rollout = pipeline.sample_trajectory
+
+        def recording_rollout(*args, **kwargs):
+            trajs.append(rollout(*args, **kwargs))
+            return trajs[-1]
+
+        def recording_reward_f(critic, s_t, s_next, buffer, t, *args):
+            calls.append((np.asarray(t).tolist(),
+                          imitation.reward_f(critic, s_t, s_next, buffer, t, *args)))
+            return calls[-1][1]
+
+        def recording_sum(log_q, r_f, lambda_f):
+            tables.append(np.array(r_f))
+            return imitation.augmented_reward(log_q, r_f, lambda_f)
+
+        monkeypatch.setattr(pipeline, "sample_trajectory", recording_rollout)
+        monkeypatch.setattr(pipeline, "reward_f", recording_reward_f)
+        monkeypatch.setattr(pipeline, "augmented_reward", recording_sum)
+        cmd_train(cfg, model, out)
+        # one reward_f call per rollout, never one per transition
+        k = cfg.rollouts_per_iter
+        assert [t for t, _ in calls] == [list(range(cfg.rollout_len))] * (cfg.rl_iterations * k)
+        assert len(tables) == cfg.rl_iterations
+        for it, table in enumerate(tables):
+            # the per-transition loop the trainer ran before batching
+            total, count = {}, {}
+            for traj, (_, vals) in zip(trajs[it * k:(it + 1) * k], calls[it * k:(it + 1) * k]):
+                for s, a, val in zip(traj.states, traj.actions, vals):
+                    total[s, a] = total.get((s, a), 0.0) + float(val)
+                    count[s, a] = count.get((s, a), 0) + 1
+            got = [table[cell] for cell in total]
+            assert got == [total[cell] / count[cell] for cell in total]
+
     def test_zero_weights_equal_plain_soft_policy_iteration(self, tmp_path):
         cfg = quick_config(tmp_path, lambda_pi=0.0, lambda_f=0.0, rl_iterations=2)
         out = tmp_path / "z"

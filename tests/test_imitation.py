@@ -11,7 +11,7 @@ import pytest
 from ndilab import autodiff as ad
 from ndilab import imitation
 from ndilab.autodiff import Node, adam_step, backward, flat_grads
-from ndilab.envs import PointMassEnv, PointMassSpec, build_chain, soft_optimal_policy
+from ndilab.envs import PointMassEnv, PointMassSpec, build_chain, get_env, soft_optimal_policy
 from ndilab.imitation import (
     ACTION_BOUND,
     BOUND_PENALTY,
@@ -204,6 +204,39 @@ class TestRewardF:
         with pytest.raises(ValueError, match="broadcast"):
             reward_f(scalar_sum, np.zeros(1), np.ones(1), buffer, 0, 0.9,
                      n_marginal_samples=4)
+        # the same on per-transition (k, n, d) samples
+        for critic in (ConstantCritic(0.0), scalar_sum):
+            with pytest.raises(ValueError, match="broadcast"):
+                reward_f(critic, np.zeros((2, 1)), np.ones((2, 1)), buffer, np.array([0, 0]),
+                         0.9, n_marginal_samples=4)
+
+    @pytest.mark.parametrize("critic", [
+        RbfCritic(bandwidth=1.5, normalizer=0.7),
+        lambda x, y: np.asarray(x)[..., 0] - 2.0 * np.asarray(y)[..., 1],
+    ], ids=["rbf", "asymmetric"])
+    def test_rollout_rewards_equal_scalar_calls_in_order(self, critic):
+        rng = np.random.default_rng(12)
+        buffer = TimestepReplayBuffer(capacity_per_bucket=8, seed=4)
+        for t in range(6):   # later buckets wrap; bucket 6 is missing
+            for _ in range(3 + 2 * t):
+                buffer.add(t, rng.normal(size=3))
+        twin = copy.deepcopy(buffer)
+        ts = np.array([0, 3, 3, 5, 1, 4, 2])   # t = 5 falls back for its t + 1 draw
+        S, S2 = rng.normal(size=(7, 3)), rng.normal(size=(7, 3))
+        got = reward_f(critic, S, S2, buffer, ts, 0.9, 7)
+        want = [reward_f(critic, s, s2, twin, t, 0.9, 7) for s, s2, t in zip(S, S2, ts)]
+        assert got.shape == (7,)
+        assert got.tobytes() == np.array(want).tobytes()
+        assert buffer.rng.bit_generator.state == twin.rng.bit_generator.state
+
+    def test_nwj_reward_with_per_transition_samples_matches_one_at_a_time(self):
+        rng = np.random.default_rng(14)
+        critic = RbfCritic(normalizer=1.3)
+        cur, nxt = rng.normal(size=(5, 6, 2)), rng.normal(size=(5, 4, 2))
+        S, S2 = rng.normal(size=(5, 2)), rng.normal(size=(5, 2))
+        got = nwj_reward(critic, S, S2, cur, nxt, 0.8)
+        want = [nwj_reward(critic, *args, 0.8) for args in zip(S, S2, cur, nxt)]
+        assert got.tobytes() == np.array(want).tobytes()
 
 
 class TestAugmentedReward:
@@ -295,6 +328,31 @@ class TestTimestepReplayBuffer:
     def test_empty_buffer_rejected(self):
         with pytest.raises(ValueError):
             TimestepReplayBuffer(seed=0).sample(0, 1)
+        with pytest.raises(ValueError):
+            TimestepReplayBuffer(seed=0).sample(np.array([0, 1]), 1)
+
+    def test_sample_over_timesteps_equals_sequential_calls(self, caplog):
+        # buckets 0..5 without 3: bucket 1 has wrapped, bucket 4 holds one
+        # state (a bound of 1 draws nothing), 3 and 9 fall back to pooled
+        rng = np.random.default_rng(21)
+        buffer = TimestepReplayBuffer(capacity_per_bucket=6, seed=13)
+        for t, count in ((0, 4), (1, 9), (2, 6), (4, 1), (5, 3)):
+            for _ in range(count):
+                buffer.add(t, rng.normal(size=2))
+        buffer.rng.integers(0, 7, size=3)   # leaves half a 64-bit output buffered
+        twin = copy.deepcopy(buffer)
+        ts = np.array([0, 1, 3, 4, 2, 3, 5, 1, 9, 0])
+        with caplog.at_level(logging.WARNING, logger="ndilab.imitation"):
+            got = buffer.sample(ts, 5)
+            batched_log = [r.getMessage() for r in caplog.records]
+            caplog.clear()
+            want = np.stack([twin.sample(t, 5) for t in ts])
+            sequential_log = [r.getMessage() for r in caplog.records]
+        assert got.shape == (10, 5, 2)
+        assert got.tobytes() == want.tobytes()
+        assert buffer.rng.bit_generator.state == twin.rng.bit_generator.state
+        assert batched_log == sequential_log
+        assert [m.split()[1] for m in batched_log] == ["3", "3", "9"]
 
 
 def value_iteration_greedy(mdp, iters=5_000):
@@ -571,7 +629,35 @@ def constant_gaussian_policy(mean_value, state_dim=2, action_dim=1):
     return policy
 
 
+def per_state_policy_kl(policy, expert_policy, mdp, n_eval_states, seed=0, episode_len=50):
+    """The tabular evaluate_policy_kl as a loop over the visited states, one
+    KL row at a time; the reference the row-wise form must equal bit for bit."""
+    def mean_kl(pol):
+        states = imitation._rollout_states(pol, mdp, n_eval_states, seed, episode_len)
+        P, logP, logE = pol.probs(), pol.log_probs(), expert_policy.log_probs()
+        vals = []
+        for s in states:
+            row = P[s]
+            vals.append(float(np.sum(np.where(row > 0, row * (logP[s] - logE[s]), 0.0))))
+        return float(np.mean(vals))
+
+    return mean_kl(policy) / mean_kl(SoftmaxPolicy.uniform(mdp.n_states, mdp.n_actions))
+
+
 class TestEvaluatePolicyKl:
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_tabular_kl_equals_the_per_state_loop(self, seed):
+        mdp = get_env("grid-5x5", 0.9).mdp
+        rng = np.random.default_rng(seed)
+        logits = rng.normal(size=(mdp.n_states, mdp.n_actions))
+        logits[rng.random(logits.shape) < 0.4] = -800.0   # probability exactly 0
+        logits[:, 0] = 0.0
+        policy = SoftmaxPolicy(logits)
+        assert (policy.probs() == 0).any()
+        expert = soft_optimal_policy(mdp, 0.05)
+        got = evaluate_policy_kl(policy, expert, mdp, 150, seed=seed, episode_len=30)
+        assert got == per_state_policy_kl(policy, expert, mdp, 150, seed=seed, episode_len=30)
+
     def test_expert_against_itself_is_zero(self):
         mdp = build_chain(4, gamma=0.9)
         expert = soft_optimal_policy(mdp, 0.05)
