@@ -16,6 +16,8 @@ actor-critic and every value-only network call run on the layer tape
 instead: ``Mlp.forward_tape`` keeps each layer's activation as an array and
 ``Mlp.backward_tape`` applies ``dense``'s VJPs to it. The tape builds no
 ``Node`` and gives the same bytes as ``Mlp.forward`` and ``backward``.
+``MlpStack`` runs the tape of several same-width networks at once, as
+stacked arrays.
 """
 from __future__ import annotations
 
@@ -252,6 +254,11 @@ def spectral_normalize(weight: Array, n_power_iterations: int, u: Array | None =
     return W / max(sigma, 1e-12), sigma, u
 
 
+def param_count(widths: list[int]) -> int:
+    """Length of ``Mlp.flat`` for a network of these widths."""
+    return sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(widths[:-1], widths[1:]))
+
+
 @dataclass
 class Layer:
     weight: Array            # (out, in)
@@ -273,17 +280,28 @@ class Mlp:
     layer's (masked) weight is divided by a power-iteration estimate of its
     top singular value; the estimate is refreshed once per optimizer step
     (plus a warm start at construction).
+
+    ``flat`` may supply the storage: a float64 vector of
+    ``param_count(widths)`` entries, which becomes ``self.flat`` and is
+    overwritten with the initial parameters. Its owner can then update the
+    network together with other arrays that share its buffer.
     """
 
     def __init__(self, widths: list[int], seed: int = 0, spectral_norm: bool = False,
-                 masks: list[Array] | None = None):
+                 masks: list[Array] | None = None, flat: Array | None = None):
         if len(widths) < 2:
             raise ValueError("need at least input and output widths")
         self.widths = list(widths)
         self.spectral_norm = spectral_norm
         rng = np.random.default_rng(seed)
         pairs = list(zip(widths[:-1], widths[1:]))
-        self.flat = np.zeros(sum(fan_out * (fan_in + 1) for fan_in, fan_out in pairs))
+        if flat is None:
+            flat = np.zeros(param_count(widths))
+        elif flat.shape != (param_count(widths),) or flat.dtype != np.float64:
+            raise ValueError(f"flat storage must be float64 of shape {(param_count(widths),)}")
+        else:
+            flat[...] = 0.0
+        self.flat = flat
         self.layers: list[Layer] = []
         start = 0
         for i, (fan_in, fan_out) in enumerate(pairs):
@@ -382,17 +400,17 @@ class Mlp:
         tape = [h]
         n = len(self.layers)
         for i in range(n):
-            z = h @ self.weight(i).T + self.layers[i].bias
-            h = np.tanh(z) if i < n - 1 else z
+            h = h @ self.weight(i).T
+            h += self.layers[i].bias
+            if i < n - 1:
+                np.tanh(h, out=h)
             tape.append(h)
         return tape
 
-    def backward_tape(self, tape: list[Array], g: Array, input_grad: bool = False):
-        """Gradient of ``sum(g * output)`` for the ``forward_tape`` result
-        ``tape``, with the parameters unchanged since it was taken.
-
-        Returns ``(flat_grad, x_grad)``: the gradient of ``flat`` (in its
-        layout) and, when ``input_grad`` is set, of the input (else None).
+    def backward_tape(self, tape: list[Array], g: Array) -> Array:
+        """Gradient of ``flat`` (in its layout) of ``sum(g * output)`` for the
+        ``forward_tape`` result ``tape``, with the parameters unchanged since
+        it was taken; no input gradient is formed (see ``MlpStack.input_grad``).
         Each step is the VJP that ``dense`` and the mask and spectral-norm
         ``mul`` nodes apply, so the result is byte-identical to ``backward``
         on the ``forward`` graph.
@@ -409,13 +427,82 @@ class Mlp:
                 gW = gW * layer.mask
             grads[2 * i] = gW.reshape(-1)
             grads[2 * i + 1] = _unbroadcast(local, layer.bias.shape)
-            if i > 0 or input_grad:
+            if i > 0:
                 g = local @ self.weight(i)
-        return np.concatenate(grads), (g if input_grad else None)
+        return np.concatenate(grads)
 
     def __call__(self, x) -> Array:
         """The network's output for ``x``, as an array (no graph)."""
         return self.forward_tape(x)[-1]
+
+
+class MlpStack:
+    """k plain ``Mlp``s of the same widths, run as one stacked network.
+
+    ``flat`` is one ``(k, n)`` array whose rows are the nets' ``flat``
+    vectors, so ``nets[j].flat`` and its layer weights and biases are views
+    into it, and one optimizer step or one in-place op updates all k nets.
+    Passes take and give ``(k, batch, width)`` arrays. numpy runs a stacked
+    matmul as one product per slice, so slice j of every pass is
+    byte-identical to the same step of ``nets[j].forward_tape`` or
+    ``backward_tape``.
+    """
+
+    def __init__(self, widths: list[int], seeds: tuple):
+        self.flat = np.zeros((len(seeds), param_count(widths)))
+        self.nets = [Mlp(widths, seed=seed, flat=row) for seed, row in zip(seeds, self.flat)]
+        self.weights, self.biases = self._layer_views(self.flat)
+
+    def _layer_views(self, flat: Array) -> tuple[list[Array], list[Array]]:
+        """Per-layer views of a ``(k, n)`` array in ``flat``'s layout: the
+        ``(k, out, in)`` weights and the ``(k, 1, out)`` biases."""
+        k, widths = len(flat), self.nets[0].widths
+        weights, biases, start = [], [], 0
+        for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+            weights.append(flat[:, start:start + fan_out * fan_in].reshape(k, fan_out, fan_in))
+            start += fan_out * fan_in
+            biases.append(flat[:, None, start:start + fan_out])
+            start += fan_out
+        return weights, biases
+
+    def forward_tape(self, x: Array) -> list[Array]:
+        """The stacked layer tape of a ``(k, batch, in)`` input: slice j is
+        ``nets[j].forward_tape(x[j])``."""
+        if x.ndim != 3 or x.shape[0] != len(self.flat) or x.shape[2] != self.nets[0].widths[0]:
+            raise ValueError(f"input shape {x.shape} != ({len(self.flat)}, batch, "
+                             f"{self.nets[0].widths[0]})")
+        tape, h, n = [x], x, len(self.weights)
+        for i in range(n):
+            h = h @ self.weights[i].transpose(0, 2, 1)
+            h += self.biases[i]
+            if i < n - 1:
+                np.tanh(h, out=h)
+            tape.append(h)
+        return tape
+
+    def param_grad(self, tape: list[Array], g: Array) -> Array:
+        """Gradient of ``flat``, as a ``(k, n)`` array, of ``sum(g * output)``
+        for the ``forward_tape`` result ``tape``: row j is
+        ``nets[j].backward_tape(tape_j, g[j])``. No input gradient."""
+        grad = np.empty_like(self.flat)
+        g_weights, g_biases = self._layer_views(grad)
+        for i in reversed(range(len(self.weights))):
+            h, z = tape[i], tape[i + 1]
+            local = g * (1.0 - z ** 2) if i < len(self.weights) - 1 else g
+            g_weights[i][...] = (h.transpose(0, 2, 1) @ local).transpose(0, 2, 1)
+            g_biases[i][...] = local.sum(axis=1, keepdims=True)
+            if i > 0:
+                g = local @ self.weights[i]
+        return grad
+
+    def input_grad(self, tape: list[Array], g: Array) -> Array:
+        """Gradient of the ``(k, batch, in)`` input, with no parameter
+        gradient: slice j is the input gradient ``backward`` gives on
+        ``nets[j].forward``'s graph, by ``dense``'s input VJP."""
+        for i in reversed(range(len(self.weights))):
+            local = g * (1.0 - tape[i + 1] ** 2) if i < len(self.weights) - 1 else g
+            g = local @ self.weights[i]
+        return g
 
 
 def transpose(a) -> Node:

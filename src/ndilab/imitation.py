@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import AdamState, Mlp, adam_step
+from .autodiff import AdamState, MlpStack, adam_step
 from .mdp import GaussianPolicy, SoftmaxPolicy, TabularMdp, sample_trajectory
 from .occupancy import occupancy_measure, truncation_horizon
 
@@ -283,10 +283,25 @@ class SacConfig:
     seed: int = 0
 
 
+def _twin_input(s: Array, a: Array) -> Array:
+    """The ``(2, B, ds + da)`` input of a stacked Q pair: the rows [s, a],
+    written once per net (a 2-D input broadcast by matmul runs slower)."""
+    ds = s.shape[1]
+    x = np.empty((2, len(s), ds + a.shape[1]))
+    x[:, :, :ds] = s
+    x[:, :, ds:] = a
+    return x
+
+
 class SacLearner:
     """Twin-Q soft actor-critic with the temperature tuned toward entropy
     -action_dim, stored actions clipped to +-ACTION_BOUND, BOUND_PENALTY times
-    the policy's squared excess beyond it, and Polyak rate POLYAK."""
+    the policy's squared excess beyond it, and Polyak rate POLYAK.
+
+    The twin Q nets are one ``MlpStack`` (``q``; ``q1`` and ``q2`` are its
+    nets, views into ``q.flat``), and so are their targets (``q_target``),
+    so each Q pass, Adam step and Polyak update covers both nets at once.
+    """
 
     def __init__(self, state_dim: int, action_dim: int, config: SacConfig):
         self.config = config
@@ -294,19 +309,18 @@ class SacLearner:
         self.action_dim = action_dim
         self.policy = GaussianPolicy(state_dim, action_dim, hidden=config.hidden,
                                      seed=config.seed)
-        self.q1 = Mlp([state_dim + action_dim, *config.hidden, 1], seed=config.seed + 1)
-        self.q2 = Mlp([state_dim + action_dim, *config.hidden, 1], seed=config.seed + 2)
-        self.q1_target = Mlp([state_dim + action_dim, *config.hidden, 1], seed=config.seed + 1)
-        self.q2_target = Mlp([state_dim + action_dim, *config.hidden, 1], seed=config.seed + 2)
+        widths = [state_dim + action_dim, *config.hidden, 1]
+        seeds = (config.seed + 1, config.seed + 2)
+        self.q, self.q_target = MlpStack(widths, seeds), MlpStack(widths, seeds)
+        self.q1, self.q2 = self.q.nets
+        self.q1_target, self.q2_target = self.q_target.nets
         self.log_alpha = np.array([math.log(0.2)])
         self.target_entropy = -float(action_dim)
         # one row per transition: s, a, r, s2, done
         self.buffer = Ring(config.buffer_capacity, (2 * state_dim + action_dim + 2,))
         self.rng = np.random.default_rng(config.seed)
-        self.opt_q1 = AdamState(lr=config.lr)
-        self.opt_q2 = AdamState(lr=config.lr)
-        self.opt_pi = AdamState(lr=config.lr)
-        self.opt_log_std = AdamState(lr=config.lr)
+        self.opt_q = AdamState(lr=config.lr)       # both Q nets, on q.flat
+        self.opt_pi = AdamState(lr=config.lr)      # mean net and log-std, on policy.flat
         self.opt_alpha = AdamState(lr=config.lr_alpha)
 
     def add_transition(self, s, a, r, s2, done: bool) -> None:
@@ -343,8 +357,8 @@ class SacLearner:
         eps2 = self.rng.standard_normal((B, da))
         A2 = mu2 + std * eps2
         logp2 = (-0.5 * eps2 ** 2 - log_std_c - 0.5 * math.log(2 * math.pi)).sum(axis=1)
-        x2 = np.concatenate([S2, A2], axis=1)
-        q_min = np.minimum(self.q1_target(x2)[:, 0], self.q2_target(x2)[:, 0])
+        q_next = self.q_target.forward_tape(_twin_input(S2, A2))[-1]
+        q_min = np.minimum(q_next[0, :, 0], q_next[1, :, 0])
         y = R + cfg.gamma * (1.0 - D) * (q_min - alpha * logp2)
 
         # Both losses and their gradients are written out on arrays (no
@@ -352,27 +366,25 @@ class SacLearner:
         # (the a_new gradient), is the one backward() evaluates on the same
         # losses built as a graph, so the update is byte-identical to it;
         # graph_step in tests/test_imitation.py is that reference.
-        x = np.concatenate([S, A], axis=1)
+        tape = self.q.forward_tape(_twin_input(S, A))
+        diff = tape[-1] - y[:, None]
+        sq = diff ** 2
         losses = {}
-        for name, net, opt in (("q1", self.q1, self.opt_q1), ("q2", self.q2, self.opt_q2)):
-            tape = net.forward_tape(x)
-            diff = tape[-1] - y[:, None]
-            loss = float((diff ** 2).sum() * (1.0 / B))   # nmean of the squared error
-            if not np.isfinite(loss):
+        for k, name in enumerate(("q1", "q2")):
+            losses[name] = float(sq[k].sum() * (1.0 / B))   # nmean of the squared error
+            if not np.isfinite(losses[name]):
                 raise FloatingPointError(f"non-finite {name} loss")
-            grad, _ = net.backward_tape(tape, (1.0 / B) * 2.0 * diff)
-            adam_step(opt, net.flat, grad)
-            losses[name] = loss
+        adam_step(self.opt_q, self.q.flat, self.q.param_grad(tape, (1.0 / B) * 2.0 * diff))
 
         # policy: maximize min Q(s, a~) - alpha log pi(a~|s) with reparameterized a~
         eps = self.rng.standard_normal((B, da))
         mean_tape = self.policy.mean_net.forward_tape(S)
         a_new = mean_tape[-1] + std * eps
         logp = (eps ** 2 * -0.5 - (log_std_c + 0.5 * math.log(2 * math.pi))).sum(axis=1)
-        xa = np.concatenate([S, a_new], axis=1)
-        tape1, tape2 = self.q1.forward_tape(xa), self.q2.forward_tape(xa)
-        take1 = (tape1[-1] <= tape2[-1]).astype(np.float64)   # ties take q1
-        qmin = np.minimum(tape1[-1], tape2[-1])
+        q_tape = self.q.forward_tape(_twin_input(S, a_new))
+        q1, q2 = q_tape[-1]
+        take1 = (q1 <= q2).astype(np.float64)   # ties take q1
+        qmin = np.minimum(q1, q2)
         pi_loss = (logp * alpha - qmin.reshape((B,))).sum() * (1.0 / B)
         a_clipped = np.clip(a_new, -ACTION_BOUND, ACTION_BOUND)
         overflow = a_new - a_clipped
@@ -381,19 +393,17 @@ class SacLearner:
             raise FloatingPointError("non-finite policy loss")
 
         g_q = -(1.0 / B)   # d pi_loss / d qmin, per row
-        _, gx1 = self.q1.backward_tape(tape1, g_q * take1, input_grad=True)
-        _, gx2 = self.q2.backward_tape(tape2, g_q * (1.0 - take1), input_grad=True)
+        gx = self.q.input_grad(q_tape, np.stack([g_q * take1, g_q * (1.0 - take1)]))
         g_over = BOUND_PENALTY * (1.0 / B) * 2.0 * overflow
         # a clamp passes gradient only where its input lies inside the bounds
-        g_a = ((gx1 + gx2)[:, ds:] + g_over) + (-g_over) * (a_clipped == a_new)
-        mean_grad, _ = self.policy.mean_net.backward_tape(mean_tape, g_a)
+        g_a = ((gx[0] + gx[1])[:, ds:] + g_over) + (-g_over) * (a_clipped == a_new)
+        mean_grad = self.policy.mean_net.backward_tape(mean_tape, g_a)
         # log_std reaches the loss through std * eps and through logp (whose
         # per-row gradient alpha / B is broadcast over the action columns)
         g_logp = np.full((B, da), (1.0 / B) * alpha)
         g_log_std = (g_a * eps).sum(axis=0) * std + (-g_logp).sum(axis=0)
         g_log_std = g_log_std * (log_std_c == log_std)
-        adam_step(self.opt_pi, self.policy.mean_net.flat, mean_grad)
-        adam_step(self.opt_log_std, log_std, g_log_std)
+        adam_step(self.opt_pi, self.policy.flat, np.concatenate([mean_grad, g_log_std]))
         losses["pi"] = float(pi_loss)
 
         # temperature: alpha <- alpha - lr d/dlog_alpha [-log_alpha (logp + target)]
@@ -401,10 +411,9 @@ class SacLearner:
         adam_step(self.opt_alpha, self.log_alpha, alpha_grad)
         losses["alpha"] = self.alpha
 
-        # Polyak averaging of the targets
-        for net, target in ((self.q1, self.q1_target), (self.q2, self.q2_target)):
-            target.flat *= (1.0 - POLYAK)
-            target.flat += POLYAK * net.flat
+        # Polyak averaging of both targets
+        self.q_target.flat *= (1.0 - POLYAK)
+        self.q_target.flat += POLYAK * self.q.flat
         return losses
 
 
@@ -431,38 +440,56 @@ def _gaussian_kl(mu0, log_std0, mu1, log_std1) -> float:
     return float(np.sum(log_std1 - log_std0 + (v0 + (mu0 - mu1) ** 2) / (2 * v1) - 0.5))
 
 
-def evaluate_policy_kl(policy, expert_policy, mdp_or_env, n_eval_states: int = 200,
-                       seed: int = 0, episode_len: int = 50) -> float:
-    """E_{s~pi}[KL(pi(.|s) || pi_E(.|s))] normalized by the same quantity for
-    a random policy; discrete KL exact, Gaussian KL analytic."""
+def _mean_policy_kl(policy, expert_policy, mdp_or_env, n_eval_states: int, seed: int,
+                    episode_len: int) -> float:
+    """E_{s~pi}[KL(pi(.|s) || pi_E(.|s))] over the first ``n_eval_states``
+    states ``policy`` visits; discrete KL exact, Gaussian KL analytic."""
+    if n_eval_states < 1:
+        raise ValueError("n_eval_states must be >= 1")
+    states = _rollout_states(policy, mdp_or_env, n_eval_states, seed, episode_len)
     if isinstance(mdp_or_env, TabularMdp):
-        mdp = mdp_or_env
-        random_policy = SoftmaxPolicy.uniform(mdp.n_states, mdp.n_actions)
+        P = policy.probs()[states]
+        log_ratio = (policy.log_probs() - expert_policy.log_probs())[states]
+        return float(np.mean(np.where(P > 0, P * log_ratio, 0.0).sum(axis=1)))
+    return float(np.mean([_gaussian_kl(policy.mean(s), policy.clamped_log_std(),
+                                       expert_policy.mean(s), expert_policy.clamped_log_std())
+                          for s in states]))
 
-        def mean_kl(pol):
-            states = _rollout_states(pol, mdp, n_eval_states, seed, episode_len)
-            P = pol.probs()[states]
-            log_ratio = (pol.log_probs() - expert_policy.log_probs())[states]
-            return float(np.mean(np.where(P > 0, P * log_ratio, 0.0).sum(axis=1)))
+
+def policy_kl_baseline(expert_policy, mdp_or_env, n_eval_states: int = 200,
+                       seed: int = 0, episode_len: int = 50) -> float:
+    """The denominator of ``evaluate_policy_kl``: the mean KL of a random
+    policy (uniform actions; on a continuous env, zero mean and unit
+    variance) to the expert. It depends only on its arguments, so a run
+    that scores many policies with the same ones computes it once."""
+    if isinstance(mdp_or_env, TabularMdp):
+        random_policy = SoftmaxPolicy.uniform(mdp_or_env.n_states, mdp_or_env.n_actions)
     else:
-        env = mdp_or_env
-        random_policy = GaussianPolicy(env.state_dim, env.action_dim, hidden=(8,), seed=777)
-        for p in random_policy.mean_net.params():
-            p[...] = 0.0
-        random_policy.log_std[:] = 0.0
-
-        def mean_kl(pol):
-            states = _rollout_states(pol, env, n_eval_states, seed, episode_len)
-            vals = []
-            for s in states:
-                vals.append(_gaussian_kl(pol.mean(s), pol.clamped_log_std(),
-                                         expert_policy.mean(s), expert_policy.clamped_log_std()))
-            return float(np.mean(vals))
-
-    denom = mean_kl(random_policy)
+        random_policy = GaussianPolicy(mdp_or_env.state_dim, mdp_or_env.action_dim,
+                                       hidden=(8,), seed=777)
+        random_policy.flat[...] = 0.0
+    denom = _mean_policy_kl(random_policy, expert_policy, mdp_or_env, n_eval_states, seed,
+                            episode_len)
     if denom == 0:
         raise ZeroDivisionError("random-policy KL baseline is zero")
-    return mean_kl(policy) / denom
+    return denom
+
+
+def evaluate_policy_kl(policy, expert_policy, mdp_or_env, n_eval_states: int = 200,
+                       seed: int = 0, episode_len: int = 50,
+                       baseline: float | None = None) -> float:
+    """E_{s~pi}[KL(pi(.|s) || pi_E(.|s))] normalized by the same quantity for
+    a random policy; discrete KL exact, Gaussian KL analytic.
+
+    ``baseline`` is that denominator when already computed by
+    ``policy_kl_baseline`` with the same expert, env, n_eval_states, seed
+    and episode_len; by default it is computed here.
+    """
+    if baseline is None:
+        baseline = policy_kl_baseline(expert_policy, mdp_or_env, n_eval_states, seed,
+                                      episode_len)
+    return _mean_policy_kl(policy, expert_policy, mdp_or_env, n_eval_states, seed,
+                           episode_len) / baseline
 
 
 def evaluate_return(policy, mdp_or_env, n_episodes: int = 20, seed: int = 0,

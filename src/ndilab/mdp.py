@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Mlp
+from .autodiff import Mlp, param_count
 
 Array = np.ndarray
 
@@ -118,13 +118,20 @@ class GaussianPolicy:
 
     The mean comes from an MLP; the log standard deviation is a free
     per-dimension parameter clamped to [-5, 2] so entropy terms stay finite.
+    Both live in one vector ``flat``: ``mean_net.flat`` is a view of its
+    head and ``log_std`` of its last ``action_dim`` entries, so one
+    optimizer call updates the whole policy.
     """
 
     def __init__(self, state_dim: int, action_dim: int, hidden: tuple = (64, 64), seed: int = 0):
         self.state_dim = state_dim
         self.action_dim = action_dim
-        self.mean_net = Mlp([state_dim, *hidden, action_dim], seed=seed)
-        self.log_std = np.full(action_dim, -0.5)
+        widths = [state_dim, *hidden, action_dim]
+        n = param_count(widths)
+        self.flat = np.empty(n + action_dim)
+        self.mean_net = Mlp(widths, seed=seed, flat=self.flat[:n])
+        self.log_std = self.flat[n:]
+        self.log_std[:] = -0.5
 
     def clamped_log_std(self) -> Array:
         return np.clip(self.log_std, LOG_STD_MIN, LOG_STD_MAX)

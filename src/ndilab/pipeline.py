@@ -53,6 +53,7 @@ from .imitation import (
     evaluate_return,
     exact_discounted_return,
     nwj_reward,
+    policy_kl_baseline,
     reward_f,
     soft_policy_iteration,
 )
@@ -288,6 +289,11 @@ def _train_continuous(config: ExperimentConfig, bundle: ContinuousEnvBundle, den
     rows = []
     best = None
     episode_len = env.spec.episode_len
+    # every evaluation scores the policy on the same state count and seed,
+    # so the random-policy KL it is normalized by is one number per run
+    n_kl_states = max(1, config.n_eval_states // 4)
+    kl_baseline = policy_kl_baseline(expert, env, n_kl_states, seed=config.seed,
+                                     episode_len=episode_len)
     env_steps = 0
     t0 = time.time()
     warmup = min(500, config.sac_steps // 4)
@@ -320,8 +326,8 @@ def _train_continuous(config: ExperimentConfig, bundle: ContinuousEnvBundle, den
             env_mean, _, aug_mean = evaluate_return(
                 sac.policy, env, n_episodes=max(2, config.eval_episodes // 4),
                 seed=config.seed + env_steps, reward_fn=augmented)
-            norm_kl = evaluate_policy_kl(sac.policy, expert, env, config.n_eval_states // 4,
-                                         seed=config.seed, episode_len=episode_len)
+            norm_kl = evaluate_policy_kl(sac.policy, expert, env, n_kl_states, seed=config.seed,
+                                         episode_len=episode_len, baseline=kl_baseline)
             rows.append((len(rows), env_steps, float(aug_mean), float(env_mean),
                          float(norm_kl), sac.alpha, time.time() - t0,
                          config.hash(), config.seed))
@@ -336,8 +342,7 @@ def _copy_gaussian(policy):
     widths = policy.mean_net.widths
     clone = GaussianPolicy(policy.state_dim, policy.action_dim,
                            hidden=tuple(widths[1:-1]))
-    clone.mean_net.set_params(policy.mean_net.params())
-    clone.log_std[...] = policy.log_std
+    clone.flat[...] = policy.flat
     return clone
 
 

@@ -6,11 +6,13 @@ from ndilab import autodiff as ad
 from ndilab.autodiff import (
     AdamState,
     Mlp,
+    MlpStack,
     Node,
     adam_step,
     backward,
     flat_grads,
     grad_check,
+    param_count,
     spectral_normalize,
 )
 from ndilab.density import MadeModel
@@ -91,14 +93,53 @@ class TestLayerTape:
         rng = np.random.default_rng(9)
         x = rng.normal(size=(rows, 4))
         upstream = rng.normal(size=(rows, net.widths[-1]))
-        params, x_node = [Node(p) for p in net.params()], Node(x)
-        backward(ad.nsum(ad.mul(net.forward(x_node, params), upstream)))
-        flat, x_grad = net.backward_tape(net.forward_tape(x), upstream, input_grad=True)
-        assert_same_bytes(flat, flat_grads(params))
-        assert_same_bytes(x_grad, x_node.grad)
-        flat_only, none = net.backward_tape(net.forward_tape(x), upstream)
-        assert none is None
-        assert_same_bytes(flat_only, flat)
+        params = [Node(p) for p in net.params()]
+        backward(ad.nsum(ad.mul(net.forward(x, params), upstream)))
+        assert_same_bytes(net.backward_tape(net.forward_tape(x), upstream), flat_grads(params))
+
+
+class TestMlpStack:
+    """Each slice of a stacked pass against the same pass on its own net, and
+    the input gradient against ``backward``: equal byte for byte."""
+
+    def test_nets_are_rows_of_one_array_and_match_lone_nets(self):
+        stack = MlpStack([4, 8, 8, 1], seeds=(3, 4))
+        assert stack.flat.shape == (2, param_count([4, 8, 8, 1]))
+        for row, (net, seed) in zip(stack.flat, zip(stack.nets, (3, 4))):
+            assert_same_bytes(net.flat, Mlp([4, 8, 8, 1], seed=seed).flat)
+            assert np.shares_memory(net.flat, stack.flat)
+            assert all(np.shares_memory(p, row) for p in net.params())
+        for views in (stack.weights, stack.biases):
+            assert all(np.shares_memory(v, stack.flat) for v in views)
+
+    @pytest.mark.parametrize("rows", [1, 47, 96])
+    def test_passes_equal_the_lone_net_tapes(self, rows):
+        stack = MlpStack([4, 32, 32, 1], seeds=(1, 2))
+        rng = np.random.default_rng(rows)
+        x = rng.normal(size=(2, rows, 4))
+        upstream = rng.normal(size=(2, rows, 1))
+        tape = stack.forward_tape(x)
+        flat_grad = stack.param_grad(tape, upstream)
+        x_grad = stack.input_grad(tape, upstream)
+        for j, net in enumerate(stack.nets):
+            lone = net.forward_tape(x[j])
+            for got, want in zip(tape, lone):
+                assert_same_bytes(got[j], want)
+            assert_same_bytes(flat_grad[j], net.backward_tape(lone, upstream[j]))
+            params, x_node = [Node(p) for p in net.params()], Node(x[j])
+            backward(ad.nsum(ad.mul(net.forward(x_node, params), upstream[j])))
+            assert_same_bytes(flat_grad[j], flat_grads(params))
+            assert_same_bytes(x_grad[j], x_node.grad)
+
+    def test_wrong_input_shape_rejected(self):
+        stack = MlpStack([4, 8, 1], seeds=(0, 1))
+        for x in (np.zeros((3, 4)), np.zeros((3, 5, 4)), np.zeros((2, 5, 3))):
+            with pytest.raises(ValueError, match="input shape"):
+                stack.forward_tape(x)
+
+    def test_supplied_storage_must_fit(self):
+        with pytest.raises(ValueError, match="flat storage"):
+            Mlp([3, 4, 1], flat=np.zeros(param_count([3, 4, 1]) + 1))
 
 
 class TestBackward:

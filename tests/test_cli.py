@@ -521,6 +521,9 @@ class TestContinuousPipeline:
         rows = len(result.metrics_path.read_text().splitlines()) - 1
         assert rows == 3
         assert calls.count("evaluate_return") == rows * max(2, cfg.eval_episodes // 4)
+        # the random-policy KL baseline is rolled once per run, the policy's
+        # KL states once per evaluation (one episode each at these sizes)
+        assert calls.count("_rollout_states") == 1 + rows
 
 
 class TestEvalCommand:
@@ -692,6 +695,21 @@ class TestCliFrontend:
         assert err.startswith("error: ") and "demos.csv" in err
         assert "(4, 2)" in err and "(2, 1)" in err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_pointmass_with_fewer_than_four_eval_states_scores_a_finite_kl(self, tmp_path):
+        # train scores n_eval_states // 4 states per evaluation, at least one
+        cfg = tmp_path / "pm.cfg"
+        cfg.write_text(f"env = pointmass\nseed = 0\nout_dir = {tmp_path / 'run'}\n"
+                       "n_demo_trajectories = 2\ndemo_len = 30\ndensity_kind = ebm\n"
+                       "density_epochs = 5\ndensity_batch = 32\nsac_steps = 200\n"
+                       "eval_every = 100\nsac_batch = 32\neval_episodes = 2\n"
+                       "n_marginal_samples = 8\nn_eval_states = 3\n")
+        for command in ("gen-demos", "fit-density", "train", "eval"):
+            assert main([command, "--config", str(cfg)]) == EXIT_OK
+        lines = (tmp_path / "run" / "metrics.csv").read_text().splitlines()
+        column = lines[0].split(",").index("normalized_kl")
+        kls = [float(line.split(",")[column]) for line in lines[1:]]
+        assert len(kls) == 2 and all(math.isfinite(kl) for kl in kls)
 
     def test_zero_eval_every_is_usage_error(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path, "eval_every = 0\n")

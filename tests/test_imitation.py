@@ -11,6 +11,7 @@ import pytest
 from ndilab import autodiff as ad
 from ndilab import imitation
 from ndilab.autodiff import Node, adam_step, backward, flat_grads
+from ndilab.checkpoint import load_gaussian_policy, save_gaussian_policy
 from ndilab.envs import PointMassEnv, PointMassSpec, build_chain, get_env, soft_optimal_policy
 from ndilab.imitation import (
     ACTION_BOUND,
@@ -413,8 +414,9 @@ def graph_step(learner):
     """``SacLearner.step`` with both losses built as autodiff graphs and
     differentiated by ``backward``: the reference for the array version.
 
-    Returns the losses, the gradients handed to each Adam update (q1, q2,
-    policy mean, log-std, log-alpha), and how many batch rows tie
+    Returns the losses, the gradients handed to each Adam update in the
+    learner's layout (both Q nets stacked as rows; the policy mean's flat
+    gradient then the log-std one; log-alpha), and how many batch rows tie
     (q1 == q2) or push the action past the bound.
     """
     S, A, R, S2, D = learner._batch()
@@ -431,14 +433,15 @@ def graph_step(learner):
     y = R + learner.config.gamma * (1.0 - D) * (q_min - learner.alpha * logp2)
 
     x = np.concatenate([S, A], axis=1)
-    losses, grads = {}, []
-    for name, net, opt in (("q1", learner.q1, learner.opt_q1), ("q2", learner.q2, learner.opt_q2)):
+    losses, q_grads = {}, []
+    for name, net in (("q1", learner.q1), ("q2", learner.q2)):
         params = [Node(p) for p in net.params()]
         loss = ad.nmean(ad.square(ad.sub(net.forward(x, params), y[:, None])))
         backward(loss)
-        grads.append(flat_grads(params))
-        adam_step(opt, net.flat, grads[-1])
+        q_grads.append(flat_grads(params))
         losses[name] = float(loss.value)
+    grads = [np.stack(q_grads)]
+    adam_step(learner.opt_q, learner.q.flat, grads[-1])
 
     mean_params = [Node(p) for p in learner.policy.mean_net.params()]
     log_std_base = Node(learner.policy.log_std)
@@ -456,9 +459,8 @@ def graph_step(learner):
     pi_loss = ad.add(pi_loss, ad.mul(ad.nmean(ad.nsum(ad.square(overflow), axis=1)),
                                      BOUND_PENALTY))
     backward(pi_loss)
-    grads += [flat_grads(mean_params), log_std_base.grad]
-    adam_step(learner.opt_pi, learner.policy.mean_net.flat, grads[-2])
-    adam_step(learner.opt_log_std, learner.policy.log_std, grads[-1])
+    grads.append(np.concatenate([flat_grads(mean_params), log_std_base.grad]))
+    adam_step(learner.opt_pi, learner.policy.flat, grads[-1])
     losses["pi"] = float(pi_loss.value)
 
     grads.append(np.array([-(logp_node.value.mean() + learner.target_entropy)]))
@@ -489,7 +491,7 @@ def tape_fixture() -> SacLearner:
         learner.add_transition(s, rng.normal(size=2), rng.normal(), s2, done=k % 7 == 0)
     learner.q2.flat[...] = learner.q1.flat
     learner.q2.layers[0].weight[:, 0] += 0.5
-    learner.opt_q1.lr = learner.opt_q2.lr = 0.0
+    learner.opt_q.lr = 0.0
     learner.policy.log_std[:] = [2.5, -0.5]
     learner.policy.mean_net.layers[-1].bias[:] = [0.0, 0.8]
     return learner
@@ -497,7 +499,8 @@ def tape_fixture() -> SacLearner:
 
 def learner_arrays(learner: SacLearner) -> list:
     return [learner.q1.flat, learner.q2.flat, learner.q1_target.flat, learner.q2_target.flat,
-            learner.policy.mean_net.flat, learner.policy.log_std, learner.log_alpha]
+            learner.policy.mean_net.flat, learner.policy.log_std, learner.log_alpha,
+            learner.q.flat, learner.q_target.flat, learner.policy.flat]
 
 
 class TestSacLearner:
@@ -520,25 +523,66 @@ class TestSacLearner:
             np.testing.assert_array_equal(b, a)
 
     def test_step_is_bit_equal_to_the_graph_step(self, monkeypatch):
-        reference = tape_fixture()
-        want_losses, want_grads, ties, out_of_bound = graph_step(reference)
-        assert 0 < ties < reference.config.batch_size
-        assert 0 < out_of_bound < reference.config.batch_size
-
-        learner, got_grads = tape_fixture(), []
+        reference, learner, got_grads = tape_fixture(), tape_fixture(), []
 
         def recording_adam_step(state, param, grad):
             got_grads.append(grad.copy())
             adam_step(state, param, grad)
 
         monkeypatch.setattr(imitation, "adam_step", recording_adam_step)
+        for _ in range(4):   # later steps start from moved weights and Adam moments
+            want_losses, want_grads, ties, out_of_bound = graph_step(reference)
+            assert 0 < ties < reference.config.batch_size
+            assert 0 < out_of_bound < reference.config.batch_size
+            got_grads.clear()
+            assert learner.step() == want_losses
+            assert len(got_grads) == len(want_grads) == 3
+            for got, want in zip(got_grads, want_grads):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            for got, want in zip(learner_arrays(learner), learner_arrays(reference)):
+                assert got.tobytes() == want.tobytes()
+            assert learner.rng.bit_generator.state == reference.rng.bit_generator.state
+
+    def test_nets_are_views_of_the_stacked_arrays(self):
+        learner = tape_fixture()
+        stacked = {"q": learner.q.flat, "q_target": learner.q_target.flat,
+                   "policy": learner.policy.flat}
+        views = [("q", learner.q1), ("q", learner.q2), ("q_target", learner.q1_target),
+                 ("q_target", learner.q2_target), ("policy", learner.policy.mean_net)]
+        for owner, net in views:
+            for array in [net.flat, *net.params()]:
+                assert array.base is not None and np.shares_memory(array, stacked[owner])
+        assert np.shares_memory(learner.policy.log_std, learner.policy.flat)
+        # in-place writes through every view land in the arrays the step
+        # reads, so the step still equals the graph reference, which reads
+        # each net through its own layers
+        reference = tape_fixture()
+        for other in (learner, reference):
+            other.q1.layers[1].weight[0] += 0.25
+            other.q2.flat[-1] -= 0.5
+            other.q1_target.layers[0].bias[:] = 0.1
+            other.q2_target.flat[:3] *= 2.0
+            other.policy.mean_net.layers[0].weight[:, 1] = 0.3
+            other.policy.log_std[1] = -1.0
+        assert learner.q.flat[1, -1] == tape_fixture().q.flat[1, -1] - 0.5
+        assert learner.policy.flat[-1] == -1.0
+        want_losses = graph_step(reference)[0]
         assert learner.step() == want_losses
-        assert len(got_grads) == len(want_grads)
-        for got, want in zip(got_grads, want_grads):
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
         for got, want in zip(learner_arrays(learner), learner_arrays(reference)):
             assert got.tobytes() == want.tobytes()
-        assert learner.rng.bit_generator.state == reference.rng.bit_generator.state
+
+    def test_trained_policy_survives_a_checkpoint_round_trip(self, tmp_path):
+        learner = tape_fixture()
+        for _ in range(3):
+            learner.step()
+        save_gaussian_policy(tmp_path / "policy.ckpt", learner.policy)
+        loaded, header = load_gaussian_policy(tmp_path / "policy.ckpt")
+        assert (header["state_dim"], header["action_dim"]) == (2, 2)
+        assert loaded.flat.tobytes() == learner.policy.flat.tobytes()
+        assert loaded.mean_net.widths == learner.policy.mean_net.widths
+        assert np.shares_memory(loaded.log_std, loaded.flat)
+        states = np.random.default_rng(3).normal(size=(5, 2))
+        assert loaded.mean_net(states).tobytes() == learner.policy.mean_net(states).tobytes()
 
     def test_step_builds_no_graph(self, monkeypatch):
         learner, nodes = tape_fixture(), []
@@ -668,6 +712,32 @@ class TestEvaluatePolicyKl:
         expert = soft_optimal_policy(mdp, 0.05)
         random_policy = SoftmaxPolicy.uniform(4, 2)
         assert evaluate_policy_kl(random_policy, expert, mdp, 200, seed=1) == pytest.approx(1.0)
+
+    def test_no_eval_states_rejected(self):
+        env = PointMassEnv(PointMassSpec(episode_len=20))
+        policy = constant_gaussian_policy(0.0, env.state_dim, env.action_dim)
+        mdp = build_chain(4, gamma=0.9)
+        for args in ((policy, policy, env), (SoftmaxPolicy.uniform(4, 2),
+                                             soft_optimal_policy(mdp, 0.05), mdp)):
+            for n in (0, -1):
+                with pytest.raises(ValueError, match="n_eval_states"):
+                    evaluate_policy_kl(*args, n)
+
+    @pytest.mark.parametrize("tabular", [True, False], ids=["tabular", "gaussian"])
+    def test_precomputed_baseline_gives_the_same_bytes(self, tabular):
+        if tabular:
+            env = build_chain(4, gamma=0.9)
+            expert = soft_optimal_policy(env, 0.05)
+            policy = SoftmaxPolicy(np.random.default_rng(2).normal(size=(4, 2)))
+        else:
+            env = PointMassEnv(PointMassSpec(episode_len=20))
+            expert = constant_gaussian_policy(1.0, env.state_dim, env.action_dim)
+            policy = GaussianPolicy(env.state_dim, env.action_dim, hidden=(4,), seed=1)
+        baseline = imitation.policy_kl_baseline(expert, env, 30, seed=4, episode_len=20)
+        want = evaluate_policy_kl(policy, expert, env, 30, seed=4, episode_len=20)
+        got = evaluate_policy_kl(policy, expert, env, 30, seed=4, episode_len=20,
+                                 baseline=baseline)
+        assert got == want
 
     def test_gaussian_pair_analytic_kl(self):
         env = PointMassEnv(PointMassSpec(episode_len=20))
