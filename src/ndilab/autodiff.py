@@ -1,23 +1,17 @@
-"""Reverse-mode automatic differentiation on numpy arrays, MLPs, spectral
-normalization, and an adaptive-moment optimizer.
+"""Dense tanh networks on numpy arrays: the layer tape, its parameter
+gradient, spectral normalization, and an adaptive-moment optimizer.
 
-The engine is deliberately small: it supports exactly the operations that
-the density models need (matmul, broadcasted add/sub/mul, tanh/exp/square,
-clamping, reductions, log-sum-exp, slicing, reshaping), plus one fused
-``dense`` node, ``tanh(h @ W.T + b)``, that every network layer uses. Ops
-are called by name (``add(a, b)``, not ``a + b``); slicing a ``Node`` with
-``[...]`` is the only operator it defines. Each ``Mlp`` keeps all its
-parameters in one flat vector (``Mlp.flat``); the per-layer weights and
-biases are views into it, so an optimizer updates a whole network in one
-call. Values and gradients are float64 numpy arrays throughout.
-
-Density fitting (score matching, MADE likelihood) runs on the graph. Soft
-actor-critic and every value-only network call run on the layer tape
-instead: ``Mlp.forward_tape`` keeps each layer's activation as an array and
-``Mlp.backward_tape`` applies ``dense``'s VJPs to it. The tape builds no
-``Node`` and gives the same bytes as ``Mlp.forward`` and ``backward``.
-``MlpStack`` runs the tape of several same-width networks at once, as
-stacked arrays.
+``Mlp.forward`` returns the layer tape: the input followed by every layer's
+activation. The module-level ``backward(net, tape, g)`` applies each layer's
+vector-Jacobian product to the tape and returns the gradient of the network's
+flat parameter vector. Each ``Mlp`` keeps all its parameters in one flat
+vector (``Mlp.flat``); the per-layer weights and biases are views into it, so
+an optimizer updates a whole network in one call. ``MlpStack`` runs the tape
+of several same-width networks at once, as stacked arrays. Losses (soft
+actor-critic, MADE likelihood, sliced score matching) are written out on
+arrays by their callers, which apply these products in a fixed order, so
+same-seed runs are byte-identical. Values and gradients are float64 numpy
+arrays throughout.
 """
 from __future__ import annotations
 
@@ -26,205 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 Array = np.ndarray
-
-
-class Node:
-    """One value in the computation graph.
-
-    ``parents`` holds ``(node, vjp)`` pairs where ``vjp`` maps the upstream
-    gradient to this parent's gradient contribution.
-    """
-
-    __slots__ = ("value", "grad", "parents")
-
-    def __init__(self, value, parents=()):
-        self.value = np.asarray(value, dtype=np.float64)
-        self.grad = None
-        self.parents = parents
-
-    def __getitem__(self, idx):
-        return getitem(self, idx)
-
-
-def as_node(x) -> Node:
-    return x if isinstance(x, Node) else Node(x)
-
-
-def _unbroadcast(grad: Array, shape: tuple) -> Array:
-    """Sum ``grad`` down to ``shape`` (inverse of numpy broadcasting)."""
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
-
-
-def add(a, b) -> Node:
-    a, b = as_node(a), as_node(b)
-    out = Node(a.value + b.value, (
-        (a, lambda g: _unbroadcast(g, a.value.shape)),
-        (b, lambda g: _unbroadcast(g, b.value.shape)),
-    ))
-    return out
-
-
-def sub(a, b) -> Node:
-    a, b = as_node(a), as_node(b)
-    return Node(a.value - b.value, (
-        (a, lambda g: _unbroadcast(g, a.value.shape)),
-        (b, lambda g: _unbroadcast(-g, b.value.shape)),
-    ))
-
-
-def mul(a, b) -> Node:
-    a, b = as_node(a), as_node(b)
-    return Node(a.value * b.value, (
-        (a, lambda g: _unbroadcast(g * b.value, a.value.shape)),
-        (b, lambda g: _unbroadcast(g * a.value, b.value.shape)),
-    ))
-
-
-def matmul(a, b) -> Node:
-    a, b = as_node(a), as_node(b)
-    return Node(a.value @ b.value, (
-        (a, lambda g: g @ b.value.T),
-        (b, lambda g: a.value.T @ g),
-    ))
-
-
-def tanh(a) -> Node:
-    a = as_node(a)
-    t = np.tanh(a.value)
-    return Node(t, ((a, lambda g: g * (1.0 - t ** 2)),))
-
-
-def exp(a) -> Node:
-    a = as_node(a)
-    e = np.exp(a.value)
-    return Node(e, ((a, lambda g: g * e),))
-
-
-def square(a) -> Node:
-    a = as_node(a)
-    return Node(a.value ** 2, ((a, lambda g: g * 2.0 * a.value),))
-
-
-def clip(a, lo: float, hi: float) -> Node:
-    """Hard clamp; gradient passes only where the input lies inside [lo, hi]."""
-    a = as_node(a)
-    gate = ((a.value >= lo) & (a.value <= hi)).astype(np.float64)
-    return Node(np.clip(a.value, lo, hi), ((a, lambda g: g * gate),))
-
-
-def nsum(a, axis=None) -> Node:
-    a = as_node(a)
-    val = a.value.sum(axis=axis)
-
-    def vjp(g):
-        gg = g if axis is None else np.expand_dims(g, axis)
-        return np.broadcast_to(gg, a.value.shape).copy()
-
-    return Node(val, ((a, vjp),))
-
-
-def nmean(a, axis=None) -> Node:
-    a = as_node(a)
-    n = a.value.size if axis is None else a.value.shape[axis]
-    return mul(nsum(a, axis=axis), 1.0 / n)
-
-
-def logsumexp(a, axis: int = -1) -> Node:
-    a = as_node(a)
-    m = a.value.max(axis=axis, keepdims=True)
-    s = np.exp(a.value - m).sum(axis=axis, keepdims=True)
-    val = np.squeeze(m + np.log(s), axis=axis)
-    soft = np.exp(a.value - m) / s
-
-    def vjp(g):
-        return np.expand_dims(g, axis) * soft
-
-    return Node(val, ((a, vjp),))
-
-
-def getitem(a, idx) -> Node:
-    a = as_node(a)
-
-    def vjp(g):
-        out = np.zeros_like(a.value)
-        np.add.at(out, idx, g)
-        return out
-
-    return Node(a.value[idx], ((a, vjp),))
-
-
-def reshape(a, shape) -> Node:
-    a = as_node(a)
-    return Node(a.value.reshape(shape), ((a, lambda g: g.reshape(a.value.shape)),))
-
-
-def dense(h, W, b, activate: bool = True) -> Node:
-    """One network layer, ``tanh(h @ W.T + b)`` (no tanh when ``activate`` is
-    false), as a single graph node with parents ``(h, W, b)``.
-
-    Value and gradients use the same expressions, in the same order, as the
-    ``add(matmul(h, transpose(W)), b)`` -> ``tanh`` chain, so they round
-    identically; the pre-activation gradient is computed once per backward
-    pass and shared by the three parents.
-    """
-    h, W, b = as_node(h), as_node(W), as_node(b)
-    z = h.value @ W.value.T + b.value
-    if activate:
-        z = np.tanh(z)
-    memo = [None, None]   # (upstream gradient, pre-activation gradient)
-
-    def local(g):
-        if memo[0] is not g:
-            memo[0], memo[1] = g, (g * (1.0 - z ** 2) if activate else g)
-        return memo[1]
-
-    return Node(z, (
-        (h, lambda g: local(g) @ W.value),
-        (W, lambda g: (h.value.T @ local(g)).T),
-        (b, lambda g: _unbroadcast(local(g), b.value.shape)),
-    ))
-
-
-def backward(output: Node) -> None:
-    """Accumulate gradients of a scalar output into every reachable node.
-
-    Visits each node exactly once, in reverse topological order. A node's
-    first gradient contribution is stored as is and later ones are added,
-    so a ``.grad`` may be the same array as another node's ``.grad`` (or a
-    view of it): never mutate a ``.grad`` in place.
-    """
-    if output.value.size != 1:
-        raise ValueError(f"backward requires a scalar output, got shape {output.value.shape}")
-    topo: list[Node] = []
-    seen: set[int] = set()
-    stack = [(output, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            topo.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for parent, _ in node.parents:
-            if id(parent) not in seen:
-                stack.append((parent, False))
-    for node in topo:
-        node.grad = None
-    output.grad = np.ones_like(output.value)
-    for node in reversed(topo):
-        for parent, vjp in node.parents:
-            contribution = vjp(node.grad)
-            parent.grad = contribution if parent.grad is None else parent.grad + contribution
 
 
 # ---------------------------------------------------------------------------
@@ -344,41 +139,9 @@ class Mlp:
             layer.sigma = max(sigma, 1e-12)
             layer.u = u
 
-    def effective_weight(self, i: int, weight: Node | None = None) -> Node:
-        """Layer ``i``'s weight as the forward pass uses it: masked, then
-        divided by the spectral-norm estimate. ``weight`` defaults to the
-        stored array wrapped as a constant."""
-        layer = self.layers[i]
-        W = Node(layer.weight) if weight is None else weight
-        if layer.mask is not None:
-            W = mul(W, layer.mask)
-        if self.spectral_norm:
-            W = mul(W, 1.0 / layer.sigma)
-        return W
-
-    def forward(self, x, params: list[Node] | None = None) -> Node:
-        """Run the network; ``x`` is (batch, in) or (in,).
-
-        ``params`` may supply Node-wrapped parameters so gradients reach them;
-        otherwise the raw arrays are wrapped as constants.
-        """
-        x = as_node(x)
-        if x.value.ndim == 1:
-            x = reshape(x, (1, -1))
-        if x.value.shape[1] != self.widths[0]:
-            raise ValueError(f"input width {x.value.shape[1]} != expected {self.widths[0]}")
-        if params is None:
-            params = [Node(p) for p in self.params()]
-        h = x
-        n = len(self.layers)
-        for i in range(n):
-            h = dense(h, self.effective_weight(i, params[2 * i]), params[2 * i + 1],
-                      activate=i < n - 1)
-        return h
-
     def weight(self, i: int) -> Array:
-        """Layer ``i``'s effective weight as an array, by the same products as
-        ``effective_weight``."""
+        """Layer ``i``'s effective weight as the forward pass uses it: masked,
+        then multiplied by the inverse spectral-norm estimate."""
         layer = self.layers[i]
         W = layer.weight
         if layer.mask is not None:
@@ -387,53 +150,66 @@ class Mlp:
             W = W * (1.0 / layer.sigma)
         return W
 
-    def forward_tape(self, x) -> list[Array]:
+    def weights(self) -> list[Array]:
+        """Every layer's effective weight."""
+        return [self.weight(i) for i in range(len(self.layers))]
+
+    def forward(self, x, weights: list[Array] | None = None) -> list[Array]:
         """The layer tape: the (batch, in) input followed by every layer's
-        activation, computed on arrays with ``dense``'s expressions, so each
-        entry is byte-identical to the value ``forward`` gives. ``x`` is
-        (batch, in) or (in,)."""
+        activation. ``x`` is (batch, in) or (in,). ``weights`` may supply
+        ``weights()``, so that a caller running several passes at one
+        parameter setting forms them once."""
         h = np.asarray(x, dtype=np.float64)
         if h.ndim == 1:
             h = h.reshape((1, -1))
         if h.shape[1] != self.widths[0]:
             raise ValueError(f"input width {h.shape[1]} != expected {self.widths[0]}")
+        if weights is None:
+            weights = self.weights()
         tape = [h]
         n = len(self.layers)
         for i in range(n):
-            h = h @ self.weight(i).T
+            h = h @ weights[i].T
             h += self.layers[i].bias
             if i < n - 1:
                 np.tanh(h, out=h)
             tape.append(h)
         return tape
 
-    def backward_tape(self, tape: list[Array], g: Array) -> Array:
-        """Gradient of ``flat`` (in its layout) of ``sum(g * output)`` for the
-        ``forward_tape`` result ``tape``, with the parameters unchanged since
-        it was taken; no input gradient is formed (see ``MlpStack.input_grad``).
-        Each step is the VJP that ``dense`` and the mask and spectral-norm
-        ``mul`` nodes apply, so the result is byte-identical to ``backward``
-        on the ``forward`` graph.
-        """
-        n = len(self.layers)
-        grads: list[Array] = [None] * (2 * n)
-        for i in reversed(range(n)):
-            layer, h, z = self.layers[i], tape[i], tape[i + 1]
-            local = g * (1.0 - z ** 2) if i < n - 1 else g
-            gW = (h.T @ local).T
-            if self.spectral_norm:
-                gW = gW * (1.0 / layer.sigma)
-            if layer.mask is not None:
-                gW = gW * layer.mask
-            grads[2 * i] = gW.reshape(-1)
-            grads[2 * i + 1] = _unbroadcast(local, layer.bias.shape)
-            if i > 0:
-                g = local @ self.weight(i)
-        return np.concatenate(grads)
+    def weight_vjp(self, i: int, g: Array) -> Array:
+        """The gradient of layer ``i``'s stored weight from a gradient ``g`` of
+        its effective weight: the spectral-norm factor, then the mask."""
+        layer = self.layers[i]
+        if self.spectral_norm:
+            g = g * (1.0 / layer.sigma)
+        if layer.mask is not None:
+            g = g * layer.mask
+        return g
 
     def __call__(self, x) -> Array:
-        """The network's output for ``x``, as an array (no graph)."""
-        return self.forward_tape(x)[-1]
+        """The network's output for ``x``."""
+        return self.forward(x)[-1]
+
+
+def backward(net: Mlp, tape: list[Array], g: Array) -> Array:
+    """Gradient of ``net.flat`` (in its layout) of ``sum(g * output)`` for the
+    ``net.forward`` result ``tape``, with the parameters unchanged since it
+    was taken. No input gradient is formed (see ``MlpStack.input_grad``).
+    Per layer: the pre-activation gradient ``g * (1 - z**2)`` (no factor on
+    the linear output layer), the weight gradient ``(h.T @ local).T`` through
+    ``weight_vjp``, the bias gradient summed over the batch, and
+    ``local @ W`` for the layer below.
+    """
+    n = len(net.layers)
+    grads: list[Array] = [None] * (2 * n)
+    for i in reversed(range(n)):
+        h, z = tape[i], tape[i + 1]
+        local = g * (1.0 - z ** 2) if i < n - 1 else g
+        grads[2 * i] = net.weight_vjp(i, (h.T @ local).T).reshape(-1)
+        grads[2 * i + 1] = local.sum(axis=0)
+        if i > 0:
+            g = local @ net.weight(i)
+    return np.concatenate(grads)
 
 
 class MlpStack:
@@ -444,8 +220,7 @@ class MlpStack:
     into it, and one optimizer step or one in-place op updates all k nets.
     Passes take and give ``(k, batch, width)`` arrays. numpy runs a stacked
     matmul as one product per slice, so slice j of every pass is
-    byte-identical to the same step of ``nets[j].forward_tape`` or
-    ``backward_tape``.
+    byte-identical to the same step of ``nets[j].forward`` or ``backward``.
     """
 
     def __init__(self, widths: list[int], seeds: tuple):
@@ -465,9 +240,9 @@ class MlpStack:
             start += fan_out
         return weights, biases
 
-    def forward_tape(self, x: Array) -> list[Array]:
+    def forward(self, x: Array) -> list[Array]:
         """The stacked layer tape of a ``(k, batch, in)`` input: slice j is
-        ``nets[j].forward_tape(x[j])``."""
+        ``nets[j].forward(x[j])``."""
         if x.ndim != 3 or x.shape[0] != len(self.flat) or x.shape[2] != self.nets[0].widths[0]:
             raise ValueError(f"input shape {x.shape} != ({len(self.flat)}, batch, "
                              f"{self.nets[0].widths[0]})")
@@ -482,8 +257,8 @@ class MlpStack:
 
     def param_grad(self, tape: list[Array], g: Array) -> Array:
         """Gradient of ``flat``, as a ``(k, n)`` array, of ``sum(g * output)``
-        for the ``forward_tape`` result ``tape``: row j is
-        ``nets[j].backward_tape(tape_j, g[j])``. No input gradient."""
+        for the ``forward`` result ``tape``: row j is
+        ``backward(nets[j], tape_j, g[j])``. No input gradient."""
         grad = np.empty_like(self.flat)
         g_weights, g_biases = self._layer_views(grad)
         for i in reversed(range(len(self.weights))):
@@ -496,22 +271,17 @@ class MlpStack:
         return grad
 
     def input_grad(self, tape: list[Array], g: Array) -> Array:
-        """Gradient of the ``(k, batch, in)`` input, with no parameter
-        gradient: slice j is the input gradient ``backward`` gives on
-        ``nets[j].forward``'s graph, by ``dense``'s input VJP."""
+        """Gradient of the ``(k, batch, in)`` input of ``sum(g * output)``,
+        with no parameter gradient: per layer, ``local @ W`` with ``local``
+        formed as in ``backward``."""
         for i in reversed(range(len(self.weights))):
             local = g * (1.0 - tape[i + 1] ** 2) if i < len(self.weights) - 1 else g
             g = local @ self.weights[i]
         return g
 
 
-def transpose(a) -> Node:
-    a = as_node(a)
-    return Node(a.value.T, ((a, lambda g: g.T),))
-
-
 # ---------------------------------------------------------------------------
-# Optimizer and gradient checking
+# Optimizer
 # ---------------------------------------------------------------------------
 
 
@@ -549,41 +319,3 @@ def adam_step(state: AdamState, param: Array, grad: Array) -> None:
     v *= ADAM_BETA2
     v += (1.0 - ADAM_BETA2) * grad ** 2
     param -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-
-
-def collect_grads(param_nodes: list[Node]) -> list[Array]:
-    return [p.grad if p.grad is not None else np.zeros_like(p.value) for p in param_nodes]
-
-
-def flat_grads(param_nodes: list[Node]) -> Array:
-    """``collect_grads`` concatenated in ``params()`` order: the gradient of
-    ``Mlp.flat`` when ``param_nodes`` wrap ``Mlp.params()``."""
-    return np.concatenate([g.reshape(-1) for g in collect_grads(param_nodes)])
-
-
-def grad_check(fn, params: list[Array], eps: float = 1e-6) -> float:
-    """Max relative error between reverse-mode and central-difference gradients.
-
-    ``fn`` maps a list of Node-wrapped parameters to a scalar Node.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    nodes = [Node(p.copy()) for p in params]
-    out = fn(nodes)
-    backward(out)
-    analytic = collect_grads(nodes)
-    worst = 0.0
-    for k, p in enumerate(params):
-        flat = p.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            hi = fn([Node(q) for q in params]).value.item()
-            flat[i] = orig - eps
-            lo = fn([Node(q) for q in params]).value.item()
-            flat[i] = orig
-            fd = (hi - lo) / (2 * eps)
-            an = analytic[k].reshape(-1)[i]
-            err = abs(an - fd) / (abs(an) + abs(fd) + 1e-12)
-            worst = max(worst, err)
-    return worst

@@ -15,6 +15,7 @@ arrays are its parameters in declaration order.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -96,9 +97,21 @@ def save_density_model(path, model, extra: dict | None = None) -> None:
 
 
 def load_density_model(path):
-    from .density import EbmModel, MadeModel, Standardizer
+    """Rebuild a density model from its checkpoint. A missing header key, a
+    malformed header value, arrays that do not fit the model, non-finite
+    parameters or statistics, and spectral-norm sigmas that are not finite
+    numbers > 0 each raise ``ValueError`` naming the file."""
     kind, header, arrays = load_checkpoint(path)
-    std = Standardizer(np.array(header["mean"]), np.array(header["std"]))
+    try:
+        return _density_model(kind, header, arrays)
+    except KeyError as err:
+        raise ValueError(f"{path}: header has no {err} entry") from err
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{path}: {err}") from err
+
+
+def _density_model(kind: str, header: dict, arrays: list):
+    from .density import EbmModel, MadeModel, Standardizer
     if kind == "made":
         model = MadeModel(header["dim"], hidden=tuple(header["hidden"]),
                           n_components=header["n_components"],
@@ -108,13 +121,22 @@ def load_density_model(path):
         model = EbmModel(header["dim"], hidden=tuple(header["widths"][1:-1]),
                          spectral_norm=header["spectral_norm"])
     else:
-        raise ValueError(f"{path}: not a density checkpoint: kind {kind!r}")
+        raise ValueError(f"not a density checkpoint: kind {kind!r}")
     model.net.set_params(arrays)
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("non-finite parameter values")
     layers, sigmas = model.net.layers, header["sn_sigma"]
-    if len(sigmas) != len(layers):
-        raise ValueError(f"{path}: expected {len(layers)} sn_sigma values, got {len(sigmas)}")
+    if not isinstance(sigmas, list) or len(sigmas) != len(layers):
+        raise ValueError(f"expected {len(layers)} sn_sigma values, got {sigmas!r}")
+    if not all(isinstance(s, (int, float)) and not isinstance(s, bool)
+               and math.isfinite(s) and s > 0 for s in sigmas):
+        raise ValueError(f"sn_sigma values must be finite numbers > 0, got {sigmas!r}")
+    std = Standardizer(np.array(header["mean"], dtype=np.float64),
+                       np.array(header["std"], dtype=np.float64))
     if std.mean.shape != (model.dim,) or std.std.shape != (model.dim,):
-        raise ValueError(f"{path}: standardizer statistics do not match dim {model.dim}")
+        raise ValueError(f"standardizer statistics do not match dim {model.dim}")
+    if not (np.isfinite(std.mean).all() and np.isfinite(std.std).all() and (std.std > 0).all()):
+        raise ValueError("standardizer statistics must be finite, with std > 0")
     for layer, sigma in zip(layers, sigmas):
         layer.sigma = sigma
     model.standardizer = std

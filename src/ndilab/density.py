@@ -7,6 +7,12 @@ the log of the unnormalized density, so the score-matching gradient targets
 it directly and the pipeline reward adds it with a plus sign. The partition
 function is never materialized.
 
+Both losses and their parameter gradients are written out on arrays over the
+layer tape (``Mlp.forward`` and ``autodiff.backward``). Each expression, and
+the order in which gradient contributions to one array are summed, is the
+one a reverse-mode graph of the same loss evaluates, so a fit is
+byte-identical to differentiating that graph.
+
 Inputs are standardized to zero mean / unit variance with training-set
 statistics stored on the model; densities are reported in standardized space
 (the Jacobian is a constant, irrelevant to policy optimality).
@@ -14,17 +20,18 @@ statistics stored on the model; densities are reported in standardized space
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import AdamState, Mlp, Node, adam_step, backward, flat_grads
+from .autodiff import AdamState, Mlp, adam_step, backward
 
 Array = np.ndarray
 
 LOG_SCALE_MIN = -7.0
 LOG_SCALE_MAX = 3.0
+HALF_LOG_2PI = 0.5 * math.log(2 * math.pi)
 
 
 def _as_matrix(data) -> Array:
@@ -120,63 +127,75 @@ class MadeModel:
     def refresh_spectral_norm(self, n_power_iterations: int = 1) -> None:
         self.net.refresh_spectral_norm(n_power_iterations)
 
-    def heads(self, Z: Array, params: list[Node] | None = None) -> tuple[Node, Node, Node]:
-        """Mixture parameters at standardized inputs: (log-weights, means,
-        log-scales), each (batch, dim, K)."""
+    def _forward(self, Z: Array) -> tuple[Array, tuple, tuple]:
+        """Log densities per row of standardized inputs, the mixture heads,
+        and the intermediates ``made_nll`` differentiates."""
         Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
         if Z.shape[1] != self.dim:
             raise ValueError(f"input dim {Z.shape[1]} != model dim {self.dim}")
-        h = self.net.forward(Z, params)
-        K = self.n_components
-        out = ad.reshape(h, (Z.shape[0], self.dim, 3 * K))
-        logits = out[:, :, 0:K]
-        means = out[:, :, K:2 * K]
-        log_scales = ad.clip(out[:, :, 2 * K:3 * K], LOG_SCALE_MIN, LOG_SCALE_MAX)
-        log_weights = ad.sub(logits, ad.reshape(ad.logsumexp(logits, axis=2),
-                                                (Z.shape[0], self.dim, 1)))
-        return log_weights, means, log_scales
+        B, K = len(Z), self.n_components
+        tape = self.net.forward(Z)
+        out = tape[-1].reshape((B, self.dim, 3 * K))
+        logits, means, raw_scales = out[:, :, 0:K], out[:, :, K:2 * K], out[:, :, 2 * K:3 * K]
+        log_scales = np.clip(raw_scales, LOG_SCALE_MIN, LOG_SCALE_MAX)
+        lse, weights = _logsumexp(logits)
+        log_weights = logits - lse.reshape((B, self.dim, 1))
+        diff = Z[:, :, None] - means
+        inv_scales = np.exp(log_scales * -1.0)
+        z = diff * inv_scales
+        per_coord, resp = _logsumexp(log_weights
+                                     + (z ** 2 * -0.5 - (log_scales + HALF_LOG_2PI)))
+        return (per_coord.sum(axis=1), (log_weights, means, log_scales),
+                (tape, raw_scales, weights, diff, inv_scales, z, resp))
 
-    def log_density_batch(self, Z: Array, params: list[Node] | None = None) -> Node:
-        """Standardized-space log density per row, as a graph node."""
-        Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
-        log_w, mu, log_s = self.heads(Z, params)
-        x = Z[:, :, None]
-        z = ad.mul(ad.sub(x, mu), ad.exp(ad.mul(log_s, -1.0)))
-        comp = ad.sub(ad.mul(ad.square(z), -0.5),
-                      ad.add(log_s, 0.5 * math.log(2 * math.pi)))
-        per_coord = ad.logsumexp(ad.add(log_w, comp), axis=2)  # (B, dim)
-        return ad.nsum(per_coord, axis=1)
+    def heads(self, Z: Array) -> tuple[Array, Array, Array]:
+        """Mixture parameters at standardized inputs: (log-weights, means,
+        log-scales), each (batch, dim, K)."""
+        return self._forward(Z)[1]
+
+    def log_density_batch(self, Z: Array) -> Array:
+        """Standardized-space log density per row."""
+        return self._forward(Z)[0]
 
     def log_density(self, x: Array) -> float:
         z = self.standardizer.transform(np.atleast_2d(x))
-        return float(self.log_density_batch(z).value[0])
+        return float(self.log_density_batch(z)[0])
 
 
-def made_mask_max_fd(model: MadeModel, x: Array, delta: float = 1e-3) -> float:
-    """Largest finite-difference sensitivity of any head to a forbidden input.
+def _logsumexp(a: Array) -> tuple[Array, Array]:
+    """Log-sum-exp over the last axis of a (batch, dim, K) array, and the
+    softmax weights that are its gradient."""
+    m = a.max(axis=2, keepdims=True)
+    e = np.exp(a - m)
+    s = e.sum(axis=2, keepdims=True)
+    return np.squeeze(m + np.log(s), axis=2), e / s
 
-    The head at ordering position p may only react to coordinates at positions
-    < p; bumping the coordinate at position q must leave heads at positions
-    <= q exactly unchanged. Returns the max |change| / delta over all pairs.
-    """
-    z = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    base = [h.value for h in model.heads(z)]
-    worst = 0.0
-    for pos_q in range(model.dim):
-        coord = model.ordering[pos_q]
-        zb = z.copy()
-        zb[0, coord] += delta
-        bumped = [h.value for h in model.heads(zb)]
-        for pos_p in range(pos_q + 1):
-            head = model.ordering[pos_p]
-            for b, a in zip(bumped, base):
-                worst = max(worst, float(np.abs(b[0, head] - a[0, head]).max()) / delta)
-    return worst
+
+def made_nll(model: MadeModel, batch: Array) -> tuple[float, Array]:
+    """Mean negative log-likelihood of a standardized batch and its gradient
+    with respect to ``model.net.flat``."""
+    ld, _, (tape, raw_scales, weights, diff, inv_scales, z, resp) = model._forward(batch)
+    B, K = len(ld), model.n_components
+    loss = ld.sum() * (1.0 / B) * -1.0
+    # gradient of the per-coordinate mixture log-sum-exp, then back through
+    # each head; log-scales and logits each get two contributions
+    g_a = np.full((B, model.dim, 1), -1.0 * (1.0 / B)) * resp
+    g_z = g_a * -0.5 * 2.0 * z
+    g_means = -(g_z * inv_scales)
+    g_log_scales = -g_a + g_z * diff * inv_scales * -1.0
+    g_logits = g_a + (-g_a).sum(axis=2, keepdims=True) * weights
+    gate = ((raw_scales >= LOG_SCALE_MIN) & (raw_scales <= LOG_SCALE_MAX)).astype(np.float64)
+    g_out = np.zeros((B, model.dim, 3 * K))
+    g_out[:, :, 0:K] += g_logits
+    g_out[:, :, K:2 * K] += g_means
+    g_out[:, :, 2 * K:3 * K] += g_log_scales * gate
+    return float(loss), backward(model.net, tape, g_out.reshape(tape[-1].shape))
 
 
 def _adam_fit(model, Z: Array, config, loss_fn) -> Array:
-    """Shuffled-minibatch Adam on ``loss_fn(batch, params, step)`` with a
-    spectral-norm refresh after every step; returns the per-epoch mean loss."""
+    """Shuffled-minibatch Adam on ``loss_fn(batch, step)``, which returns the
+    loss and the gradient of ``model.net.flat``, with a spectral-norm refresh
+    after every step; returns the per-epoch mean loss."""
     rng = np.random.default_rng(config.seed)
     state = AdamState(lr=config.lr)
     curve = np.empty(config.epochs)
@@ -186,14 +205,12 @@ def _adam_fit(model, Z: Array, config, loss_fn) -> Array:
         losses = []
         for start in range(0, len(Z), config.batch_size):
             batch = Z[order[start:start + config.batch_size]]
-            params = [Node(p) for p in model.params()]
-            loss = loss_fn(batch, params, step)
-            if not np.isfinite(loss.value):
+            loss, flat_grad = loss_fn(batch, step)
+            if not np.isfinite(loss):
                 raise FloatingPointError(f"NaN training loss at epoch {epoch}")
-            backward(loss)
-            adam_step(state, model.net.flat, flat_grads(params))
+            adam_step(state, model.net.flat, flat_grad)
             model.refresh_spectral_norm()
-            losses.append(float(loss.value))
+            losses.append(loss)
             step += 1
         curve[epoch] = float(np.mean(losses))
     return curve
@@ -220,11 +237,8 @@ def made_fit(data, config: MadeConfig) -> tuple[MadeModel, Array]:
                       ordering=None if config.ordering is None else np.asarray(config.ordering),
                       seed=config.seed, spectral_norm=config.spectral_norm)
     model.standardizer = Standardizer.fit(X)
-
-    def nll(batch, params, step):
-        return ad.mul(ad.nmean(model.log_density_batch(batch, params)), -1.0)
-
-    return model, _adam_fit(model, model.standardizer.transform(X), config, nll)
+    return model, _adam_fit(model, model.standardizer.transform(X), config,
+                            lambda batch, step: made_nll(model, batch))
 
 
 # ---------------------------------------------------------------------------
@@ -249,47 +263,87 @@ class EbmModel:
     def refresh_spectral_norm(self, n_power_iterations: int = 1) -> None:
         self.net.refresh_spectral_norm(n_power_iterations)
 
-    def value_and_input_grad(self, Z: Array, params: list[Node] | None = None) -> tuple[Node, Node]:
-        """Energy values (B, 1) and input gradients (B, d), both as graph
-        nodes so parameter gradients can flow through either.
-
-        The input gradient is assembled as an explicit forward graph (the
-        chain rule written out layer by layer), keeping the engine first-order.
-        """
+    def value_and_input_grad(self, Z: Array) -> tuple[Array, Array]:
+        """Energy values (B, 1) and their input gradients (B, d)."""
         Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
-        if params is None:
-            params = [Node(p) for p in self.net.params()]
-        n = len(self.net.layers)
-        h: Node = Node(Z)
-        act_derivs: list[Node] = []
-        for i in range(n):
-            h = ad.dense(h, self.net.effective_weight(i, params[2 * i]), params[2 * i + 1],
-                         activate=i < n - 1)
-            if i < n - 1:
-                act_derivs.append(ad.sub(1.0, ad.square(h)))
-        g = Node(np.ones((Z.shape[0], 1)))
-        for i in reversed(range(n)):
-            g = ad.matmul(g, self.net.effective_weight(i, params[2 * i]))
-            if i > 0:
-                g = ad.mul(g, act_derivs[i - 1])
-        return h, g
+        tape, grad, _ = _score_pass(self.net, self.net.weights(), Z)
+        return tape[-1], grad
+
+    def scores(self, inputs: list[Array]) -> tuple[list[Array], Callable]:
+        """Input gradients of the energy at each (B, d) array of ``inputs``,
+        and their pullback: ``pullback(upstreams)`` is the gradient of
+        ``net.flat`` of the sum over j of ``sum(upstreams[j] * grads[j])``,
+        with each array's contributions summed in the order of ``inputs``.
+        The effective weights are formed once for all the passes."""
+        weights = self.net.weights()
+        passes = [_score_pass(self.net, weights, X) for X in inputs]
+
+        def pullback(upstreams: list[Array]) -> Array:
+            sums: list[Array | None] = [None] * (2 * len(weights))
+            for (_, _, pass_pullback), G in zip(passes, upstreams):
+                for k, parts in enumerate(pass_pullback(G)):
+                    for part in parts:
+                        sums[k] = part if sums[k] is None else sums[k] + part
+            return np.concatenate([(np.zeros(p.shape) if g is None else g).reshape(-1)
+                                   for g, p in zip(sums, self.params())])
+
+        return [grad for _, grad, _ in passes], pullback
 
     def log_density(self, x: Array) -> float:
         z = self.standardizer.transform(np.atleast_2d(x))
         return float(self.net(z)[0, 0])
 
 
-class QuadraticEnergy:
-    """Analytic fixture E(x) = -1/2 x^T A x (so grad E = -A x, hess = -A)."""
+def _score_pass(net: Mlp, weights: list[Array], Z: Array) -> tuple[list[Array], Array, Callable]:
+    """The forward tape of ``net`` at ``Z``, the input gradient of its (B, 1)
+    output written out as the chain rule from the output layer down (``g @
+    W``, then times the derivative ``1 - y**2`` of the tanh layer below), and
+    the pass's pullback.
 
-    def __init__(self, A: Array):
-        self.A = np.asarray(A, dtype=np.float64)
-        self.dim = self.A.shape[0]
+    ``pullback(G)`` lists, per entry of ``net.params()``, the contributions
+    to the gradient of ``sum(G * input_grad)``, in the order a reverse-mode
+    graph of this pass adds them. A hidden layer's weight gets one from its
+    forward use and one from its chain use, each through its own
+    ``weight_vjp``; the output layer's bias gets none.
+    """
+    n = len(weights)
+    tape = net.forward(Z, weights)
+    derivs = [1.0 - y ** 2 for y in tape[1:-1]]
+    lefts: list[Array] = [None] * n      # left operand of layer i's chain product
+    products: list[Array] = [None] * n   # that product
+    g = np.ones((len(Z), 1))
+    for i in reversed(range(n)):
+        lefts[i] = g
+        products[i] = g = g @ weights[i]
+        if i > 0:
+            g = g * derivs[i - 1]
 
-    def value_and_input_grad(self, Z: Array, params=None) -> tuple[Node, Node]:
-        Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
-        val = -0.5 * np.einsum("bi,ij,bj->b", Z, self.A, Z)[:, None]
-        return Node(val), Node(-Z @ self.A)
+    def pullback(G: Array) -> list[list[Array]]:
+        chain, g_derivs = [None] * n, [None] * (n - 1)
+        for i in range(n):
+            chain[i] = net.weight_vjp(i, lefts[i].T @ G)
+            if i < n - 1:
+                g_left = G @ weights[i].T
+                g_derivs[i] = g_left * products[i + 1]
+                G = g_left * derivs[i]
+        parts: list[list[Array]] = [[] for _ in range(2 * n)]
+        parts[2 * n - 2] = [chain[n - 1]]
+        g_y = None
+        for k in reversed(range(n - 1)):
+            from_square = -g_derivs[k] * 2.0 * tape[k + 1]
+            g_y = from_square if g_y is None else g_y + from_square
+            local = g_y * derivs[k]
+            layer = net.weight_vjp(k, (tape[k].T @ local).T)
+            # the graph reaches a wrapped (masked or normalized) weight's
+            # forward use first, and a bare weight's chain use first
+            wrapped = net.spectral_norm or net.layers[k].mask is not None
+            parts[2 * k] = [layer, chain[k]] if wrapped else [chain[k], layer]
+            parts[2 * k + 1] = [local.sum(axis=0)]
+            if k > 0:
+                g_y = local @ weights[k]
+        return parts
+
+    return tape, g, pullback
 
 
 @dataclass
@@ -305,7 +359,6 @@ class SsmConfig:
     seed: int = 0
     hidden: tuple = (64, 64)
     spectral_norm: bool = True
-    exact_trace: bool = False   # sum basis-vector HVPs instead of random slices
 
     def __post_init__(self):
         if self.n_slices < 1:
@@ -314,53 +367,46 @@ class SsmConfig:
             raise ValueError("hvp_epsilon must be positive")
 
 
-def hvp_fd(model, x: Array, v: Array, eps: float = 1e-4) -> float:
-    """v^T hess(E) v by central differences of first-order input gradients."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    v = np.asarray(v, dtype=np.float64)
-    g_hi = model.value_and_input_grad(x + eps * v)[1].value
-    g_lo = model.value_and_input_grad(x - eps * v)[1].value
-    return float(((g_hi - g_lo) @ v).item() / (2 * eps))
+def fd_hvp(g_hi: Array, g_lo: Array, v: Array, eps: float) -> Array:
+    """Per-row v^T hess(E) v by central differences: ``g_hi`` and ``g_lo``
+    are the (B, d) input gradients of E at x + eps v and x - eps v."""
+    return ((g_hi - g_lo) * (1.0 / (2 * eps)) * v).sum(axis=1)
 
 
-def ssm_loss(model, batch: Array, config: SsmConfig, seed: int,
-             params: list[Node] | None = None) -> Node:
+def ssm_loss(model, batch: Array, config: SsmConfig, seed: int) -> tuple[float, Array]:
     """Variance-reduced sliced score-matching (SSM-VR) objective, mean over
-    batch and slices.
+    batch and slices, and its gradient with respect to the model parameters.
 
     Per sample: E_v[v^T hess(E) v] + 1/2 ||grad E||^2, with the Hessian-vector
-    product computed as v^T (grad E(x + eps v) - grad E(x - eps v)) / (2 eps).
-    The whole expression is built from graph nodes, so the same code path
-    yields both the loss value and its parameter gradients.
+    product from ``fd_hvp``. ``model.scores`` supplies the input gradients
+    and their pullback.
     """
     Z = np.atleast_2d(np.asarray(batch, dtype=np.float64))
     if len(Z) == 0:
         raise ValueError("batch must be nonempty")
     B, d = Z.shape
     eps = config.hvp_epsilon
-    if config.exact_trace:
-        slices = np.eye(d)
-    else:
-        slices = np.random.default_rng(seed).standard_normal((config.n_slices, d))
-
-    hvp_terms = []
-    for v in slices:
-        g_hi = model.value_and_input_grad(Z + eps * v, params)[1]
-        g_lo = model.value_and_input_grad(Z - eps * v, params)[1]
-        diff = ad.mul(ad.sub(g_hi, g_lo), 1.0 / (2 * eps))
-        hvp_terms.append(ad.nsum(ad.mul(diff, v), axis=1))  # (B,)
-    acc = hvp_terms[0]
-    for term in hvp_terms[1:]:
-        acc = ad.add(acc, term)
-    trace_term = acc if config.exact_trace else ad.mul(acc, 1.0 / len(slices))
-
-    g0 = model.value_and_input_grad(Z, params)[1]
-    grad_term = ad.mul(ad.nsum(ad.square(g0), axis=1), 0.5)
-
-    loss = ad.nmean(ad.add(trace_term, grad_term))
-    if not np.isfinite(loss.value):
+    slices = np.random.default_rng(seed).standard_normal((config.n_slices, d))
+    # per slice the passes at Z + eps v and Z - eps v, then the one at Z: the
+    # order in which a graph of this loss sums their gradient contributions
+    inputs = [X for v in slices for X in (Z + eps * v, Z - eps * v)] + [Z]
+    grads, pullback = model.scores(inputs)
+    acc = fd_hvp(grads[0], grads[1], slices[0], eps)
+    for j in range(1, len(slices)):
+        acc = acc + fd_hvp(grads[2 * j], grads[2 * j + 1], slices[j], eps)
+    g0 = grads[-1]
+    loss = (acc * (1.0 / len(slices)) + (g0 ** 2).sum(axis=1) * 0.5).sum() * (1.0 / B)
+    if not np.isfinite(loss):
         raise FloatingPointError("non-finite sliced score-matching loss")
-    return loss
+
+    g_row = np.full(B, 1.0 / B)   # d loss / d (per-row objective)
+    g_hvp = np.broadcast_to((g_row * (1.0 / len(slices)))[:, None], (B, d))
+    upstreams = []
+    for v in slices:
+        g_hi = g_hvp * v * (1.0 / (2 * eps))
+        upstreams += [g_hi, -g_hi]
+    upstreams.append((g_row * 0.5)[:, None] * 2.0 * g0)
+    return float(loss), pullback(upstreams)
 
 
 def ebm_fit(data, config: SsmConfig) -> tuple[EbmModel, Array]:
@@ -372,7 +418,7 @@ def ebm_fit(data, config: SsmConfig) -> tuple[EbmModel, Array]:
                      spectral_norm=config.spectral_norm)
     model.standardizer = Standardizer.fit(X)
 
-    def loss(batch, params, step):
-        return ssm_loss(model, batch, config, seed=config.seed * 1_000_003 + step, params=params)
+    def loss(batch, step):
+        return ssm_loss(model, batch, config, seed=config.seed * 1_000_003 + step)
 
     return model, _adam_fit(model, model.standardizer.transform(X), config, loss)

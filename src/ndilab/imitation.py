@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import AdamState, MlpStack, adam_step
+from .autodiff import AdamState, MlpStack, adam_step, backward
 from .mdp import GaussianPolicy, SoftmaxPolicy, TabularMdp, sample_trajectory
 from .occupancy import occupancy_measure, truncation_horizon
 
@@ -357,16 +357,16 @@ class SacLearner:
         eps2 = self.rng.standard_normal((B, da))
         A2 = mu2 + std * eps2
         logp2 = (-0.5 * eps2 ** 2 - log_std_c - 0.5 * math.log(2 * math.pi)).sum(axis=1)
-        q_next = self.q_target.forward_tape(_twin_input(S2, A2))[-1]
+        q_next = self.q_target.forward(_twin_input(S2, A2))[-1]
         q_min = np.minimum(q_next[0, :, 0], q_next[1, :, 0])
         y = R + cfg.gamma * (1.0 - D) * (q_min - alpha * logp2)
 
-        # Both losses and their gradients are written out on arrays (no
-        # graph). Each expression, and the order of the one three-term sum
-        # (the a_new gradient), is the one backward() evaluates on the same
-        # losses built as a graph, so the update is byte-identical to it;
-        # graph_step in tests/test_imitation.py is that reference.
-        tape = self.q.forward_tape(_twin_input(S, A))
+        # Both losses and their gradients are written out on arrays. Each
+        # expression, and the order of the one three-term sum (the a_new
+        # gradient), is the one a reverse-mode graph of the same losses
+        # evaluates, so the update is byte-identical to it; graph_step in
+        # tests/test_imitation.py is that reference.
+        tape = self.q.forward(_twin_input(S, A))
         diff = tape[-1] - y[:, None]
         sq = diff ** 2
         losses = {}
@@ -378,10 +378,10 @@ class SacLearner:
 
         # policy: maximize min Q(s, a~) - alpha log pi(a~|s) with reparameterized a~
         eps = self.rng.standard_normal((B, da))
-        mean_tape = self.policy.mean_net.forward_tape(S)
+        mean_tape = self.policy.mean_net.forward(S)
         a_new = mean_tape[-1] + std * eps
         logp = (eps ** 2 * -0.5 - (log_std_c + 0.5 * math.log(2 * math.pi))).sum(axis=1)
-        q_tape = self.q.forward_tape(_twin_input(S, a_new))
+        q_tape = self.q.forward(_twin_input(S, a_new))
         q1, q2 = q_tape[-1]
         take1 = (q1 <= q2).astype(np.float64)   # ties take q1
         qmin = np.minimum(q1, q2)
@@ -397,7 +397,7 @@ class SacLearner:
         g_over = BOUND_PENALTY * (1.0 / B) * 2.0 * overflow
         # a clamp passes gradient only where its input lies inside the bounds
         g_a = ((gx[0] + gx[1])[:, ds:] + g_over) + (-g_over) * (a_clipped == a_new)
-        mean_grad = self.policy.mean_net.backward_tape(mean_tape, g_a)
+        mean_grad = backward(self.policy.mean_net, mean_tape, g_a)
         # log_std reaches the loss through std * eps and through logp (whose
         # per-row gradient alpha / B is broadcast over the action columns)
         g_logp = np.full((B, da), (1.0 / B) * alpha)

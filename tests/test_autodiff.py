@@ -1,17 +1,18 @@
-"""Tests for the reverse-mode engine, MLPs, Adam, and spectral normalization."""
+"""Tests for the layer tape, MLPs, Adam and spectral normalization, and for
+the test-side graph engine that is their bit-parity reference."""
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from ndilab import autodiff as ad
+import graph_reference as gr
+from graph_reference import Node, flat_grads, grad_check
+from ndilab import autodiff
 from ndilab.autodiff import (
     AdamState,
     Mlp,
     MlpStack,
-    Node,
     adam_step,
-    backward,
-    flat_grads,
-    grad_check,
     param_count,
     spectral_normalize,
 )
@@ -66,16 +67,16 @@ def assert_same_bytes(got, want):
 
 
 class TestLayerTape:
-    """``Mlp.__call__``/``forward_tape`` and ``backward_tape`` against the
-    ``forward`` graph and ``backward``: equal byte for byte."""
+    """``Mlp.__call__``/``forward`` and ``autodiff.backward`` against the
+    reference graph and its ``backward``: equal byte for byte."""
 
     @pytest.mark.parametrize("kind", list(tape_nets()))
     @pytest.mark.parametrize("shape", [(4,), (1, 4), (96, 4)])
     def test_call_equals_the_graph_forward_value(self, kind, shape):
         net = tape_nets()[kind]
         x = np.random.default_rng(8).normal(size=shape)
-        assert_same_bytes(net(x), net.forward(x).value)
-        tape = net.forward_tape(x)
+        assert_same_bytes(net(x), gr.mlp_forward(net, x).value)
+        tape = net.forward(x)
         assert len(tape) == len(net.layers) + 1
         assert_same_bytes(tape[-1], net(x))
 
@@ -94,8 +95,8 @@ class TestLayerTape:
         x = rng.normal(size=(rows, 4))
         upstream = rng.normal(size=(rows, net.widths[-1]))
         params = [Node(p) for p in net.params()]
-        backward(ad.nsum(ad.mul(net.forward(x, params), upstream)))
-        assert_same_bytes(net.backward_tape(net.forward_tape(x), upstream), flat_grads(params))
+        gr.backward(gr.nsum(gr.mul(gr.mlp_forward(net, x, params), upstream)))
+        assert_same_bytes(autodiff.backward(net, net.forward(x), upstream), flat_grads(params))
 
 
 class TestMlpStack:
@@ -118,16 +119,16 @@ class TestMlpStack:
         rng = np.random.default_rng(rows)
         x = rng.normal(size=(2, rows, 4))
         upstream = rng.normal(size=(2, rows, 1))
-        tape = stack.forward_tape(x)
+        tape = stack.forward(x)
         flat_grad = stack.param_grad(tape, upstream)
         x_grad = stack.input_grad(tape, upstream)
         for j, net in enumerate(stack.nets):
-            lone = net.forward_tape(x[j])
+            lone = net.forward(x[j])
             for got, want in zip(tape, lone):
                 assert_same_bytes(got[j], want)
-            assert_same_bytes(flat_grad[j], net.backward_tape(lone, upstream[j]))
+            assert_same_bytes(flat_grad[j], autodiff.backward(net, lone, upstream[j]))
             params, x_node = [Node(p) for p in net.params()], Node(x[j])
-            backward(ad.nsum(ad.mul(net.forward(x_node, params), upstream[j])))
+            gr.backward(gr.nsum(gr.mul(gr.mlp_forward(net, x_node, params), upstream[j])))
             assert_same_bytes(flat_grad[j], flat_grads(params))
             assert_same_bytes(x_grad[j], x_node.grad)
 
@@ -135,7 +136,7 @@ class TestMlpStack:
         stack = MlpStack([4, 8, 1], seeds=(0, 1))
         for x in (np.zeros((3, 4)), np.zeros((3, 5, 4)), np.zeros((2, 5, 3))):
             with pytest.raises(ValueError, match="input shape"):
-                stack.forward_tape(x)
+                stack.forward(x)
 
     def test_supplied_storage_must_fit(self):
         with pytest.raises(ValueError, match="flat storage"):
@@ -145,8 +146,8 @@ class TestMlpStack:
 class TestBackward:
     def test_square_at_three(self):
         w = Node(np.array(3.0))
-        out = ad.mul(w, w)
-        backward(out)
+        out = gr.mul(w, w)
+        gr.backward(out)
         assert w.grad == pytest.approx(6.0)
 
     def test_tanh_chain_matches_finite_differences(self):
@@ -154,35 +155,35 @@ class TestBackward:
         w = rng.normal(size=(4, 4))
 
         def fn(params):
-            h = ad.tanh(ad.matmul(params[0], params[0]))
-            return ad.nsum(ad.tanh(ad.nsum(h, axis=1)))
+            h = gr.tanh(gr.matmul(params[0], params[0]))
+            return gr.nsum(gr.tanh(gr.nsum(h, axis=1)))
 
         assert grad_check(fn, [w], eps=1e-6) < 1e-6
 
     def test_disconnected_parameter_gets_zero(self):
         a, b = Node(np.array(2.0)), Node(np.array(5.0))
-        out = ad.mul(a, a)
-        backward(out)
+        out = gr.mul(a, a)
+        gr.backward(out)
         assert b.grad is None  # never touched by the graph
 
     def test_nonscalar_output_rejected(self):
         x = Node(np.zeros(3))
         with pytest.raises(ValueError):
-            backward(ad.exp(x))
+            gr.backward(gr.exp(x))
 
     def test_each_node_visited_once(self):
         # diamond graph: y = (x + x) * (x + x); gradient must be 8x, not doubled
         x = Node(np.array(1.5))
-        s = ad.add(x, x)
-        out = ad.mul(s, s)
-        backward(out)
+        s = gr.add(x, x)
+        out = gr.mul(s, s)
+        gr.backward(out)
         assert x.grad == pytest.approx(8 * 1.5)
 
     def test_constant_node_zero_gradient(self):
         x = Node(np.array(2.0))
         c = Node(np.array(7.0))
-        out = ad.mul(x, ad.add(ad.mul(c, 0.0), 1.0))
-        backward(out)
+        out = gr.mul(x, gr.add(gr.mul(c, 0.0), 1.0))
+        gr.backward(out)
         assert c.grad == pytest.approx(0.0)
 
 
@@ -197,7 +198,7 @@ class TestDense:
         W = Node(rng.normal(size=(4, 3)))
         b = Node(rng.normal(size=4))
         out = layer(h, weight_node(W), b)
-        backward(ad.nsum(ad.mul(out, rng.normal(size=(5, 4)))))
+        gr.backward(gr.nsum(gr.mul(out, rng.normal(size=(5, 4)))))
         return out.value, h.grad, W.grad, b.grad
 
     @pytest.mark.parametrize("activate", [True, False])
@@ -207,14 +208,14 @@ class TestDense:
                     masks=[np.random.default_rng(2).integers(0, 2, size=(4, 3)).astype(float)])
 
         def weight_node(W):
-            return model.effective_weight(0, W) if masked_spectral else W
+            return gr.effective_weight(model, 0, W) if masked_spectral else W
 
         def chain(h, W, b):
-            pre = ad.add(ad.matmul(h, ad.transpose(W)), b)
-            return ad.tanh(pre) if activate else pre
+            pre = gr.add(gr.matmul(h, gr.transpose(W)), b)
+            return gr.tanh(pre) if activate else pre
 
         def fused(h, W, b):
-            return ad.dense(h, W, b, activate=activate)
+            return gr.dense(h, W, b, activate=activate)
 
         for want, got in zip(self.run(chain, weight_node), self.run(fused, weight_node)):
             np.testing.assert_array_equal(got, want)
@@ -225,10 +226,10 @@ class TestDense:
 
         def w_grad(earlier_backward: bool):
             W = Node(weight)
-            out = ad.dense(h, W, np.zeros(2))
+            out = gr.dense(h, W, np.zeros(2))
             if earlier_backward:
-                backward(ad.nsum(out))
-            backward(ad.nsum(ad.square(out)))
+                gr.backward(gr.nsum(out))
+            gr.backward(gr.nsum(gr.square(out)))
             return W.grad
 
         np.testing.assert_array_equal(w_grad(True), w_grad(False))
@@ -264,12 +265,12 @@ class TestFlatParameters:
         for _ in range(50):
             for model in (flat_model, split_model):
                 params = [Node(p) for p in model.params()]
-                backward(ad.nmean(ad.square(ad.sub(model.forward(X, params), y))))
+                gr.backward(gr.nmean(gr.square(gr.sub(gr.mlp_forward(model, X, params), y))))
                 if model is flat_model:
-                    adam_step(flat_state, model.flat, ad.flat_grads(params))
+                    adam_step(flat_state, model.flat, gr.flat_grads(params))
                 else:
                     for state, p, g in zip(split_states, model.params(),
-                                           ad.collect_grads(params)):
+                                           gr.collect_grads(params)):
                         adam_step(state, p, g)
         np.testing.assert_array_equal(flat_model.flat, split_model.flat)
 
@@ -281,7 +282,7 @@ class TestGradCheck:
         w = rng.normal(size=(3, 1))
 
         def fn(params):
-            return ad.nsum(ad.matmul(ad.transpose(params[0]), ad.matmul(Node(A), params[0])))
+            return gr.nsum(gr.matmul(gr.transpose(params[0]), gr.matmul(Node(A), params[0])))
 
         assert grad_check(fn, [w], eps=1e-6) < 1e-8
 
@@ -291,7 +292,7 @@ class TestGradCheck:
         x = rng.normal(size=(4, 3))
 
         def fn(params):
-            return ad.nmean(model.forward(x, params))
+            return gr.nmean(gr.mlp_forward(model, x, params))
 
         assert grad_check(fn, model.params(), eps=1e-6) < 1e-5
 
@@ -305,16 +306,16 @@ class TestGradCheck:
 def all_ops_graph(params):
     """A scalar graph through every engine op."""
     pa, pb, pc = params
-    h = ad.matmul(pa, pb)                      # (3, 2)
-    h = ad.add(h, pc)                          # broadcast bias
-    h = ad.tanh(h)
-    h = ad.add(h, ad.square(h))
-    h = ad.mul(h, 0.5)
-    h = ad.sub(h, 0.1)
-    h = ad.clip(h, -0.5, 0.5)  # inactive here; saturation tested separately
-    g = ad.exp(ad.getitem(h, (slice(None), 0)))
-    lse = ad.logsumexp(ad.reshape(h, (2, 3)), axis=1)
-    return ad.add(ad.add(ad.nmean(g), ad.nsum(lse)), ad.nmean(h))
+    h = gr.matmul(pa, pb)                      # (3, 2)
+    h = gr.add(h, pc)                          # broadcast bias
+    h = gr.tanh(h)
+    h = gr.add(h, gr.square(h))
+    h = gr.mul(h, 0.5)
+    h = gr.sub(h, 0.1)
+    h = gr.clip(h, -0.5, 0.5)  # inactive here; saturation tested separately
+    g = gr.exp(gr.getitem(h, (slice(None), 0)))
+    lse = gr.logsumexp(gr.reshape(h, (2, 3)), axis=1)
+    return gr.add(gr.add(gr.nmean(g), gr.nsum(lse)), gr.nmean(h))
 
 
 class TestEngineOps:
@@ -331,7 +332,7 @@ class TestEngineOps:
         rng = np.random.default_rng(42)
         params = [Node(rng.uniform(-0.6, 0.6, size=shape)) for shape in ((3, 4), (4, 2), (2,))]
         out = all_ops_graph(params)
-        backward(out)
+        gr.backward(out)
         reached, stack = {}, [out]
         while stack:
             node = stack.pop()
@@ -344,14 +345,14 @@ class TestEngineOps:
 
     def test_clip_saturation_blocks_gradient(self):
         x = Node(np.array([3.0, -3.0, 0.1]))
-        out = ad.nsum(ad.clip(x, -1.0, 1.0))
-        backward(out)
+        out = gr.nsum(gr.clip(x, -1.0, 1.0))
+        gr.backward(out)
         np.testing.assert_array_equal(x.grad, [0.0, 0.0, 1.0])
 
     def test_logsumexp_matches_numpy(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(5, 7))
-        got = ad.logsumexp(Node(x), axis=1).value
+        got = gr.logsumexp(Node(x), axis=1).value
         expected = np.log(np.exp(x).sum(axis=1))
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
@@ -428,14 +429,14 @@ class TestSpectralNorm:
         X, y = rng.normal(size=(64, 2)), rng.normal(size=(64, 1))
         for step in range(150):
             params = [Node(p) for p in model.params()]
-            pred = model.forward(X, params)
-            loss = ad.nmean(ad.square(ad.sub(pred, y)))
-            backward(loss)
-            adam_step(state, model.flat, ad.flat_grads(params))
+            pred = gr.mlp_forward(model, X, params)
+            loss = gr.nmean(gr.square(gr.sub(pred, y)))
+            gr.backward(loss)
+            adam_step(state, model.flat, gr.flat_grads(params))
             model.refresh_spectral_norm(n_power_iterations=1)
             if step % 10 == 0:
                 for i in range(len(model.layers)):
-                    top = np.linalg.svd(model.effective_weight(i).value, compute_uv=False)[0]
+                    top = np.linalg.svd(model.weight(i), compute_uv=False)[0]
                     assert 0.95 <= top <= 1.05
 
 
@@ -448,10 +449,15 @@ class TestReproducibility:
             X, y = rng.normal(size=(32, 2)), rng.normal(size=(32, 1))
             for _ in range(40):
                 params = [Node(p) for p in model.params()]
-                loss = ad.nmean(ad.square(ad.sub(model.forward(X, params), y)))
-                backward(loss)
-                adam_step(state, model.flat, ad.flat_grads(params))
+                loss = gr.nmean(gr.square(gr.sub(gr.mlp_forward(model, X, params), y)))
+                gr.backward(loss)
+                adam_step(state, model.flat, gr.flat_grads(params))
             return [p.copy() for p in model.params()]
 
         for p1, p2 in zip(run(), run()):
             np.testing.assert_array_equal(p1, p2)
+
+
+def test_the_package_builds_no_graph():
+    for path in Path(autodiff.__file__).parent.glob("*.py"):
+        assert "Node" not in path.read_text(), path

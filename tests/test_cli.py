@@ -730,6 +730,29 @@ class TestCliFrontend:
         assert err.startswith("error: ") and line.split(" = ")[0] in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("edit", ["sigma_zero", "sigma_negative", "sigma_nan",
+                                      "sigma_string", "nan_weight", "missing_key"])
+    def test_bad_density_checkpoint_is_usage_error(self, tmp_path, capsys, edit):
+        cfg = self.write_cfg(tmp_path)
+        assert main(["gen-demos", "--config", str(cfg)]) == EXIT_OK
+        assert main(["fit-density", "--config", str(cfg)]) == EXIT_OK
+        model = tmp_path / "run" / "model.ckpt"
+        kind, header, arrays = load_checkpoint(model)
+        sigma = {"sigma_zero": 0.0, "sigma_negative": -1.0, "sigma_nan": math.nan,
+                 "sigma_string": "1.0"}.get(edit)
+        if sigma is not None:
+            header["sn_sigma"][1] = sigma
+        elif edit == "nan_weight":
+            arrays[2][0, 0] = math.nan
+        else:
+            del header["hidden"]
+        save_checkpoint(model, kind, header, arrays)
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_directory_as_model_is_usage_error(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path)
         model_dir = tmp_path / "not_a_file"

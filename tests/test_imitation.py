@@ -8,9 +8,10 @@ from collections import deque
 import numpy as np
 import pytest
 
-from ndilab import autodiff as ad
+import graph_reference as gr
+from graph_reference import Node, backward, flat_grads, mlp_forward
 from ndilab import imitation
-from ndilab.autodiff import Node, adam_step, backward, flat_grads
+from ndilab.autodiff import adam_step
 from ndilab.checkpoint import load_gaussian_policy, save_gaussian_policy
 from ndilab.envs import PointMassEnv, PointMassSpec, build_chain, get_env, soft_optimal_policy
 from ndilab.imitation import (
@@ -421,22 +422,22 @@ def graph_step(learner):
     """
     S, A, R, S2, D = learner._batch()
     B = len(S)
-    mu2 = learner.policy.mean_net.forward(S2).value
+    mu2 = mlp_forward(learner.policy.mean_net, S2).value
     std = np.exp(learner.policy.clamped_log_std())
     eps2 = learner.rng.standard_normal((B, learner.action_dim))
     A2 = mu2 + std * eps2
     logp2 = (-0.5 * eps2 ** 2 - learner.policy.clamped_log_std()
              - 0.5 * math.log(2 * math.pi)).sum(axis=1)
     x2 = np.concatenate([S2, A2], axis=1)
-    q_min = np.minimum(learner.q1_target.forward(x2).value[:, 0],
-                       learner.q2_target.forward(x2).value[:, 0])
+    q_min = np.minimum(mlp_forward(learner.q1_target, x2).value[:, 0],
+                       mlp_forward(learner.q2_target, x2).value[:, 0])
     y = R + learner.config.gamma * (1.0 - D) * (q_min - learner.alpha * logp2)
 
     x = np.concatenate([S, A], axis=1)
     losses, q_grads = {}, []
     for name, net in (("q1", learner.q1), ("q2", learner.q2)):
         params = [Node(p) for p in net.params()]
-        loss = ad.nmean(ad.square(ad.sub(net.forward(x, params), y[:, None])))
+        loss = gr.nmean(gr.square(gr.sub(mlp_forward(net, x, params), y[:, None])))
         backward(loss)
         q_grads.append(flat_grads(params))
         losses[name] = float(loss.value)
@@ -445,18 +446,18 @@ def graph_step(learner):
 
     mean_params = [Node(p) for p in learner.policy.mean_net.params()]
     log_std_base = Node(learner.policy.log_std)
-    log_std_node = ad.clip(log_std_base, -5.0, 2.0)
+    log_std_node = gr.clip(log_std_base, -5.0, 2.0)
     eps = learner.rng.standard_normal((B, learner.action_dim))
-    mu = learner.policy.mean_net.forward(S, mean_params)
-    a_new = ad.add(mu, ad.mul(ad.exp(log_std_node), eps))
-    logp_node = ad.nsum(ad.sub(ad.mul(ad.square(Node(eps)), -0.5),
-                               ad.add(log_std_node, 0.5 * math.log(2 * math.pi))), axis=1)
+    mu = mlp_forward(learner.policy.mean_net, S, mean_params)
+    a_new = gr.add(mu, gr.mul(gr.exp(log_std_node), eps))
+    logp_node = gr.nsum(gr.sub(gr.mul(gr.square(Node(eps)), -0.5),
+                               gr.add(log_std_node, 0.5 * math.log(2 * math.pi))), axis=1)
     xa = graph_concat(Node(S), a_new)
-    q1, q2 = learner.q1.forward(xa), learner.q2.forward(xa)
+    q1, q2 = mlp_forward(learner.q1, xa), mlp_forward(learner.q2, xa)
     qmin = graph_minimum(q1, q2)
-    pi_loss = ad.nmean(ad.sub(ad.mul(logp_node, learner.alpha), ad.reshape(qmin, (B,))))
-    overflow = ad.sub(a_new, ad.clip(a_new, -ACTION_BOUND, ACTION_BOUND))
-    pi_loss = ad.add(pi_loss, ad.mul(ad.nmean(ad.nsum(ad.square(overflow), axis=1)),
+    pi_loss = gr.nmean(gr.sub(gr.mul(logp_node, learner.alpha), gr.reshape(qmin, (B,))))
+    overflow = gr.sub(a_new, gr.clip(a_new, -ACTION_BOUND, ACTION_BOUND))
+    pi_loss = gr.add(pi_loss, gr.mul(gr.nmean(gr.nsum(gr.square(overflow), axis=1)),
                                      BOUND_PENALTY))
     backward(pi_loss)
     grads.append(np.concatenate([flat_grads(mean_params), log_std_base.grad]))
@@ -495,6 +496,27 @@ def tape_fixture() -> SacLearner:
     learner.policy.log_std[:] = [2.5, -0.5]
     learner.policy.mean_net.layers[-1].bias[:] = [0.0, 0.8]
     return learner
+
+
+def tie_slope_fixture() -> tuple[SacLearner, np.ndarray]:
+    """``tape_fixture`` with q2 = q1 + 0.5 * (layer-2 weights) * h, where h is
+    a first-layer unit tanh(a_0 - a*) of both nets and a* is the action the
+    next step samples for batch row 0. On that row h is exactly 0, so q1 and
+    q2 tie bit for bit, but the extra term's action slope is not 0, so the
+    two nets' action gradients differ: the policy gradient shows which net
+    the tie rule follows. Returns the learner and that row's (s, a*)."""
+    learner = tape_fixture()
+    learner.q2.flat[...] = learner.q1.flat
+    probe = copy.deepcopy(learner)   # replays the step's draws up to a_new
+    S = probe._batch()[0]
+    probe.rng.standard_normal((len(S), 2))
+    eps = probe.rng.standard_normal((len(S), 2))
+    a_new = probe.policy.mean_net(S) + np.exp(probe.policy.clamped_log_std()) * eps
+    for net in (learner.q1, learner.q2):
+        net.layers[0].weight[0] = [0.0, 0.0, 1.0, 0.0]
+        net.layers[0].bias[0] = -a_new[0, 0]
+    learner.q2.layers[1].weight[:, 0] += 0.5
+    return learner, np.concatenate([S[0], a_new[0]])
 
 
 def learner_arrays(learner: SacLearner) -> list:
@@ -542,6 +564,26 @@ class TestSacLearner:
             for got, want in zip(learner_arrays(learner), learner_arrays(reference)):
                 assert got.tobytes() == want.tobytes()
             assert learner.rng.bit_generator.state == reference.rng.bit_generator.state
+
+    def test_tied_rows_follow_q1_where_the_nets_slopes_differ(self, monkeypatch):
+        (reference, tied_row), (learner, _) = tie_slope_fixture(), tie_slope_fixture()
+        got_grads = []
+
+        def recording_adam_step(state, param, grad):
+            got_grads.append(grad.copy())
+            adam_step(state, param, grad)
+
+        monkeypatch.setattr(imitation, "adam_step", recording_adam_step)
+        # the fixture's point: the nets tie on the row but their a_0 slopes differ
+        tape = reference.q.forward(np.stack([tied_row[None, :]] * 2))
+        assert tape[-1][0, 0, 0] == tape[-1][1, 0, 0]
+        slopes = reference.q.input_grad(tape, np.ones((2, 1, 1)))[:, 0, 2]
+        assert abs(slopes[0] - slopes[1]) > 1e-3
+        want_losses, want_grads, ties, _ = graph_step(reference)
+        assert ties == 1
+        assert learner.step() == want_losses
+        for got, want in zip(got_grads, want_grads):
+            assert got.tobytes() == want.tobytes()
 
     def test_nets_are_views_of_the_stacked_arrays(self):
         learner = tape_fixture()
@@ -595,7 +637,7 @@ class TestSacLearner:
         monkeypatch.setattr(Node, "__init__", counting_init)
         learner.step()
         assert len(nodes) == 0
-        learner.q1.forward(np.zeros((1, 4)))   # the count does see graph work
+        mlp_forward(learner.q1, np.zeros((1, 4)))   # the count does see graph work
         assert len(nodes) > 0
 
     def test_replay_ring_after_wraparound_matches_a_deque(self):
