@@ -150,12 +150,6 @@ def generalized_entropy(density: Array) -> float:
     return float(-(pos * np.log(pos)).sum())
 
 
-def discounted_policy_entropy(mdp: TabularMdp, policy: SoftmaxPolicy, tol: float = 1e-10) -> float:
-    """H(pi) = -sum_{s,a} rho(s,a) log pi(a|s)."""
-    occ = occupancy_measure(mdp, policy, tol)
-    return float(-(occ.rho * policy.log_probs()).sum())
-
-
 def mutual_information(joint: JointTable) -> float:
     """sum joint * log(joint / (marg_x marg_y)); zero-mass cells skipped."""
     J = joint.joint
@@ -224,24 +218,16 @@ def consecutive_state_joint(mdp: TabularMdp, policy: SoftmaxPolicy, p_t: Array) 
     return JointTable(joint, p_t, M.T @ p_t)
 
 
-def conditional_state_entropy(mdp: TabularMdp, policy: SoftmaxPolicy, t: int) -> float:
-    """Exact H(s_t | s_{t-1}) from the marginal schedule and transition table."""
-    if t < 1:
-        raise ValueError("conditional state entropy needs t >= 1")
-    p_prev = state_marginals(mdp, policy, t).at(t - 1)
-    M = mdp.policy_transition_matrix(policy)
-    row_ent = np.array([generalized_entropy(M[s]) for s in range(mdp.n_states)])
-    return float(p_prev @ row_ent)
-
-
-def conditional_action_entropy(mdp: TabularMdp, policy: SoftmaxPolicy, t: int) -> float:
-    """Exact H(a_{t-1} | s_{t-1})."""
-    if t < 1:
-        raise ValueError("conditional action entropy needs t >= 1")
-    p_prev = state_marginals(mdp, policy, t).at(t - 1)
-    probs = policy.probs()
-    row_ent = np.array([generalized_entropy(probs[s]) for s in range(mdp.n_states)])
-    return float(p_prev @ row_ent)
+def conditional_entropies(mdp: TabularMdp, policy: SoftmaxPolicy, max_t: int) -> tuple[Array, Array]:
+    """Exact H(s_t | s_{t-1}) and H(a_{t-1} | s_{t-1}) for t = 1..max_t, from one
+    marginal schedule and one row entropy per state; each entry is its own
+    p_{t-1} dot product, so it rounds as a single-t computation would."""
+    if max_t < 1:
+        raise ValueError("conditional entropies need t >= 1")
+    marg = state_marginals(mdp, policy, max_t).per_timestep
+    row_ent = [np.array([generalized_entropy(row) for row in table])
+               for table in (mdp.policy_transition_matrix(policy), policy.probs())]
+    return tuple(np.array([float(p @ ent) for p in marg[:-1]]) for ent in row_ent)
 
 
 # ---------------------------------------------------------------------------
@@ -274,21 +260,40 @@ def _sum_in_order(terms: Array) -> Array:
     return np.add.accumulate(np.concatenate((np.zeros((1, *terms.shape[1:])), terms)))[-1]
 
 
+def _marginal_rows(mdp: TabularMdp, M: Array, n: int, marg) -> Array:
+    """The state marginals p_0..p_{n-1}: the first n rows of ``marg`` when it is
+    given (a longer recursion has the same leading rows), else propagated."""
+    if marg is None:
+        return propagate_marginals(M, mdp.initial_dist, n - 1)
+    if len(marg) < n:
+        raise ValueError(f"need {n} marginal rows, got {len(marg)}")
+    return marg[:n]
+
+
+def critic_horizon(mdp: TabularMdp, tol: float, critic_bound: float | None = None) -> int:
+    """T of a critic schedule bounded by ``critic_bound``; by default the
+    "optimal" schedule's, which does not depend on the policy: NWJ at the
+    optimal critic equals the MI, which is at most log S."""
+    if critic_bound is None:
+        critic_bound = math.log(mdp.n_states) + 1.0
+    return truncation_horizon(mdp.discount, tol,
+                              max(critic_bound, 1.0, math.log(max(mdp.n_actions, 2))))
+
+
 def resolve_critic_schedule(mdp: TabularMdp, policy: SoftmaxPolicy, critic_family,
-                            tol: float) -> tuple[list[Array], int]:
+                            tol: float, marg=None) -> tuple[list[Array], int]:
     """Freeze one critic table per timestep t = 0..T, choosing T from tol.
 
     ``critic_family`` is a CriticTable or an (S, S) array, used at every t,
     or the string "optimal" (per-t optimal critic for the current policy's
-    consecutive-state joints, then frozen).
+    consecutive-state joints, then frozen). ``marg``, here and in the other
+    schedule functions, is the policy's stack from ``propagate_marginals``
+    (at least T + 2 rows) if already computed.
     """
-    gamma = mdp.discount
-    base_bound = max(1.0, math.log(max(mdp.n_actions, 2)))
     if isinstance(critic_family, str) and critic_family == "optimal":
-        # NWJ at the optimal critic equals the MI, which is at most log S.
-        T = truncation_horizon(gamma, tol, max(base_bound, math.log(mdp.n_states) + 1.0))
+        T = critic_horizon(mdp, tol)
         M = mdp.policy_transition_matrix(policy)
-        marg = propagate_marginals(M, mdp.initial_dist, T + 1)
+        marg = _marginal_rows(mdp, M, T + 2, marg)
         joints = marg[:-1, :, None] * M      # (s_t, s_{t+1}) for t = 0..T
         _check_joints(joints, marg[:-1], marg[1:])
         F = _log_ratio_critic(joints, marg[:-1], marg[1:], UNSUPPORTED_CRITIC_FLOOR)
@@ -298,18 +303,18 @@ def resolve_critic_schedule(mdp: TabularMdp, policy: SoftmaxPolicy, critic_famil
     # lengthen the horizon
     table = (critic_family.values if isinstance(critic_family, CriticTable)
              else np.asarray(critic_family))
-    T = truncation_horizon(gamma, tol, max(_critic_bound(table), base_bound))
+    T = critic_horizon(mdp, tol, _critic_bound(table))
     return [table] * (T + 1), T
 
 
 def _saelbo_terms(mdp: TabularMdp, policy: SoftmaxPolicy, critic_tables: list[Array],
-                  T: int) -> tuple[float, float, float]:
+                  T: int, marg=None) -> tuple[float, float, float]:
     """(h_s0, h_policy, mi_sum) of the bound truncated at T for frozen critics."""
     F = _critic_stack(critic_tables, T)
     M = mdp.policy_transition_matrix(policy)
     probs, logp = policy.probs(), policy.log_probs()
     ent_rows = -(probs * np.where(probs > 0, logp, 0.0)).sum(axis=1)
-    marg = propagate_marginals(M, mdp.initial_dist, T + 1)
+    marg = _marginal_rows(mdp, M, T + 2, marg)
     disc = _discounts(mdp.discount, T)
 
     h_s0 = generalized_entropy(mdp.initial_dist)
@@ -318,13 +323,14 @@ def _saelbo_terms(mdp: TabularMdp, policy: SoftmaxPolicy, critic_tables: list[Ar
     return h_s0, float(h_policy), float(mi_sum)
 
 
-def saelbo_value(mdp: TabularMdp, logits: Array, critic_tables: list[Array], T: int) -> float:
+def saelbo_value(mdp: TabularMdp, logits: Array, critic_tables: list[Array], T: int,
+                 marg=None) -> float:
     """Truncated lower-bound value for a fixed, frozen critic schedule.
 
     Used directly by the finite-difference gradient: the critics and the
     truncation horizon stay fixed while the policy parameters move.
     """
-    h_s0, h_policy, mi_sum = _saelbo_terms(mdp, SoftmaxPolicy(logits), critic_tables, T)
+    h_s0, h_policy, mi_sum = _saelbo_terms(mdp, SoftmaxPolicy(logits), critic_tables, T, marg)
     return h_s0 + (1.0 + mdp.discount) * h_policy + mdp.discount * mi_sum
 
 
@@ -354,7 +360,7 @@ def reverse_kl_occupancy(rho_p: OccupancyTable, rho_q: OccupancyTable) -> float:
 
 
 def _frozen_reward_tables(mdp: TabularMdp, policy: SoftmaxPolicy,
-                          critic_tables: list[Array], T: int) -> Array:
+                          critic_tables: list[Array], T: int, marg=None) -> Array:
     """Per-timestep reward tables for the exact policy-gradient side, stacked
     as a (T + 1, S, A) array.
 
@@ -365,8 +371,7 @@ def _frozen_reward_tables(mdp: TabularMdp, policy: SoftmaxPolicy,
     """
     gamma = mdp.discount
     F = _critic_stack(critic_tables, T)
-    M = mdp.policy_transition_matrix(policy)
-    marg = propagate_marginals(M, mdp.initial_dist, T + 1)
+    marg = _marginal_rows(mdp, mdp.policy_transition_matrix(policy), T + 2, marg)
     r_pi = -(1.0 + gamma) * policy.log_probs()
     _exp_safe_max(F)
     EF = np.exp(F)
@@ -379,12 +384,12 @@ def _frozen_reward_tables(mdp: TabularMdp, policy: SoftmaxPolicy,
 
 
 def discounted_policy_gradient(mdp: TabularMdp, theta: Array, rewards,
-                               T: int) -> Array:
+                               T: int, marg=None) -> Array:
     """Exact gradient of J(pi_theta, r) = sum_t gamma^t E_{p_t, pi}[r_t(s, a)]
     for frozen reward tables, by forward sensitivity through the marginals.
 
     ``rewards`` is one (S, A) table used at every t, or T + 1 per-timestep
-    tables (a list or a (T + 1, S, A) array).
+    tables (a list or a (T + 1, S, A) array). ``marg`` needs T + 1 rows.
     """
     policy = SoftmaxPolicy(theta)
     S, A = mdp.n_states, mdp.n_actions
@@ -395,20 +400,30 @@ def discounted_policy_gradient(mdp: TabularMdp, theta: Array, rewards,
     G = probs[:, :, None] * (np.eye(A)[None, :, :] - probs[:, None, :])
     R = np.asarray(rewards, dtype=np.float64)
     R = np.broadcast_to(R, (T + 1, S, A)) if R.ndim == 2 else R[:T + 1]
-    marg = propagate_marginals(M, mdp.initial_dist, T)
+    marg = _marginal_rows(mdp, M, T + 1, marg)
     disc = _discounts(mdp.discount, T)
 
     # dp[t] = d p_t / d logits: dp[t + 1] = M^T dp[t], plus p_t(s) G[s, a, :]
-    # in row transition[s, a] and the columns of state s, added in (s, a, b)
-    # order
-    rows = np.repeat(mdp.transition.reshape(-1), A)
+    # in row transition[s, a] and the columns of state s. Actions of s that
+    # reach the same state add to the same cells, so pass k adds each cell's
+    # k-th term: every cell adds its terms in (s, a, b) order
+    nxt = mdp.transition
+    rows = np.repeat(nxt.reshape(-1), A)
     cols = np.broadcast_to(np.arange(P).reshape(S, 1, A), (S, A, A)).reshape(-1)
+    # rank[s, a]: how many earlier actions of s reach transition[s, a]
+    rank = (np.tri(A, k=-1, dtype=bool) & (nxt[:, :, None] == nxt[:, None, :])).sum(axis=2)
+    rank = np.repeat(rank.reshape(-1), A)
     pushed = (marg[:-1, :, None, None] * G).reshape(T, S * A * A)
+    passes = [(rows[rank == k] * P + cols[rank == k], pushed[:, rank == k])
+              for k in range(rank.max() + 1)]
     dp = np.zeros((T + 1, S, P))
+    flat = dp.reshape(T + 1, S * P)
     MT = M.T
     for t in range(T):
         np.dot(MT, dp[t], out=dp[t + 1])
-        np.add.at(dp[t + 1], (rows, cols), pushed[t])
+        dp_next = flat[t + 1]
+        for cells, added in passes:
+            dp_next[cells] += added[t]
 
     c = (probs * R).sum(axis=2)                   # (T+1, S): E_pi[r_t(s, .)]
     dc = np.einsum("sab,tsa->tsb", G, R)          # d c_t(s) / d logits[s, :]

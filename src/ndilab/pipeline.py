@@ -323,9 +323,12 @@ def _train_continuous(config: ExperimentConfig, bundle: ContinuousEnvBundle, den
         if env_steps > warmup and len(sac.buffer) >= config.sac_batch:
             sac.step()
         if env_steps % config.eval_every == 0 or env_steps == config.sac_steps:
+            # reward_f draws on the replay generator; evaluation must not move it
+            replay_state = buffer.rng.bit_generator.state
             env_mean, _, aug_mean = evaluate_return(
                 sac.policy, env, n_episodes=max(2, config.eval_episodes // 4),
                 seed=config.seed + env_steps, reward_fn=augmented)
+            buffer.rng.bit_generator.state = replay_state
             norm_kl = evaluate_policy_kl(sac.policy, expert, env, n_kl_states, seed=config.seed,
                                          episode_len=episode_len, baseline=kl_baseline)
             rows.append((len(rows), env_steps, float(aug_mean), float(env_mean),

@@ -14,12 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mdp import SoftmaxPolicy, TabularMdp
+from .mdp import SoftmaxPolicy, TabularMdp, state_marginals
 from .occupancy import (
     CriticTable,
     JointTable,
-    conditional_action_entropy,
-    conditional_state_entropy,
+    conditional_entropies,
+    critic_horizon,
     discounted_policy_gradient,
     generalized_entropy,
     mutual_information,
@@ -88,9 +88,9 @@ def verify_lemma2(n_mdps: int = 20, max_t: int = 30, seed: int = 1) -> SuiteResu
         A = int(min(rng.integers(2, 5), S))
         mdp = random_injective_mdp(S, A, float(rng.uniform(0.3, 0.95)), rng)
         policy = SoftmaxPolicy(rng.normal(0, 1.5, size=(S, A)))
+        h_state, h_action = conditional_entropies(mdp, policy, max_t)
         for t in range(1, max_t + 1):
-            gap = abs(conditional_state_entropy(mdp, policy, t)
-                      - conditional_action_entropy(mdp, policy, t))
+            gap = abs(h_state[t - 1] - h_action[t - 1])
             if gap >= 1e-10:
                 result.violations.append(f"fixture {k} (seed {seed}), t={t}: gap {gap}")
     return result
@@ -195,11 +195,11 @@ def verify_corollary1(n: int = 50, seed: int = 5) -> SuiteResult:
     return result
 
 
-def coordinate_ascent_objective(mdp, theta, log_rho_e, tables, T) -> float:
+def coordinate_ascent_objective(mdp, theta, log_rho_e, tables, T, marg=None) -> float:
     """J(pi, log rho_E) + lower-bound value, both at truncation T."""
     policy = SoftmaxPolicy(theta)
     rho = occupancy_measure(mdp, policy)
-    return float((rho.rho * log_rho_e).sum()) + saelbo_value(mdp, theta, tables, T)
+    return float((rho.rho * log_rho_e).sum()) + saelbo_value(mdp, theta, tables, T, marg)
 
 
 def verify_coordinate_ascent(n_alternations: int = 200, seed: int = 6,
@@ -208,7 +208,8 @@ def verify_coordinate_ascent(n_alternations: int = 200, seed: int = 6,
 
     The critic step sets each per-timestep critic to the optimal one (which
     maximizes every MI term); the policy step is gradient ascent with
-    backtracking line search on the exact objective.
+    backtracking line search on the exact objective. Each policy's marginal
+    stack is propagated once and shared by all the steps that evaluate it.
     """
     result = SuiteResult("coordinate-ascent", 2 * n_alternations)
     rng = np.random.default_rng(seed)
@@ -217,17 +218,20 @@ def verify_coordinate_ascent(n_alternations: int = 200, seed: int = 6,
     log_rho_e = np.log(occupancy_measure(mdp, expert).rho)
     theta = rng.normal(0, 0.5, size=(3, 2))
 
+    # the "optimal" horizon depends only on S, A, gamma and tol; p_0..p_{T+1}
+    # are every marginal the critic, objective, reward and gradient steps read
+    T = critic_horizon(mdp, 1e-10)
     policy = SoftmaxPolicy(theta)
-    tables, T = resolve_critic_schedule(mdp, policy, "optimal", 1e-10)
-    objective = coordinate_ascent_objective(mdp, theta, log_rho_e, tables, T)
+    marg = state_marginals(mdp, policy, T + 1).per_timestep
+    tables, _ = resolve_critic_schedule(mdp, policy, "optimal", 1e-10, marg)
+    objective = coordinate_ascent_objective(mdp, theta, log_rho_e, tables, T, marg)
     history = [objective]
     step = 0.5
     for k in range(n_alternations):
         # critic update: per-timestep optimal critics for the current policy
         policy = SoftmaxPolicy(theta)
-        # the "optimal" horizon depends only on S, A, gamma and tol, so it stays T
-        tables, _ = resolve_critic_schedule(mdp, policy, "optimal", 1e-10)
-        objective_f = coordinate_ascent_objective(mdp, theta, log_rho_e, tables, T)
+        tables, _ = resolve_critic_schedule(mdp, policy, "optimal", 1e-10, marg)
+        objective_f = coordinate_ascent_objective(mdp, theta, log_rho_e, tables, T, marg)
         if objective_f < history[-1] - step_tol:
             result.violations.append(
                 f"alternation {k} (seed {seed}): critic step decreased objective "
@@ -235,14 +239,16 @@ def verify_coordinate_ascent(n_alternations: int = 200, seed: int = 6,
         history.append(objective_f)
 
         # policy update: ascent with backtracking on the exact objective
-        rewards = _frozen_reward_tables(mdp, policy, tables, T) + log_rho_e
-        grad = discounted_policy_gradient(mdp, theta, rewards, T)
+        rewards = _frozen_reward_tables(mdp, policy, tables, T, marg) + log_rho_e
+        grad = discounted_policy_gradient(mdp, theta, rewards, T, marg)
         trial = step
         for _ in range(40):
             cand = theta + trial * grad
-            objective_pi = coordinate_ascent_objective(mdp, cand, log_rho_e, tables, T)
+            cand_marg = state_marginals(mdp, SoftmaxPolicy(cand), T + 1).per_timestep
+            objective_pi = coordinate_ascent_objective(mdp, cand, log_rho_e, tables, T,
+                                                       cand_marg)
             if objective_pi >= objective_f - 1e-12:
-                theta = cand
+                theta, marg = cand, cand_marg
                 step = min(trial * 2.0, 2.0)
                 break
             trial *= 0.5

@@ -525,6 +525,25 @@ class TestContinuousPipeline:
         # KL states once per evaluation (one episode each at these sizes)
         assert calls.count("_rollout_states") == 1 + rows
 
+    def test_evaluation_cadence_leaves_training_unchanged(self, tmp_path):
+        # evaluations score episodes with reward_f, which samples the replay
+        # buffer; training must not see those draws
+        cfg = smoke_pointmass_config(tmp_path)
+        out = tmp_path / "pm"
+        model = cmd_fit_density(cfg, cmd_gen_demos(cfg, out), out)
+        by_step = {}
+        for every in (300, 600):
+            run = dataclasses.replace(cfg, eval_every=every)
+            header, *rows = [line.split(",") for line in cmd_train(
+                run, model, tmp_path / f"every{every}").metrics_path.read_text().splitlines()]
+            keep = [i for i, name in enumerate(header)
+                    if name not in ("iteration", "wallclock", "config_hash")]
+            by_step[every] = {int(row[1]): [row[i] for i in keep] for row in rows}
+        assert sorted(by_step[300]) == [300, 600, 900]
+        assert sorted(by_step[600]) == [600, 900]
+        for step in (600, 900):
+            assert by_step[300][step] == by_step[600][step], step
+
 
 class TestEvalCommand:
     def test_expert_scores_zero_kl(self, tmp_path):

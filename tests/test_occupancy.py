@@ -11,15 +11,13 @@ from hypothesis import strategies as st
 
 from ndilab import occupancy
 from ndilab.envs import GridworldSpec, build_chain, build_gridworld
-from ndilab.mdp import SoftmaxPolicy, TabularMdp, state_marginals
+from ndilab.mdp import SoftmaxPolicy, TabularMdp, propagate_marginals, state_marginals
 from ndilab.occupancy import (
     CriticTable,
     JointTable,
     OccupancyTable,
-    conditional_action_entropy,
-    conditional_state_entropy,
+    conditional_entropies,
     consecutive_state_joint,
-    discounted_policy_entropy,
     generalized_entropy,
     mutual_information,
     nwj_bound,
@@ -117,6 +115,12 @@ class TestGeneralizedEntropy:
         q *= p.sum() / q.sum()
         mixed = generalized_entropy(lam * p + (1 - lam) * q)
         assert mixed >= lam * generalized_entropy(p) + (1 - lam) * generalized_entropy(q) - 1e-12
+
+
+def discounted_policy_entropy(mdp, policy, tol=1e-10):
+    """H(pi) = -sum_{s,a} rho(s,a) log pi(a|s)."""
+    occ = occupancy_measure(mdp, policy, tol)
+    return float(-(occ.rho * policy.log_probs()).sum())
 
 
 class TestDiscountedPolicyEntropy:
@@ -218,20 +222,31 @@ class TestOptimalCritic:
         np.testing.assert_allclose(f, expected, atol=1e-12)
 
 
+def per_t_conditional_entropies(mdp, policy, t):
+    """H(s_t | s_{t-1}) and H(a_{t-1} | s_{t-1}) at one t, each from its own
+    marginal recursion and row entropies."""
+    p_prev = state_marginals(mdp, policy, t).at(t - 1)
+    M = mdp.policy_transition_matrix(policy)
+    probs = policy.probs()
+    h_state = float(p_prev @ np.array([generalized_entropy(M[s]) for s in range(mdp.n_states)]))
+    h_action = float(p_prev @ np.array([generalized_entropy(probs[s])
+                                        for s in range(mdp.n_states)]))
+    return h_state, h_action
+
+
 class TestConditionalEntropies:
     def test_deterministic_policy_both_zero(self):
         policy = SoftmaxPolicy(np.array([[0.0, -2000.0], [-2000.0, 0.0]]))
-        mdp = xor_mdp()
+        h_state, h_action = conditional_entropies(xor_mdp(), policy, 5)
         for t in (1, 2, 5):
-            assert conditional_state_entropy(mdp, policy, t) == pytest.approx(0.0, abs=1e-12)
-            assert conditional_action_entropy(mdp, policy, t) == pytest.approx(0.0, abs=1e-12)
+            assert h_state[t - 1] == pytest.approx(0.0, abs=1e-12)
+            assert h_action[t - 1] == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_policy_xor_gives_log2(self):
-        mdp = xor_mdp()
-        policy = SoftmaxPolicy.uniform(2, 2)
+        h_state, h_action = conditional_entropies(xor_mdp(), SoftmaxPolicy.uniform(2, 2), 10)
         for t in (1, 3, 10):
-            assert conditional_state_entropy(mdp, policy, t) == pytest.approx(math.log(2))
-            assert conditional_action_entropy(mdp, policy, t) == pytest.approx(math.log(2))
+            assert h_state[t - 1] == pytest.approx(math.log(2))
+            assert h_action[t - 1] == pytest.approx(math.log(2))
 
     def test_epsilon_greedy_gridworld_identity_at_t3(self):
         mdp = build_gridworld(GridworldSpec())
@@ -240,9 +255,8 @@ class TestConditionalEntropies:
         probs = np.full((mdp.n_states, mdp.n_actions), 0.2 / mdp.n_actions)
         probs[np.arange(mdp.n_states), greedy] += 0.8
         policy = SoftmaxPolicy(np.log(probs))
-        hs = conditional_state_entropy(mdp, policy, 3)
-        ha = conditional_action_entropy(mdp, policy, 3)
-        assert abs(hs - ha) < 1e-10
+        h_state, h_action = conditional_entropies(mdp, policy, 3)
+        assert abs(h_state[2] - h_action[2]) < 1e-10
 
     def test_lemma_identity_on_random_injective_mdps(self):
         rng = np.random.default_rng(30)
@@ -251,10 +265,22 @@ class TestConditionalEntropies:
             A = min(S, A)
             mdp = random_injective_mdp(S, A, 0.9, rng)
             policy = SoftmaxPolicy(rng.normal(0, 2, size=(S, A)))
-            for t in range(1, 15):
-                diff = abs(conditional_state_entropy(mdp, policy, t)
-                           - conditional_action_entropy(mdp, policy, t))
-                assert diff < 1e-10
+            h_state, h_action = conditional_entropies(mdp, policy, 14)
+            assert np.all(np.abs(h_state - h_action) < 1e-10)
+
+    @pytest.mark.parametrize("kind", ["one-state-three-actions", "non-injective", "4x3", "7x5"])
+    def test_each_entry_equals_its_single_t_computation(self, kind):
+        mdp, theta, _ = parity_fixture(kind)
+        policy = SoftmaxPolicy(theta)
+        h_state, h_action = conditional_entropies(mdp, policy, 30)
+        assert h_state.shape == h_action.shape == (30,)
+        for t in range(1, 31):
+            want = per_t_conditional_entropies(mdp, policy, t)
+            assert same_bytes((h_state[t - 1], h_action[t - 1]), want), t
+
+    def test_needs_t_at_least_one(self):
+        with pytest.raises(ValueError, match="t >= 1"):
+            conditional_entropies(xor_mdp(), SoftmaxPolicy.uniform(2, 2), 0)
 
 
 class TestResolveCriticSchedule:
@@ -660,6 +686,45 @@ class TestScheduleParity:
             assert same_bytes(got, want), name
         assert same_bytes(occupancy.saelbo_gradient_pg(mdp, theta, "optimal"),
                           loop_policy_gradient(mdp, theta, frozen, T))
+
+    def test_supplied_marginal_stack_gives_the_same_bytes(self, kind):
+        mdp, theta, rng = parity_fixture(kind)
+        policy = SoftmaxPolicy(theta)
+        M = mdp.policy_transition_matrix(policy)
+        # rows needed: T + 2 for the schedule, the bound and the reward
+        # tables, T + 1 for the gradient; a longer stack is cut to its prefix
+        for name, tables, T in self.critic_schedules(mdp, policy, rng):
+            for extra in (0, 7):
+                marg = propagate_marginals(M, mdp.initial_dist, T + 1 + extra)
+                if name == "optimal":
+                    got, got_T = resolve_critic_schedule(mdp, policy, "optimal", 1e-10, marg)
+                    assert got_T == T and same_bytes(got, tables)
+                assert same_bytes(occupancy._saelbo_terms(mdp, policy, tables, T, marg),
+                                  occupancy._saelbo_terms(mdp, policy, tables, T)), name
+                assert same_bytes(occupancy.saelbo_value(mdp, theta, tables, T, marg),
+                                  occupancy.saelbo_value(mdp, theta, tables, T)), name
+                rewards = occupancy._frozen_reward_tables(mdp, policy, tables, T)
+                assert same_bytes(occupancy._frozen_reward_tables(mdp, policy, tables, T, marg),
+                                  rewards), name
+                want = occupancy.discounted_policy_gradient(mdp, theta, rewards, T)
+                for stack in (marg, marg[:T + 1]):
+                    got = occupancy.discounted_policy_gradient(mdp, theta, rewards, T, stack)
+                    assert same_bytes(got, want), name
+
+    def test_short_marginal_stack_rejected(self, kind):
+        mdp, theta, _ = parity_fixture(kind)
+        policy = SoftmaxPolicy(theta)
+        tables, T = resolve_critic_schedule(mdp, policy, "optimal", 1e-10)
+        short = propagate_marginals(mdp.policy_transition_matrix(policy), mdp.initial_dist, T)
+        with pytest.raises(ValueError, match=f"need {T + 2} marginal rows, got {T + 1}"):
+            resolve_critic_schedule(mdp, policy, "optimal", 1e-10, short)
+        with pytest.raises(ValueError, match=f"need {T + 2} marginal rows"):
+            occupancy.saelbo_value(mdp, theta, tables, T, short)
+        with pytest.raises(ValueError, match=f"need {T + 2} marginal rows"):
+            occupancy._frozen_reward_tables(mdp, policy, tables, T, short)
+        with pytest.raises(ValueError, match=f"need {T + 1} marginal rows"):
+            occupancy.discounted_policy_gradient(mdp, theta, np.zeros(theta.shape), T,
+                                                 short[:T])
 
     @pytest.mark.parametrize("T", [0, 1, 2])
     def test_shortest_horizons(self, kind, T):
