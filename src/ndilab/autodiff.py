@@ -4,14 +4,15 @@ gradient, spectral normalization, and an adaptive-moment optimizer.
 ``Mlp.forward`` returns the layer tape: the input followed by every layer's
 activation. The module-level ``backward(net, tape, g)`` applies each layer's
 vector-Jacobian product to the tape and returns the gradient of the network's
-flat parameter vector. Each ``Mlp`` keeps all its parameters in one flat
-vector (``Mlp.flat``); the per-layer weights and biases are views into it, so
-an optimizer updates a whole network in one call. ``MlpStack`` runs the tape
-of several same-width networks at once, as stacked arrays. Losses (soft
-actor-critic, MADE likelihood, sliced score matching) are written out on
-arrays by their callers, which apply these products in a fixed order, so
-same-seed runs are byte-identical. Values and gradients are float64 numpy
-arrays throughout.
+flat parameter vector; ``input_grad(net, tape, g)`` returns that of its
+input. Each ``Mlp`` keeps all its parameters in one flat vector
+(``Mlp.flat``); the per-layer weights and biases are views into it, so an
+optimizer updates a whole network in one call. ``MlpStack`` runs several
+same-width networks through the same tape loop, ``backward`` and
+``input_grad``, as stacked arrays. Losses (soft actor-critic, MADE
+likelihood, sliced score matching) are written out on arrays by their
+callers, which apply these products in a fixed order, so same-seed runs are
+byte-identical. Values and gradients are float64 numpy arrays throughout.
 """
 from __future__ import annotations
 
@@ -86,6 +87,8 @@ class Mlp:
                  masks: list[Array] | None = None, flat: Array | None = None):
         if len(widths) < 2:
             raise ValueError("need at least input and output widths")
+        if min(widths) < 1:
+            raise ValueError(f"layer widths must be >= 1, got {list(widths)}")
         self.widths = list(widths)
         self.spectral_norm = spectral_norm
         rng = np.random.default_rng(seed)
@@ -166,15 +169,7 @@ class Mlp:
             raise ValueError(f"input width {h.shape[1]} != expected {self.widths[0]}")
         if weights is None:
             weights = self.weights()
-        tape = [h]
-        n = len(self.layers)
-        for i in range(n):
-            h = h @ weights[i].T
-            h += self.layers[i].bias
-            if i < n - 1:
-                np.tanh(h, out=h)
-            tape.append(h)
-        return tape
+        return _layer_tape(h, weights, [layer.bias for layer in self.layers])
 
     def weight_vjp(self, i: int, g: Array) -> Array:
         """The gradient of layer ``i``'s stored weight from a gradient ``g`` of
@@ -191,25 +186,48 @@ class Mlp:
         return self.forward(x)[-1]
 
 
-def backward(net: Mlp, tape: list[Array], g: Array) -> Array:
+def _layer_tape(h: Array, weights: list[Array], biases: list[Array]) -> list[Array]:
+    """``h`` and every layer's activation, on 2-D or stacked ``(k, ., .)`` arrays."""
+    tape = [h]
+    for i, (W, b) in enumerate(zip(weights, biases)):
+        h = h @ W.mT
+        h += b
+        if i < len(weights) - 1:
+            np.tanh(h, out=h)
+        tape.append(h)
+    return tape
+
+
+def backward(net: Mlp | MlpStack, tape: list[Array], g: Array) -> Array:
     """Gradient of ``net.flat`` (in its layout) of ``sum(g * output)`` for the
     ``net.forward`` result ``tape``, with the parameters unchanged since it
-    was taken. No input gradient is formed (see ``MlpStack.input_grad``).
-    Per layer: the pre-activation gradient ``g * (1 - z**2)`` (no factor on
-    the linear output layer), the weight gradient ``(h.T @ local).T`` through
-    ``weight_vjp``, the bias gradient summed over the batch, and
-    ``local @ W`` for the layer below.
+    was taken. No input gradient is formed (see ``input_grad``). Per layer:
+    the pre-activation gradient ``g * (1 - z**2)`` (no factor on the linear
+    output layer), the weight gradient ``(h.T @ local).T`` through
+    ``weight_vjp``, the bias gradient summed over the batch, and ``local @ W``
+    for the layer below. For an ``MlpStack`` row j of the ``(k, n)`` result
+    is ``backward`` of net j.
     """
-    n = len(net.layers)
+    n = len(tape) - 1
     grads: list[Array] = [None] * (2 * n)
     for i in reversed(range(n)):
         h, z = tape[i], tape[i + 1]
         local = g * (1.0 - z ** 2) if i < n - 1 else g
-        grads[2 * i] = net.weight_vjp(i, (h.T @ local).T).reshape(-1)
-        grads[2 * i + 1] = local.sum(axis=0)
+        grads[2 * i] = net.weight_vjp(i, (h.mT @ local).mT).reshape(*h.shape[:-2], -1)
+        grads[2 * i + 1] = local.sum(axis=-2)
         if i > 0:
             g = local @ net.weight(i)
-    return np.concatenate(grads)
+    return np.concatenate(grads, axis=-1)
+
+
+def input_grad(net: Mlp | MlpStack, tape: list[Array], g: Array) -> Array:
+    """Gradient of the input of ``sum(g * output)`` for the ``net.forward``
+    result ``tape``: per layer, ``local @ W`` with ``local`` as in ``backward``."""
+    n = len(tape) - 1
+    for i in reversed(range(n)):
+        local = g * (1.0 - tape[i + 1] ** 2) if i < n - 1 else g
+        g = local @ net.weight(i)
+    return g
 
 
 class MlpStack:
@@ -217,28 +235,31 @@ class MlpStack:
 
     ``flat`` is one ``(k, n)`` array whose rows are the nets' ``flat``
     vectors, so ``nets[j].flat`` and its layer weights and biases are views
-    into it, and one optimizer step or one in-place op updates all k nets.
-    Passes take and give ``(k, batch, width)`` arrays. numpy runs a stacked
-    matmul as one product per slice, so slice j of every pass is
-    byte-identical to the same step of ``nets[j].forward`` or ``backward``.
+    into it, and one optimizer step or one in-place op updates all k nets;
+    ``weights`` and ``biases`` are its ``(k, out, in)`` and ``(k, 1, out)``
+    layer views. Passes take and give ``(k, batch, width)`` arrays. numpy runs
+    a stacked matmul as one product per slice, so slice j of every pass is
+    byte-identical to the same pass on ``nets[j]``.
     """
 
     def __init__(self, widths: list[int], seeds: tuple):
         self.flat = np.zeros((len(seeds), param_count(widths)))
         self.nets = [Mlp(widths, seed=seed, flat=row) for seed, row in zip(seeds, self.flat)]
-        self.weights, self.biases = self._layer_views(self.flat)
-
-    def _layer_views(self, flat: Array) -> tuple[list[Array], list[Array]]:
-        """Per-layer views of a ``(k, n)`` array in ``flat``'s layout: the
-        ``(k, out, in)`` weights and the ``(k, 1, out)`` biases."""
-        k, widths = len(flat), self.nets[0].widths
-        weights, biases, start = [], [], 0
+        self.weights, self.biases, start = [], [], 0
         for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-            weights.append(flat[:, start:start + fan_out * fan_in].reshape(k, fan_out, fan_in))
+            self.weights.append(self.flat[:, start:start + fan_out * fan_in]
+                                .reshape(-1, fan_out, fan_in))
             start += fan_out * fan_in
-            biases.append(flat[:, None, start:start + fan_out])
+            self.biases.append(self.flat[:, None, start:start + fan_out])
             start += fan_out
-        return weights, biases
+
+    def weight(self, i: int) -> Array:
+        """Layer ``i``'s ``(k, out, in)`` weight: the nets are plain."""
+        return self.weights[i]
+
+    def weight_vjp(self, i: int, g: Array) -> Array:
+        """``g`` unchanged: a plain net's weight is its effective weight."""
+        return g
 
     def forward(self, x: Array) -> list[Array]:
         """The stacked layer tape of a ``(k, batch, in)`` input: slice j is
@@ -246,38 +267,7 @@ class MlpStack:
         if x.ndim != 3 or x.shape[0] != len(self.flat) or x.shape[2] != self.nets[0].widths[0]:
             raise ValueError(f"input shape {x.shape} != ({len(self.flat)}, batch, "
                              f"{self.nets[0].widths[0]})")
-        tape, h, n = [x], x, len(self.weights)
-        for i in range(n):
-            h = h @ self.weights[i].transpose(0, 2, 1)
-            h += self.biases[i]
-            if i < n - 1:
-                np.tanh(h, out=h)
-            tape.append(h)
-        return tape
-
-    def param_grad(self, tape: list[Array], g: Array) -> Array:
-        """Gradient of ``flat``, as a ``(k, n)`` array, of ``sum(g * output)``
-        for the ``forward`` result ``tape``: row j is
-        ``backward(nets[j], tape_j, g[j])``. No input gradient."""
-        grad = np.empty_like(self.flat)
-        g_weights, g_biases = self._layer_views(grad)
-        for i in reversed(range(len(self.weights))):
-            h, z = tape[i], tape[i + 1]
-            local = g * (1.0 - z ** 2) if i < len(self.weights) - 1 else g
-            g_weights[i][...] = (h.transpose(0, 2, 1) @ local).transpose(0, 2, 1)
-            g_biases[i][...] = local.sum(axis=1, keepdims=True)
-            if i > 0:
-                g = local @ self.weights[i]
-        return grad
-
-    def input_grad(self, tape: list[Array], g: Array) -> Array:
-        """Gradient of the ``(k, batch, in)`` input of ``sum(g * output)``,
-        with no parameter gradient: per layer, ``local @ W`` with ``local``
-        formed as in ``backward``."""
-        for i in reversed(range(len(self.weights))):
-            local = g * (1.0 - tape[i + 1] ** 2) if i < len(self.weights) - 1 else g
-            g = local @ self.weights[i]
-        return g
+        return _layer_tape(x, self.weights, self.biases)
 
 
 # ---------------------------------------------------------------------------

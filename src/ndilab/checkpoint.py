@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -96,51 +97,57 @@ def save_density_model(path, model, extra: dict | None = None) -> None:
     save_checkpoint(path, model.kind, header, model.params())
 
 
-def load_density_model(path):
-    """Rebuild a density model from its checkpoint. A missing header key, a
-    malformed header value, arrays that do not fit the model, non-finite
-    parameters or statistics, and spectral-norm sigmas that are not finite
-    numbers > 0 each raise ``ValueError`` naming the file."""
+@contextmanager
+def _model_contents(path):
+    """The (kind, header, arrays) of the checkpoint at ``path``, for a block
+    that rebuilds a model from them. Non-finite arrays, and header keys,
+    header values or arrays that do not fit the model, raise ``ValueError``
+    naming the file."""
     kind, header, arrays = load_checkpoint(path)
     try:
-        return _density_model(kind, header, arrays)
+        if not all(np.isfinite(a).all() for a in arrays):
+            raise ValueError("non-finite parameter values")
+        yield kind, header, arrays
     except KeyError as err:
         raise ValueError(f"{path}: header has no {err} entry") from err
     except (TypeError, ValueError) as err:
         raise ValueError(f"{path}: {err}") from err
 
 
-def _density_model(kind: str, header: dict, arrays: list):
+def load_density_model(path):
+    """Rebuild a density model from its checkpoint, with the ``_model_contents``
+    checks; non-finite statistics and spectral-norm sigmas that are not finite
+    numbers > 0 also raise ``ValueError`` naming the file."""
     from .density import EbmModel, MadeModel, Standardizer
-    if kind == "made":
-        model = MadeModel(header["dim"], hidden=tuple(header["hidden"]),
-                          n_components=header["n_components"],
-                          ordering=np.array(header["ordering"]),
-                          spectral_norm=header["spectral_norm"])
-    elif kind == "ebm":
-        model = EbmModel(header["dim"], hidden=tuple(header["widths"][1:-1]),
-                         spectral_norm=header["spectral_norm"])
-    else:
-        raise ValueError(f"not a density checkpoint: kind {kind!r}")
-    model.net.set_params(arrays)
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise ValueError("non-finite parameter values")
-    layers, sigmas = model.net.layers, header["sn_sigma"]
-    if not isinstance(sigmas, list) or len(sigmas) != len(layers):
-        raise ValueError(f"expected {len(layers)} sn_sigma values, got {sigmas!r}")
-    if not all(isinstance(s, (int, float)) and not isinstance(s, bool)
-               and math.isfinite(s) and s > 0 for s in sigmas):
-        raise ValueError(f"sn_sigma values must be finite numbers > 0, got {sigmas!r}")
-    std = Standardizer(np.array(header["mean"], dtype=np.float64),
-                       np.array(header["std"], dtype=np.float64))
-    if std.mean.shape != (model.dim,) or std.std.shape != (model.dim,):
-        raise ValueError(f"standardizer statistics do not match dim {model.dim}")
-    if not (np.isfinite(std.mean).all() and np.isfinite(std.std).all() and (std.std > 0).all()):
-        raise ValueError("standardizer statistics must be finite, with std > 0")
-    for layer, sigma in zip(layers, sigmas):
-        layer.sigma = sigma
-    model.standardizer = std
-    return model
+    with _model_contents(path) as (kind, header, arrays):
+        if kind == "made":
+            model = MadeModel(header["dim"], hidden=tuple(header["hidden"]),
+                              n_components=header["n_components"],
+                              ordering=np.array(header["ordering"]),
+                              spectral_norm=header["spectral_norm"])
+        elif kind == "ebm":
+            model = EbmModel(header["dim"], hidden=tuple(header["widths"][1:-1]),
+                             spectral_norm=header["spectral_norm"])
+        else:
+            raise ValueError(f"not a density checkpoint: kind {kind!r}")
+        model.net.set_params(arrays)
+        layers, sigmas = model.net.layers, header["sn_sigma"]
+        if not isinstance(sigmas, list) or len(sigmas) != len(layers):
+            raise ValueError(f"expected {len(layers)} sn_sigma values, got {sigmas!r}")
+        if not all(isinstance(s, (int, float)) and not isinstance(s, bool)
+                   and math.isfinite(s) and s > 0 for s in sigmas):
+            raise ValueError(f"sn_sigma values must be finite numbers > 0, got {sigmas!r}")
+        std = Standardizer(np.array(header["mean"], dtype=np.float64),
+                           np.array(header["std"], dtype=np.float64))
+        if std.mean.shape != (model.dim,) or std.std.shape != (model.dim,):
+            raise ValueError(f"standardizer statistics do not match dim {model.dim}")
+        if not (np.isfinite(std.mean).all() and np.isfinite(std.std).all()
+                and (std.std > 0).all()):
+            raise ValueError("standardizer statistics must be finite, with std > 0")
+        for layer, sigma in zip(layers, sigmas):
+            layer.sigma = sigma
+        model.standardizer = std
+        return model
 
 
 def save_softmax_policy(path, policy, extra: dict | None = None) -> None:
@@ -149,12 +156,12 @@ def save_softmax_policy(path, policy, extra: dict | None = None) -> None:
 
 def load_softmax_policy(path):
     from .mdp import SoftmaxPolicy
-    kind, header, arrays = load_checkpoint(path)
-    if kind != "softmax_policy":
-        raise ValueError(f"{path}: not a softmax policy checkpoint: kind {kind!r}")
-    if len(arrays) != 1 or arrays[0].ndim != 2:
-        raise ValueError(f"{path}: expected one (states, actions) logits array")
-    return SoftmaxPolicy(arrays[0]), header
+    with _model_contents(path) as (kind, header, arrays):
+        if kind != "softmax_policy":
+            raise ValueError(f"not a softmax policy checkpoint: kind {kind!r}")
+        if len(arrays) != 1 or arrays[0].ndim != 2:
+            raise ValueError("expected one (states, actions) logits array")
+        return SoftmaxPolicy(arrays[0]), header
 
 
 def save_gaussian_policy(path, policy, extra: dict | None = None) -> None:
@@ -166,15 +173,14 @@ def save_gaussian_policy(path, policy, extra: dict | None = None) -> None:
 
 def load_gaussian_policy(path):
     from .mdp import GaussianPolicy
-    kind, header, arrays = load_checkpoint(path)
-    if kind != "gaussian_policy":
-        raise ValueError(f"{path}: not a gaussian policy checkpoint: kind {kind!r}")
-    widths = header["widths"]
-    policy = GaussianPolicy(header["state_dim"], header["action_dim"],
-                            hidden=tuple(widths[1:-1]))
-    policy.mean_net.set_params(arrays[:-1])
-    if arrays[-1].shape != policy.log_std.shape:
-        raise ValueError(f"{path}: log_std has shape {arrays[-1].shape}, "
-                         f"expected {policy.log_std.shape}")
-    policy.log_std[...] = arrays[-1]
-    return policy, header
+    with _model_contents(path) as (kind, header, arrays):
+        if kind != "gaussian_policy":
+            raise ValueError(f"not a gaussian policy checkpoint: kind {kind!r}")
+        policy = GaussianPolicy(header["state_dim"], header["action_dim"],
+                                hidden=tuple(header["widths"][1:-1]))
+        policy.mean_net.set_params(arrays[:-1])
+        if arrays[-1].shape != policy.log_std.shape:
+            raise ValueError(f"log_std has shape {arrays[-1].shape}, "
+                             f"expected {policy.log_std.shape}")
+        policy.log_std[...] = arrays[-1]
+        return policy, header

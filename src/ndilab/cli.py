@@ -9,6 +9,7 @@ any OSError such as a missing, unreadable or directory path),
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -51,11 +52,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolved(args):
+    """The config with ``--seed`` and ``--out`` applied, checked like the file's values."""
     config = load_config(args.config)
     if args.seed is not None:
-        config.seed = args.seed
+        config = dataclasses.replace(config, seed=args.seed)
     if args.out is not None:
-        config.out_dir = str(args.out)
+        config = dataclasses.replace(config, out_dir=str(args.out))
     return config, Path(config.out_dir)
 
 

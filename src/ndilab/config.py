@@ -88,6 +88,8 @@ class ExperimentConfig:
             raise ConfigError(f"lambda_pi_mode must be auto|fixed, got {self.lambda_pi_mode!r}")
         if not (0.0 <= self.gamma < 1.0):
             raise ConfigError("gamma must lie in [0, 1)")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         for key in WEIGHT_KEYS:
             value = getattr(self, key)
             if not (math.isfinite(value) and value >= 0):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import AdamState, MlpStack, adam_step, backward
+from .autodiff import AdamState, MlpStack, adam_step, backward, input_grad
 from .mdp import GaussianPolicy, SoftmaxPolicy, TabularMdp, sample_trajectory
 from .occupancy import occupancy_measure, truncation_horizon
 
@@ -374,7 +374,7 @@ class SacLearner:
             losses[name] = float(sq[k].sum() * (1.0 / B))   # nmean of the squared error
             if not np.isfinite(losses[name]):
                 raise FloatingPointError(f"non-finite {name} loss")
-        adam_step(self.opt_q, self.q.flat, self.q.param_grad(tape, (1.0 / B) * 2.0 * diff))
+        adam_step(self.opt_q, self.q.flat, backward(self.q, tape, (1.0 / B) * 2.0 * diff))
 
         # policy: maximize min Q(s, a~) - alpha log pi(a~|s) with reparameterized a~
         eps = self.rng.standard_normal((B, da))
@@ -393,7 +393,7 @@ class SacLearner:
             raise FloatingPointError("non-finite policy loss")
 
         g_q = -(1.0 / B)   # d pi_loss / d qmin, per row
-        gx = self.q.input_grad(q_tape, np.stack([g_q * take1, g_q * (1.0 - take1)]))
+        gx = input_grad(self.q, q_tape, np.stack([g_q * take1, g_q * (1.0 - take1)]))
         g_over = BOUND_PENALTY * (1.0 / B) * 2.0 * overflow
         # a clamp passes gradient only where its input lies inside the bounds
         g_a = ((gx[0] + gx[1])[:, ds:] + g_over) + (-g_over) * (a_clipped == a_new)

@@ -170,36 +170,38 @@ class Trajectory:
 
 @dataclass
 class MarginalSchedule:
-    """Exact state marginals p_t for t = 0..horizon (rows sum to 1)."""
+    """Exact state marginals p_t for t = 0..horizon (rows sum to 1) of
+    ``policy``, whose transition matrix is ``M``: everything the entropy
+    lower bound reads about one policy."""
 
     per_timestep: Array  # (horizon + 1, S)
-    horizon: int
+    policy: SoftmaxPolicy
+    M: Array             # (S, S)
 
     def __post_init__(self):
         sums = self.per_timestep.sum(axis=1)
         if np.any(np.abs(sums - 1.0) > 1e-10):
             raise ValueError("each marginal must sum to 1 within 1e-10")
 
-    def at(self, t: int) -> Array:
-        return self.per_timestep[t]
+    def rows(self, n: int) -> Array:
+        """p_0..p_{n-1}; a longer schedule has the same leading rows."""
+        if len(self.per_timestep) < n:
+            raise ValueError(f"need {n} marginal rows, got {len(self.per_timestep)}")
+        return self.per_timestep[:n]
 
 
 def state_marginals(mdp: TabularMdp, policy: SoftmaxPolicy, horizon: int) -> MarginalSchedule:
-    """Forward recursion p_{t+1}(s') = sum_{s,a} p_t(s) pi(a|s) [P(s,a)=s']."""
+    """Forward recursion p_{t+1}(s') = sum_{s,a} p_t(s) pi(a|s) [P(s,a)=s'],
+    that is p_{t+1} = M^T p_t from p_0 = the initial distribution."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     M = mdp.policy_transition_matrix(policy)
-    return MarginalSchedule(propagate_marginals(M, mdp.initial_dist, horizon), horizon)
-
-
-def propagate_marginals(M: Array, p0: Array, horizon: int) -> Array:
-    """Rows p_0 = p0, p_{t+1} = M^T p_t for t < horizon, as a (horizon + 1, S) array."""
-    p = np.zeros((horizon + 1, len(p0)))
-    p[0] = p0
+    p = np.zeros((horizon + 1, mdp.n_states))
+    p[0] = mdp.initial_dist
     MT = M.T
     for t in range(horizon):
         np.dot(MT, p[t], out=p[t + 1])
-    return p
+    return MarginalSchedule(p, policy, M)
 
 
 def sample_trajectory(mdp_or_env, policy, max_steps: int, seed: int) -> Trajectory:

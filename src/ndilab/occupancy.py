@@ -7,8 +7,9 @@ truncated forward recursion with an explicit, reported truncation horizon.
 Infinite-horizon sums are cut at T with gamma^T * bound(summand) < tol.
 
 The lower bound, its optimal critics, its frozen reward tables and its
-policy gradient are computed over the whole marginal schedule at once: the
-transition matrix M is built once per call, the consecutive-state joints
+policy gradient are computed over the whole marginal schedule at once. They
+read one ``MarginalSchedule`` per policy, which carries the policy, its
+transition matrix M and its marginals; the consecutive-state joints
 p_t(s) M(s, s') are stacked along a leading t axis, and the critic and NWJ
 formulas work on that stack. Only the sequential parts stay loops over t
 (the marginal recursion, the gradient's sensitivity recursion, and the
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import SoftmaxPolicy, TabularMdp, propagate_marginals, state_marginals
+from .mdp import MarginalSchedule, SoftmaxPolicy, TabularMdp, state_marginals
 
 Array = np.ndarray
 
@@ -224,10 +225,10 @@ def conditional_entropies(mdp: TabularMdp, policy: SoftmaxPolicy, max_t: int) ->
     p_{t-1} dot product, so it rounds as a single-t computation would."""
     if max_t < 1:
         raise ValueError("conditional entropies need t >= 1")
-    marg = state_marginals(mdp, policy, max_t).per_timestep
+    schedule = state_marginals(mdp, policy, max_t)
     row_ent = [np.array([generalized_entropy(row) for row in table])
-               for table in (mdp.policy_transition_matrix(policy), policy.probs())]
-    return tuple(np.array([float(p @ ent) for p in marg[:-1]]) for ent in row_ent)
+               for table in (schedule.M, policy.probs())]
+    return tuple(np.array([float(p @ ent) for p in schedule.rows(max_t)]) for ent in row_ent)
 
 
 # ---------------------------------------------------------------------------
@@ -237,14 +238,6 @@ def conditional_entropies(mdp: TabularMdp, policy: SoftmaxPolicy, max_t: int) ->
 
 def _critic_bound(f: Array) -> float:
     return max(1.0, float(np.abs(f).max()) + math.exp(float(_exp_safe_max(f)) - 1.0))
-
-
-def _critic_stack(critic_tables, T: int) -> Array:
-    """The frozen critics f_0..f_T as one (T + 1, S, S) array."""
-    F = np.asarray(critic_tables[:T + 1], dtype=np.float64)
-    if len(F) != T + 1:
-        raise ValueError(f"need T + 1 = {T + 1} critic tables, got {len(F)}")
-    return F
 
 
 def _discounts(gamma: float, T: int) -> Array:
@@ -260,87 +253,84 @@ def _sum_in_order(terms: Array) -> Array:
     return np.add.accumulate(np.concatenate((np.zeros((1, *terms.shape[1:])), terms)))[-1]
 
 
-def _marginal_rows(mdp: TabularMdp, M: Array, n: int, marg) -> Array:
-    """The state marginals p_0..p_{n-1}: the first n rows of ``marg`` when it is
-    given (a longer recursion has the same leading rows), else propagated."""
-    if marg is None:
-        return propagate_marginals(M, mdp.initial_dist, n - 1)
-    if len(marg) < n:
-        raise ValueError(f"need {n} marginal rows, got {len(marg)}")
-    return marg[:n]
-
-
-def critic_horizon(mdp: TabularMdp, tol: float, critic_bound: float | None = None) -> int:
-    """T of a critic schedule bounded by ``critic_bound``; by default the
-    "optimal" schedule's, which does not depend on the policy: NWJ at the
-    optimal critic equals the MI, which is at most log S."""
-    if critic_bound is None:
-        critic_bound = math.log(mdp.n_states) + 1.0
-    return truncation_horizon(mdp.discount, tol,
-                              max(critic_bound, 1.0, math.log(max(mdp.n_actions, 2))))
-
-
-def resolve_critic_schedule(mdp: TabularMdp, policy: SoftmaxPolicy, critic_family,
-                            tol: float, marg=None) -> tuple[list[Array], int]:
-    """Freeze one critic table per timestep t = 0..T, choosing T from tol.
-
-    ``critic_family`` is a CriticTable or an (S, S) array, used at every t,
-    or the string "optimal" (per-t optimal critic for the current policy's
-    consecutive-state joints, then frozen). ``marg``, here and in the other
-    schedule functions, is the policy's stack from ``propagate_marginals``
-    (at least T + 2 rows) if already computed.
-    """
+def _constant_critic(critic_family) -> Array | None:
+    """A constant critic's (S, S) table, or None for "optimal"."""
     if isinstance(critic_family, str) and critic_family == "optimal":
-        T = critic_horizon(mdp, tol)
-        M = mdp.policy_transition_matrix(policy)
-        marg = _marginal_rows(mdp, M, T + 2, marg)
-        joints = marg[:-1, :, None] * M      # (s_t, s_{t+1}) for t = 0..T
-        _check_joints(joints, marg[:-1], marg[1:])
-        F = _log_ratio_critic(joints, marg[:-1], marg[1:], UNSUPPORTED_CRITIC_FLOOR)
-        _check_critics(F)
-        return list(F), T
-    # a constant critic needs no marginals, and its own bound can only
-    # lengthen the horizon
-    table = (critic_family.values if isinstance(critic_family, CriticTable)
-             else np.asarray(critic_family))
-    T = critic_horizon(mdp, tol, _critic_bound(table))
-    return [table] * (T + 1), T
+        return None
+    values = critic_family.values if isinstance(critic_family, CriticTable) else critic_family
+    return np.asarray(values, dtype=np.float64)
 
 
-def _saelbo_terms(mdp: TabularMdp, policy: SoftmaxPolicy, critic_tables: list[Array],
-                  T: int, marg=None) -> tuple[float, float, float]:
-    """(h_s0, h_policy, mi_sum) of the bound truncated at T for frozen critics."""
-    F = _critic_stack(critic_tables, T)
-    M = mdp.policy_transition_matrix(policy)
-    probs, logp = policy.probs(), policy.log_probs()
+def critic_horizon(mdp: TabularMdp, tol: float, critic_family="optimal") -> int:
+    """T of the critic schedule of ``critic_family``. The "optimal" one's does
+    not depend on the policy: NWJ at the optimal critic equals the MI, which
+    is at most log S. A constant critic's comes from its own bound."""
+    table = _constant_critic(critic_family)
+    bound = math.log(mdp.n_states) + 1.0 if table is None else _critic_bound(table)
+    return truncation_horizon(mdp.discount, tol,
+                              max(bound, 1.0, math.log(max(mdp.n_actions, 2))))
+
+
+def resolve_critic_schedule(mdp: TabularMdp, schedule: MarginalSchedule, critic_family,
+                            tol: float) -> tuple[Array, int]:
+    """Freeze one critic table per timestep t = 0..T, choosing T from tol, as
+    one (T + 1, S, S) array.
+
+    ``critic_family`` is a CriticTable or an (S, S) array, used at every t (a
+    broadcast view; ``schedule`` is not read), or "optimal": the per-t
+    optimal critic for ``schedule``'s consecutive-state joints, then frozen.
+    Here and below, ``schedule`` may hold more rows than are read.
+    """
+    T = critic_horizon(mdp, tol, critic_family)
+    table = _constant_critic(critic_family)
+    if table is not None:
+        return np.broadcast_to(table, (T + 1, *table.shape)), T
+    marg = schedule.rows(T + 2)
+    joints = marg[:-1, :, None] * schedule.M      # (s_t, s_{t+1}) for t = 0..T
+    _check_joints(joints, marg[:-1], marg[1:])
+    F = _log_ratio_critic(joints, marg[:-1], marg[1:], UNSUPPORTED_CRITIC_FLOOR)
+    _check_critics(F)
+    return F, T
+
+
+def _bound_schedule(mdp: TabularMdp, policy: SoftmaxPolicy, critic_family,
+                    tol: float) -> tuple[MarginalSchedule, Array, int]:
+    """``policy``'s schedule, propagated once, its frozen critics and T chosen from tol."""
+    schedule = state_marginals(mdp, policy, critic_horizon(mdp, tol, critic_family) + 1)
+    F, T = resolve_critic_schedule(mdp, schedule, critic_family, tol)
+    return schedule, F, T
+
+
+def _saelbo_terms(mdp: TabularMdp, schedule: MarginalSchedule, F: Array,
+                  T: int) -> tuple[float, float, float]:
+    """(h_s0, h_policy, mi_sum) of the bound truncated at T for the frozen
+    critics ``F``, a (T + 1, S, S) array."""
+    probs, logp = schedule.policy.probs(), schedule.policy.log_probs()
     ent_rows = -(probs * np.where(probs > 0, logp, 0.0)).sum(axis=1)
-    marg = _marginal_rows(mdp, M, T + 2, marg)
+    marg = schedule.rows(T + 2)
     disc = _discounts(mdp.discount, T)
 
     h_s0 = generalized_entropy(mdp.initial_dist)
     h_policy = _sum_in_order(disc * (marg[:-1, None, :] @ ent_rows[:, None])[:, 0, 0])
-    mi_sum = _sum_in_order(disc * _nwj(marg[:-1, :, None] * M, marg[:-1], marg[1:], F))
+    mi_sum = _sum_in_order(disc * _nwj(marg[:-1, :, None] * schedule.M, marg[:-1], marg[1:], F))
     return h_s0, float(h_policy), float(mi_sum)
 
 
-def saelbo_value(mdp: TabularMdp, logits: Array, critic_tables: list[Array], T: int,
-                 marg=None) -> float:
+def saelbo_value(mdp: TabularMdp, schedule: MarginalSchedule, F: Array, T: int) -> float:
     """Truncated lower-bound value for a fixed, frozen critic schedule.
 
     Used directly by the finite-difference gradient: the critics and the
     truncation horizon stay fixed while the policy parameters move.
     """
-    h_s0, h_policy, mi_sum = _saelbo_terms(mdp, SoftmaxPolicy(logits), critic_tables, T, marg)
+    h_s0, h_policy, mi_sum = _saelbo_terms(mdp, schedule, F, T)
     return h_s0 + (1.0 + mdp.discount) * h_policy + mdp.discount * mi_sum
 
 
 def saelbo(mdp: TabularMdp, policy: SoftmaxPolicy, critic_family, tol: float = 1e-10) -> SaelboReport:
     """Entropy lower bound H(s_0) + (1+gamma) H(pi) + gamma sum_t gamma^t I_t."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    tables, T = resolve_critic_schedule(mdp, policy, critic_family, tol)
+    schedule, F, T = _bound_schedule(mdp, policy, critic_family, tol)
     gamma = mdp.discount
-    h_s0, h_policy, mi_sum = _saelbo_terms(mdp, policy, tables, T)
+    h_s0, h_policy, mi_sum = _saelbo_terms(mdp, schedule, F, T)
     value = h_s0 + (1.0 + gamma) * h_policy + gamma * mi_sum
     c_gamma = math.log(1.0 - gamma) / (1.0 - gamma)
     return SaelboReport(h_s0, h_policy, mi_sum, c_gamma, value, T)
@@ -359,20 +349,20 @@ def reverse_kl_occupancy(rho_p: OccupancyTable, rho_q: OccupancyTable) -> float:
     return float((P[sup] * np.log(P[sup] / Q[sup])).sum())
 
 
-def _frozen_reward_tables(mdp: TabularMdp, policy: SoftmaxPolicy,
-                          critic_tables: list[Array], T: int, marg=None) -> Array:
+def _frozen_reward_tables(mdp: TabularMdp, schedule: MarginalSchedule, F: Array,
+                          T: int) -> Array:
     """Per-timestep reward tables for the exact policy-gradient side, stacked
     as a (T + 1, S, A) array.
 
     r_pi(s, a) = -(1+gamma) log q_pi(a|s) and, with s' = P(s, a),
     r_f(s, a, s') = gamma f_t(s, s')
                     - (gamma/e) (E_{x~q_t}[e^{f_t(x, s')}] + E_{y~q_{t+1}}[e^{f_t(s, y)}]),
-    where q_pi and q_t are frozen copies of the current policy and marginals.
+    where q_pi and q_t are frozen copies of the current policy and marginals,
+    and ``F`` holds the frozen critics f_0..f_T as a (T + 1, S, S) array.
     """
     gamma = mdp.discount
-    F = _critic_stack(critic_tables, T)
-    marg = _marginal_rows(mdp, mdp.policy_transition_matrix(policy), T + 2, marg)
-    r_pi = -(1.0 + gamma) * policy.log_probs()
+    marg = schedule.rows(T + 2)
+    r_pi = -(1.0 + gamma) * schedule.policy.log_probs()
     _exp_safe_max(F)
     EF = np.exp(F)
     ex_in = (marg[:-1, None, :] @ EF)[:, 0, :]    # (T+1, S'): E_{x~q_t} e^{f_t(x, s')}
@@ -383,24 +373,23 @@ def _frozen_reward_tables(mdp: TabularMdp, policy: SoftmaxPolicy,
     return r_pi + r_f
 
 
-def discounted_policy_gradient(mdp: TabularMdp, theta: Array, rewards,
-                               T: int, marg=None) -> Array:
+def discounted_policy_gradient(mdp: TabularMdp, schedule: MarginalSchedule, rewards,
+                               T: int) -> Array:
     """Exact gradient of J(pi_theta, r) = sum_t gamma^t E_{p_t, pi}[r_t(s, a)]
-    for frozen reward tables, by forward sensitivity through the marginals.
+    in the logits theta of ``schedule``'s policy, for frozen reward tables, by
+    forward sensitivity through the marginals (T + 1 rows of ``schedule``).
 
     ``rewards`` is one (S, A) table used at every t, or T + 1 per-timestep
-    tables (a list or a (T + 1, S, A) array). ``marg`` needs T + 1 rows.
+    tables (a list or a (T + 1, S, A) array).
     """
-    policy = SoftmaxPolicy(theta)
     S, A = mdp.n_states, mdp.n_actions
     P = S * A
-    probs = policy.probs()
-    M = mdp.policy_transition_matrix(policy)
+    probs = schedule.policy.probs()
     # G[s, a, b] = d pi(a|s) / d logits[s, b]
     G = probs[:, :, None] * (np.eye(A)[None, :, :] - probs[:, None, :])
     R = np.asarray(rewards, dtype=np.float64)
     R = np.broadcast_to(R, (T + 1, S, A)) if R.ndim == 2 else R[:T + 1]
-    marg = _marginal_rows(mdp, M, T + 1, marg)
+    marg = schedule.rows(T + 1)
     disc = _discounts(mdp.discount, T)
 
     # dp[t] = d p_t / d logits: dp[t + 1] = M^T dp[t], plus p_t(s) G[s, a, :]
@@ -418,7 +407,7 @@ def discounted_policy_gradient(mdp: TabularMdp, theta: Array, rewards,
               for k in range(rank.max() + 1)]
     dp = np.zeros((T + 1, S, P))
     flat = dp.reshape(T + 1, S * P)
-    MT = M.T
+    MT = schedule.M.T
     for t in range(T):
         np.dot(MT, dp[t], out=dp[t + 1])
         dp_next = flat[t + 1]
@@ -442,12 +431,8 @@ def saelbo_gradient_pg(mdp: TabularMdp, theta: Array, critic_family,
     the policy and all state marginals by forward sensitivity analysis, so the
     result is exact for the truncated objective.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    policy = SoftmaxPolicy(theta)
-    tables, T = resolve_critic_schedule(mdp, policy, critic_family, tol)
-    rewards = _frozen_reward_tables(mdp, policy, tables, T)
-    return discounted_policy_gradient(mdp, theta, rewards, T)
+    schedule, F, T = _bound_schedule(mdp, SoftmaxPolicy(theta), critic_family, tol)
+    return discounted_policy_gradient(mdp, schedule, _frozen_reward_tables(mdp, schedule, F, T), T)
 
 
 def saelbo_gradient_fd(mdp: TabularMdp, theta: Array, critic_family,
@@ -455,22 +440,22 @@ def saelbo_gradient_fd(mdp: TabularMdp, theta: Array, critic_family,
     """Central finite differences of the full theta-dependent lower bound.
 
     Joints, marginals, and the policy are all re-derived at theta +- eps per
-    coordinate; the critic schedule and truncation horizon are frozen first.
+    coordinate, one schedule per bumped policy; the critic schedule and
+    truncation horizon are frozen first.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    policy = SoftmaxPolicy(theta)
-    tables, T = resolve_critic_schedule(mdp, policy, critic_family, tol)
+    _, F, T = _bound_schedule(mdp, SoftmaxPolicy(theta), critic_family, tol)
+
+    def value(logits: Array) -> float:
+        return saelbo_value(mdp, state_marginals(mdp, SoftmaxPolicy(logits), T + 1), F, T)
+
     theta = np.asarray(theta, dtype=np.float64)
     grad = np.zeros_like(theta)
-    it = np.nditer(theta, flags=["multi_index"])
-    while not it.finished:
-        idx = it.multi_index
+    for idx in np.ndindex(theta.shape):
         bumped = theta.copy()
         bumped[idx] += eps
-        hi = saelbo_value(mdp, bumped, tables, T)
+        hi = value(bumped)
         bumped[idx] -= 2 * eps
-        lo = saelbo_value(mdp, bumped, tables, T)
-        grad[idx] = (hi - lo) / (2 * eps)
-        it.iternext()
+        grad[idx] = (hi - value(bumped)) / (2 * eps)
     return grad

@@ -195,11 +195,10 @@ def verify_corollary1(n: int = 50, seed: int = 5) -> SuiteResult:
     return result
 
 
-def coordinate_ascent_objective(mdp, theta, log_rho_e, tables, T, marg=None) -> float:
-    """J(pi, log rho_E) + lower-bound value, both at truncation T."""
-    policy = SoftmaxPolicy(theta)
-    rho = occupancy_measure(mdp, policy)
-    return float((rho.rho * log_rho_e).sum()) + saelbo_value(mdp, theta, tables, T, marg)
+def coordinate_ascent_objective(mdp, schedule, log_rho_e, tables, T) -> float:
+    """J(pi, log rho_E) + lower-bound value at truncation T, for ``schedule``'s policy."""
+    rho = occupancy_measure(mdp, schedule.policy)
+    return float((rho.rho * log_rho_e).sum()) + saelbo_value(mdp, schedule, tables, T)
 
 
 def verify_coordinate_ascent(n_alternations: int = 200, seed: int = 6,
@@ -209,29 +208,26 @@ def verify_coordinate_ascent(n_alternations: int = 200, seed: int = 6,
     The critic step sets each per-timestep critic to the optimal one (which
     maximizes every MI term); the policy step is gradient ascent with
     backtracking line search on the exact objective. Each policy's marginal
-    stack is propagated once and shared by all the steps that evaluate it.
+    schedule is built once and shared by all the steps that evaluate it.
     """
     result = SuiteResult("coordinate-ascent", 2 * n_alternations)
     rng = np.random.default_rng(seed)
     mdp = random_injective_mdp(3, 2, 0.9, rng)
     expert = SoftmaxPolicy(rng.normal(0, 1.0, size=(3, 2)))
     log_rho_e = np.log(occupancy_measure(mdp, expert).rho)
-    theta = rng.normal(0, 0.5, size=(3, 2))
 
     # the "optimal" horizon depends only on S, A, gamma and tol; p_0..p_{T+1}
     # are every marginal the critic, objective, reward and gradient steps read
     T = critic_horizon(mdp, 1e-10)
-    policy = SoftmaxPolicy(theta)
-    marg = state_marginals(mdp, policy, T + 1).per_timestep
-    tables, _ = resolve_critic_schedule(mdp, policy, "optimal", 1e-10, marg)
-    objective = coordinate_ascent_objective(mdp, theta, log_rho_e, tables, T, marg)
+    schedule = state_marginals(mdp, SoftmaxPolicy(rng.normal(0, 0.5, size=(3, 2))), T + 1)
+    tables, _ = resolve_critic_schedule(mdp, schedule, "optimal", 1e-10)
+    objective = coordinate_ascent_objective(mdp, schedule, log_rho_e, tables, T)
     history = [objective]
     step = 0.5
     for k in range(n_alternations):
         # critic update: per-timestep optimal critics for the current policy
-        policy = SoftmaxPolicy(theta)
-        tables, _ = resolve_critic_schedule(mdp, policy, "optimal", 1e-10, marg)
-        objective_f = coordinate_ascent_objective(mdp, theta, log_rho_e, tables, T, marg)
+        tables, _ = resolve_critic_schedule(mdp, schedule, "optimal", 1e-10)
+        objective_f = coordinate_ascent_objective(mdp, schedule, log_rho_e, tables, T)
         if objective_f < history[-1] - step_tol:
             result.violations.append(
                 f"alternation {k} (seed {seed}): critic step decreased objective "
@@ -239,21 +235,20 @@ def verify_coordinate_ascent(n_alternations: int = 200, seed: int = 6,
         history.append(objective_f)
 
         # policy update: ascent with backtracking on the exact objective
-        rewards = _frozen_reward_tables(mdp, policy, tables, T, marg) + log_rho_e
-        grad = discounted_policy_gradient(mdp, theta, rewards, T, marg)
+        rewards = _frozen_reward_tables(mdp, schedule, tables, T) + log_rho_e
+        grad = discounted_policy_gradient(mdp, schedule, rewards, T)
         trial = step
         for _ in range(40):
-            cand = theta + trial * grad
-            cand_marg = state_marginals(mdp, SoftmaxPolicy(cand), T + 1).per_timestep
-            objective_pi = coordinate_ascent_objective(mdp, cand, log_rho_e, tables, T,
-                                                       cand_marg)
+            cand = state_marginals(mdp, SoftmaxPolicy(schedule.policy.logits + trial * grad),
+                                   T + 1)
+            objective_pi = coordinate_ascent_objective(mdp, cand, log_rho_e, tables, T)
             if objective_pi >= objective_f - 1e-12:
-                theta, marg = cand, cand_marg
+                schedule = cand
                 step = min(trial * 2.0, 2.0)
                 break
             trial *= 0.5
         else:
-            objective_pi = objective_f  # no admissible step; keep theta
+            objective_pi = objective_f  # no admissible step; keep the policy
         if objective_pi < history[-1] - step_tol:
             result.violations.append(
                 f"alternation {k} (seed {seed}): policy step decreased objective")

@@ -98,10 +98,21 @@ class TestLayerTape:
         gr.backward(gr.nsum(gr.mul(gr.mlp_forward(net, x, params), upstream)))
         assert_same_bytes(autodiff.backward(net, net.forward(x), upstream), flat_grads(params))
 
+    @pytest.mark.parametrize("kind", list(tape_nets()))
+    def test_input_grad_equals_the_graph_input_gradient(self, kind):
+        net = tape_nets()[kind]
+        rng = np.random.default_rng(10)
+        x = rng.normal(size=(33, 4))
+        upstream = rng.normal(size=(33, net.widths[-1]))
+        x_node = Node(x)
+        gr.backward(gr.nsum(gr.mul(gr.mlp_forward(net, x_node), upstream)))
+        assert_same_bytes(autodiff.input_grad(net, net.forward(x), upstream), x_node.grad)
+
 
 class TestMlpStack:
-    """Each slice of a stacked pass against the same pass on its own net, and
-    the input gradient against ``backward``: equal byte for byte."""
+    """Each slice of the shared tape, ``backward`` and ``input_grad`` run on a
+    stack against the same function on its own net, and against the graph:
+    equal byte for byte."""
 
     def test_nets_are_rows_of_one_array_and_match_lone_nets(self):
         stack = MlpStack([4, 8, 8, 1], seeds=(3, 4))
@@ -112,6 +123,11 @@ class TestMlpStack:
             assert all(np.shares_memory(p, row) for p in net.params())
         for views in (stack.weights, stack.biases):
             assert all(np.shares_memory(v, stack.flat) for v in views)
+        for i, layer in enumerate(stack.nets[1].layers):
+            assert_same_bytes(stack.weight(i)[1], layer.weight)
+            assert_same_bytes(stack.biases[i][1, 0], layer.bias)
+            g = np.ones(stack.weight(i).shape)
+            assert stack.weight_vjp(i, g) is g
 
     @pytest.mark.parametrize("rows", [1, 47, 96])
     def test_passes_equal_the_lone_net_tapes(self, rows):
@@ -120,13 +136,15 @@ class TestMlpStack:
         x = rng.normal(size=(2, rows, 4))
         upstream = rng.normal(size=(2, rows, 1))
         tape = stack.forward(x)
-        flat_grad = stack.param_grad(tape, upstream)
-        x_grad = stack.input_grad(tape, upstream)
+        flat_grad = autodiff.backward(stack, tape, upstream)
+        x_grad = autodiff.input_grad(stack, tape, upstream)
+        assert flat_grad.shape == stack.flat.shape and x_grad.shape == x.shape
         for j, net in enumerate(stack.nets):
             lone = net.forward(x[j])
             for got, want in zip(tape, lone):
                 assert_same_bytes(got[j], want)
             assert_same_bytes(flat_grad[j], autodiff.backward(net, lone, upstream[j]))
+            assert_same_bytes(x_grad[j], autodiff.input_grad(net, lone, upstream[j]))
             params, x_node = [Node(p) for p in net.params()], Node(x[j])
             gr.backward(gr.nsum(gr.mul(gr.mlp_forward(net, x_node, params), upstream[j])))
             assert_same_bytes(flat_grad[j], flat_grads(params))

@@ -750,7 +750,8 @@ class TestCliFrontend:
         assert err.count("\n") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("edit", ["sigma_zero", "sigma_negative", "sigma_nan",
-                                      "sigma_string", "nan_weight", "missing_key"])
+                                      "sigma_string", "nan_weight", "zero_hidden",
+                                      "missing_key"])
     def test_bad_density_checkpoint_is_usage_error(self, tmp_path, capsys, edit):
         cfg = self.write_cfg(tmp_path)
         assert main(["gen-demos", "--config", str(cfg)]) == EXIT_OK
@@ -763,6 +764,8 @@ class TestCliFrontend:
             header["sn_sigma"][1] = sigma
         elif edit == "nan_weight":
             arrays[2][0, 0] = math.nan
+        elif edit == "zero_hidden":
+            header["hidden"][0] = 0
         else:
             del header["hidden"]
         save_checkpoint(model, kind, header, arrays)
@@ -771,6 +774,61 @@ class TestCliFrontend:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {model}: ")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("edit", ["inf_weight", "nan_log_std", "widths_string", "zero_width",
+                                      "no_widths", "too_few_arrays", "nan_logits"])
+    def test_bad_policy_checkpoint_is_usage_error(self, tmp_path, capsys, edit):
+        policy = tmp_path / "policy.ckpt"
+        if edit == "nan_logits":
+            cfg = self.write_cfg(tmp_path)
+            logits = np.zeros((25, 5))
+            logits[3, 1] = math.nan
+            save_checkpoint(policy, "softmax_policy", {}, [logits])
+        else:
+            cfg = tmp_path / "pm.cfg"
+            cfg.write_text(f"env = pointmass\nout_dir = {tmp_path / 'run'}\n"
+                           "eval_episodes = 2\nn_eval_states = 8\n")
+            save_gaussian_policy(policy, GaussianPolicy(4, 2, hidden=(8,), seed=0))
+            kind, header, arrays = load_checkpoint(policy)
+            if edit == "inf_weight":
+                arrays[0][0, 0] = math.inf
+            elif edit == "nan_log_std":
+                arrays[-1][0] = math.nan
+            elif edit == "widths_string":
+                header["widths"] = "abc"
+            elif edit == "zero_width":
+                header["widths"] = [4, 0, 2]
+            elif edit == "no_widths":
+                del header["widths"]
+            else:
+                arrays = arrays[:1]
+            save_checkpoint(policy, kind, header, arrays)
+        capsys.readouterr()
+        assert main(["eval", "--config", str(cfg), "--policy", str(policy)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {policy}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("form", ["config", "flag"])
+    def test_negative_seed_is_usage_error_naming_the_key(self, tmp_path, capsys, form):
+        cfg = self.write_cfg(tmp_path, "seed = -1\n" if form == "config" else "")
+        cfg.write_text(cfg.read_text().replace("seed = 0\n", ""))
+        flag = ["--seed", "-1"] if form == "flag" else []
+        assert main(["gen-demos", "--config", str(cfg), *flag]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed must be >= 0, got -1")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
+    def test_seed_and_out_overrides_hash_like_the_same_config_values(self, tmp_path, capsys):
+        out = tmp_path / "other"
+        overridden = self.write_cfg(tmp_path)
+        assert main(["gen-demos", "--config", str(overridden), "--seed", "3",
+                     "--out", str(out)]) == EXIT_OK
+        written = overridden.read_text().replace("seed = 0", "seed = 3").replace(
+            str(tmp_path / "run"), str(out))
+        meta = load_demos(out / "demos.csv").meta
+        assert meta["seed"] == "3" and meta["config_hash"] == parse_config_text(written).hash()
 
     def test_directory_as_model_is_usage_error(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path)

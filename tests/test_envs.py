@@ -35,7 +35,7 @@ class TestBuildChain:
             s = int(mdp.transition[s, 1])
         assert s == 4
         sched = state_marginals(mdp, right, horizon=4)
-        assert sched.at(4)[4] == pytest.approx(1.0)
+        assert sched.per_timestep[4][4] == pytest.approx(1.0)
 
     def test_right_moving_occupancy_matches_hand_recursion(self):
         mdp = build_chain(4, gamma=0.9)
@@ -78,7 +78,7 @@ class TestBuildGridworld:
     def test_uniform_marginals_converge(self):
         mdp = build_gridworld(GridworldSpec())
         sched = state_marginals(mdp, SoftmaxPolicy.uniform(25, 5), horizon=200)
-        diff = np.abs(sched.at(200) - sched.at(199)).sum()
+        diff = np.abs(sched.per_timestep[200] - sched.per_timestep[199]).sum()
         assert diff < 1e-6
 
 

@@ -70,7 +70,7 @@ class TestStateMarginals:
         mdp = right_chain(3)
         right = SoftmaxPolicy(np.array([[0.0, 50.0]] * 3))
         sched = state_marginals(mdp, right, horizon=2)
-        np.testing.assert_allclose(sched.at(2), [0.0, 0.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(sched.per_timestep[2], [0.0, 0.0, 1.0], atol=1e-12)
 
     def test_rows_are_probability_vectors(self):
         rng = np.random.default_rng(3)
@@ -86,7 +86,7 @@ class TestStateMarginals:
     def test_p0_equals_initial_dist(self):
         mdp = build_chain(4)
         sched = state_marginals(mdp, SoftmaxPolicy.uniform(4, 2), horizon=3)
-        np.testing.assert_array_equal(sched.at(0), mdp.initial_dist)
+        np.testing.assert_array_equal(sched.per_timestep[0], mdp.initial_dist)
 
     @pytest.mark.parametrize("S", [1, 3, 25])
     def test_rows_are_the_matrix_vector_recursion_byte_for_byte(self, S):

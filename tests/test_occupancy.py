@@ -11,13 +11,15 @@ from hypothesis import strategies as st
 
 from ndilab import occupancy
 from ndilab.envs import GridworldSpec, build_chain, build_gridworld
-from ndilab.mdp import SoftmaxPolicy, TabularMdp, propagate_marginals, state_marginals
+from ndilab import mdp as mdp_module
+from ndilab.mdp import SoftmaxPolicy, TabularMdp, state_marginals
 from ndilab.occupancy import (
     CriticTable,
     JointTable,
     OccupancyTable,
     conditional_entropies,
     consecutive_state_joint,
+    critic_horizon,
     generalized_entropy,
     mutual_information,
     nwj_bound,
@@ -30,6 +32,7 @@ from ndilab.occupancy import (
     saelbo_gradient_pg,
     truncation_horizon,
 )
+from test_verify import counting
 
 
 def one_state_mdp(n_actions=1, gamma=0.9):
@@ -225,7 +228,7 @@ class TestOptimalCritic:
 def per_t_conditional_entropies(mdp, policy, t):
     """H(s_t | s_{t-1}) and H(a_{t-1} | s_{t-1}) at one t, each from its own
     marginal recursion and row entropies."""
-    p_prev = state_marginals(mdp, policy, t).at(t - 1)
+    p_prev = state_marginals(mdp, policy, t).per_timestep[t - 1]
     M = mdp.policy_transition_matrix(policy)
     probs = policy.probs()
     h_state = float(p_prev @ np.array([generalized_entropy(M[s]) for s in range(mdp.n_states)]))
@@ -289,14 +292,31 @@ class TestResolveCriticSchedule:
         (np.zeros((3, 3)), 1.0),
     ], ids=["table", "array"])
     def test_constant_critic_needs_no_state_marginals(self, critic, bound, monkeypatch):
+        mdp = build_chain(3)
+        # two rows: far fewer than an optimal critic of this horizon reads
+        schedule = state_marginals(mdp, SoftmaxPolicy.uniform(3, 2), 1)
         calls = []
         monkeypatch.setattr(occupancy, "state_marginals", lambda *args: calls.append(args))
-        mdp = build_chain(3)
-        tables, T = resolve_critic_schedule(mdp, SoftmaxPolicy.uniform(3, 2), critic, 1e-10)
+        tables, T = resolve_critic_schedule(mdp, schedule, critic, 1e-10)
         assert calls == []
         assert T == truncation_horizon(mdp.discount, 1e-10, bound)
         values = getattr(critic, "values", critic)
-        assert len(tables) == T + 1 and all(table is values for table in tables)
+        assert tables.shape == (T + 1, 3, 3) and np.shares_memory(tables, values)
+        assert all(same_bytes(table, values) for table in tables)
+        with pytest.raises(ValueError, match=f"need {T + 2} marginal rows, got 2"):
+            occupancy.saelbo_value(mdp, schedule, tables, T)
+
+
+@pytest.mark.parametrize("critic", ["optimal", "constant"])
+@pytest.mark.parametrize("fn", [saelbo, saelbo_gradient_pg], ids=["saelbo", "gradient_pg"])
+def test_bound_propagates_its_policy_once(monkeypatch, fn, critic):
+    mdp, theta, rng = parity_fixture("4x3")
+    if critic == "constant":
+        critic = rng.normal(0, 1.0, size=(4, 4))
+    schedules = counting(monkeypatch, "state_marginals", [mdp_module, occupancy])
+    matrices = counting(monkeypatch, "policy_transition_matrix", [TabularMdp])
+    fn(mdp, SoftmaxPolicy(theta) if fn is saelbo else theta, critic)
+    assert len(schedules) == 1 and len(matrices) == 1
 
 
 class TestSaelbo:
@@ -488,9 +508,9 @@ class TestJointHelpers:
         mdp = random_injective_mdp(4, 2, 0.9, rng)
         policy = SoftmaxPolicy(rng.normal(size=(4, 2)))
         sched = state_marginals(mdp, policy, 5)
-        joint = consecutive_state_joint(mdp, policy, sched.at(2))
-        np.testing.assert_allclose(joint.marg_x, sched.at(2), atol=1e-12)
-        np.testing.assert_allclose(joint.marg_y, sched.at(3), atol=1e-12)
+        joint = consecutive_state_joint(mdp, policy, sched.per_timestep[2])
+        np.testing.assert_allclose(joint.marg_x, sched.per_timestep[2], atol=1e-12)
+        np.testing.assert_allclose(joint.marg_y, sched.per_timestep[3], atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -631,113 +651,126 @@ def same_bytes(got, want):
     return got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+def exact_schedule(mdp, policy, T):
+    """The T + 2 marginal rows the bound and its critics read."""
+    return state_marginals(mdp, policy, T + 1)
+
+
 @pytest.mark.parametrize("kind", PARITY_KINDS)
 class TestScheduleParity:
     def critic_schedules(self, mdp, policy, rng):
         S = mdp.n_states
-        tables, T = resolve_critic_schedule(mdp, policy, "optimal", 1e-10)
-        yield "optimal", tables, T
-        yield "per-t random", [rng.normal(0, 1.0, size=(S, S)) for _ in range(T + 1)], T
-        constant, T_c = resolve_critic_schedule(mdp, policy, rng.normal(0, 2.0, size=(S, S)),
+        T = critic_horizon(mdp, 1e-10)
+        schedule = exact_schedule(mdp, policy, T)
+        tables, T = resolve_critic_schedule(mdp, schedule, "optimal", 1e-10)
+        yield "optimal", tables, T, schedule
+        yield "per-t random", rng.normal(0, 1.0, size=(T + 1, S, S)), T, schedule
+        constant, T_c = resolve_critic_schedule(mdp, schedule, rng.normal(0, 2.0, size=(S, S)),
                                                 1e-10)
-        yield "constant", constant, T_c
+        yield "constant", constant, T_c, exact_schedule(mdp, policy, T_c)
 
     def test_optimal_critic_schedule(self, kind):
         mdp, theta, _ = parity_fixture(kind)
         policy = SoftmaxPolicy(theta)
-        tables, T = resolve_critic_schedule(mdp, policy, "optimal", 1e-10)
+        T = critic_horizon(mdp, 1e-10)
+        tables, got_T = resolve_critic_schedule(mdp, exact_schedule(mdp, policy, T), "optimal",
+                                                1e-10)
         log_s = math.log(mdp.n_states) + 1.0
-        assert T == truncation_horizon(mdp.discount, 1e-10,
-                                       max(1.0, math.log(max(mdp.n_actions, 2)), log_s))
-        assert isinstance(tables, list) and len(tables) == T + 1
+        assert got_T == T == truncation_horizon(mdp.discount, 1e-10,
+                                                max(1.0, math.log(max(mdp.n_actions, 2)), log_s))
+        assert tables.shape == (T + 1, mdp.n_states, mdp.n_states)
         assert same_bytes(tables, loop_optimal_schedule(mdp, policy, T))
 
     def test_saelbo_terms_and_value(self, kind):
         mdp, theta, rng = parity_fixture(kind)
         policy = SoftmaxPolicy(theta)
-        for name, tables, T in self.critic_schedules(mdp, policy, rng):
+        for name, tables, T, schedule in self.critic_schedules(mdp, policy, rng):
             want = loop_saelbo_terms(mdp, policy, tables, T)
-            assert same_bytes(occupancy._saelbo_terms(mdp, policy, tables, T), want), name
+            assert same_bytes(occupancy._saelbo_terms(mdp, schedule, tables, T), want), name
             h_s0, h_policy, mi_sum = want
             value = h_s0 + (1.0 + mdp.discount) * h_policy + mdp.discount * mi_sum
-            assert same_bytes(occupancy.saelbo_value(mdp, theta, tables, T), value), name
+            assert same_bytes(occupancy.saelbo_value(mdp, schedule, tables, T), value), name
 
     def test_frozen_reward_tables(self, kind):
         mdp, theta, rng = parity_fixture(kind)
         policy = SoftmaxPolicy(theta)
-        for name, tables, T in self.critic_schedules(mdp, policy, rng):
-            got = occupancy._frozen_reward_tables(mdp, policy, tables, T)
+        for name, tables, T, schedule in self.critic_schedules(mdp, policy, rng):
+            got = occupancy._frozen_reward_tables(mdp, schedule, tables, T)
             assert same_bytes(got, loop_frozen_reward_tables(mdp, policy, tables, T)), name
 
     def test_discounted_policy_gradient(self, kind):
         mdp, theta, rng = parity_fixture(kind)
         policy = SoftmaxPolicy(theta)
         S, A = mdp.n_states, mdp.n_actions
-        tables, T = resolve_critic_schedule(mdp, policy, "optimal", 1e-10)
+        T = critic_horizon(mdp, 1e-10)
+        tables, _ = resolve_critic_schedule(mdp, exact_schedule(mdp, policy, T), "optimal", 1e-10)
         frozen = loop_frozen_reward_tables(mdp, policy, tables, T)
         single = rng.normal(0, 1.0, size=(S, A))
         per_t = [rng.normal(0, 1.0, size=(S, A)) for _ in range(T + 1)]
+        schedule = state_marginals(mdp, policy, T)     # the T + 1 rows the gradient reads
         for name, rewards, loop_rewards in [("frozen list", frozen, frozen),
                                             ("frozen array", np.stack(frozen), frozen),
                                             ("single table", single, single),
                                             ("random list", per_t, per_t)]:
             want = loop_policy_gradient(mdp, theta, loop_rewards, T)
-            got = occupancy.discounted_policy_gradient(mdp, theta, rewards, T)
+            got = occupancy.discounted_policy_gradient(mdp, schedule, rewards, T)
             assert same_bytes(got, want), name
         assert same_bytes(occupancy.saelbo_gradient_pg(mdp, theta, "optimal"),
                           loop_policy_gradient(mdp, theta, frozen, T))
 
     def test_supplied_marginal_stack_gives_the_same_bytes(self, kind):
+        # rows needed: T + 2 for the critics, the bound and the reward tables,
+        # T + 1 for the gradient; a longer schedule gives the same bytes as
+        # one of exact length
         mdp, theta, rng = parity_fixture(kind)
         policy = SoftmaxPolicy(theta)
-        M = mdp.policy_transition_matrix(policy)
-        # rows needed: T + 2 for the schedule, the bound and the reward
-        # tables, T + 1 for the gradient; a longer stack is cut to its prefix
-        for name, tables, T in self.critic_schedules(mdp, policy, rng):
-            for extra in (0, 7):
-                marg = propagate_marginals(M, mdp.initial_dist, T + 1 + extra)
-                if name == "optimal":
-                    got, got_T = resolve_critic_schedule(mdp, policy, "optimal", 1e-10, marg)
-                    assert got_T == T and same_bytes(got, tables)
-                assert same_bytes(occupancy._saelbo_terms(mdp, policy, tables, T, marg),
-                                  occupancy._saelbo_terms(mdp, policy, tables, T)), name
-                assert same_bytes(occupancy.saelbo_value(mdp, theta, tables, T, marg),
-                                  occupancy.saelbo_value(mdp, theta, tables, T)), name
-                rewards = occupancy._frozen_reward_tables(mdp, policy, tables, T)
-                assert same_bytes(occupancy._frozen_reward_tables(mdp, policy, tables, T, marg),
-                                  rewards), name
-                want = occupancy.discounted_policy_gradient(mdp, theta, rewards, T)
-                for stack in (marg, marg[:T + 1]):
-                    got = occupancy.discounted_policy_gradient(mdp, theta, rewards, T, stack)
-                    assert same_bytes(got, want), name
+        for name, tables, T, exact in self.critic_schedules(mdp, policy, rng):
+            longer = state_marginals(mdp, policy, T + 8)
+            if name == "optimal":
+                got, got_T = resolve_critic_schedule(mdp, longer, "optimal", 1e-10)
+                assert got_T == T and same_bytes(got, tables)
+            assert same_bytes(occupancy._saelbo_terms(mdp, longer, tables, T),
+                              occupancy._saelbo_terms(mdp, exact, tables, T)), name
+            assert same_bytes(occupancy.saelbo_value(mdp, longer, tables, T),
+                              occupancy.saelbo_value(mdp, exact, tables, T)), name
+            rewards = occupancy._frozen_reward_tables(mdp, exact, tables, T)
+            assert same_bytes(occupancy._frozen_reward_tables(mdp, longer, tables, T),
+                              rewards), name
+            want = occupancy.discounted_policy_gradient(mdp, state_marginals(mdp, policy, T),
+                                                        rewards, T)
+            for schedule in (exact, longer):
+                got = occupancy.discounted_policy_gradient(mdp, schedule, rewards, T)
+                assert same_bytes(got, want), name
 
     def test_short_marginal_stack_rejected(self, kind):
         mdp, theta, _ = parity_fixture(kind)
         policy = SoftmaxPolicy(theta)
-        tables, T = resolve_critic_schedule(mdp, policy, "optimal", 1e-10)
-        short = propagate_marginals(mdp.policy_transition_matrix(policy), mdp.initial_dist, T)
+        T = critic_horizon(mdp, 1e-10)
+        tables, _ = resolve_critic_schedule(mdp, exact_schedule(mdp, policy, T), "optimal", 1e-10)
+        short = state_marginals(mdp, policy, T)
         with pytest.raises(ValueError, match=f"need {T + 2} marginal rows, got {T + 1}"):
-            resolve_critic_schedule(mdp, policy, "optimal", 1e-10, short)
+            resolve_critic_schedule(mdp, short, "optimal", 1e-10)
         with pytest.raises(ValueError, match=f"need {T + 2} marginal rows"):
-            occupancy.saelbo_value(mdp, theta, tables, T, short)
+            occupancy.saelbo_value(mdp, short, tables, T)
         with pytest.raises(ValueError, match=f"need {T + 2} marginal rows"):
-            occupancy._frozen_reward_tables(mdp, policy, tables, T, short)
-        with pytest.raises(ValueError, match=f"need {T + 1} marginal rows"):
-            occupancy.discounted_policy_gradient(mdp, theta, np.zeros(theta.shape), T,
-                                                 short[:T])
+            occupancy._frozen_reward_tables(mdp, short, tables, T)
+        with pytest.raises(ValueError, match=f"need {T + 1} marginal rows, got {T}"):
+            occupancy.discounted_policy_gradient(mdp, state_marginals(mdp, policy, T - 1),
+                                                 np.zeros(theta.shape), T)
 
     @pytest.mark.parametrize("T", [0, 1, 2])
     def test_shortest_horizons(self, kind, T):
         mdp, theta, rng = parity_fixture(kind)
         policy = SoftmaxPolicy(theta)
         S, A = mdp.n_states, mdp.n_actions
-        tables = [rng.normal(0, 1.0, size=(S, S)) for _ in range(T + 1)]
-        assert same_bytes(occupancy._saelbo_terms(mdp, policy, tables, T),
+        tables = rng.normal(0, 1.0, size=(T + 1, S, S))
+        schedule = exact_schedule(mdp, policy, T)
+        assert same_bytes(occupancy._saelbo_terms(mdp, schedule, tables, T),
                           loop_saelbo_terms(mdp, policy, tables, T))
         frozen = loop_frozen_reward_tables(mdp, policy, tables, T)
-        assert same_bytes(occupancy._frozen_reward_tables(mdp, policy, tables, T), frozen)
+        assert same_bytes(occupancy._frozen_reward_tables(mdp, schedule, tables, T), frozen)
         for rewards in (frozen, frozen[0]):
-            assert same_bytes(occupancy.discounted_policy_gradient(mdp, theta, rewards, T),
+            assert same_bytes(occupancy.discounted_policy_gradient(mdp, schedule, rewards, T),
                               loop_policy_gradient(mdp, theta, rewards, T))
 
 
@@ -746,7 +779,7 @@ class TestScheduleOverflowParity:
         rng = np.random.default_rng(12)
         mdp = random_injective_mdp(3, 2, 0.9, rng)
         T = 10
-        tables = [rng.normal(0, 1.0, size=(3, 3)) for _ in range(T + 1)]
+        tables = rng.normal(0, 1.0, size=(T + 1, 3, 3))
         tables[3][1, 2] = 750.0     # the first entry above 700
         tables[5][0, 0] = 900.0     # a later, larger one
         tables[5][2, 2] = 800.0
@@ -755,12 +788,14 @@ class TestScheduleOverflowParity:
     @pytest.mark.parametrize("name", ["saelbo_value", "_frozen_reward_tables"])
     def test_first_offending_timestep_is_named_without_warnings(self, name):
         mdp, theta, tables, T = self.schedule()
+        policy = SoftmaxPolicy(theta)
+        schedule = exact_schedule(mdp, policy, T)
         new, loop = {
-            "saelbo_value": (lambda: occupancy.saelbo_value(mdp, theta, tables, T),
-                             lambda: loop_saelbo_terms(mdp, SoftmaxPolicy(theta), tables, T)),
+            "saelbo_value": (lambda: occupancy.saelbo_value(mdp, schedule, tables, T),
+                             lambda: loop_saelbo_terms(mdp, policy, tables, T)),
             "_frozen_reward_tables": (
-                lambda: occupancy._frozen_reward_tables(mdp, SoftmaxPolicy(theta), tables, T),
-                lambda: loop_frozen_reward_tables(mdp, SoftmaxPolicy(theta), tables, T)),
+                lambda: occupancy._frozen_reward_tables(mdp, schedule, tables, T),
+                lambda: loop_frozen_reward_tables(mdp, policy, tables, T)),
         }[name]
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -1,14 +1,15 @@
 """Tests for the verification suites' shared marginal schedules: coordinate
-ascent propagates each policy's marginals once and lemma 2 builds one
-schedule per fixture, with results byte-equal to the per-call versions."""
+ascent builds each policy's schedule once and lemma 2 builds one schedule
+per fixture, with results byte-equal to the per-call versions."""
 import numpy as np
 import pytest
 
 from ndilab import mdp as mdp_module
 from ndilab import occupancy, verify
-from ndilab.mdp import SoftmaxPolicy
+from ndilab.mdp import SoftmaxPolicy, state_marginals
 from ndilab.occupancy import (
     _frozen_reward_tables,
+    critic_horizon,
     discounted_policy_gradient,
     occupancy_measure,
     resolve_critic_schedule,
@@ -22,8 +23,8 @@ from ndilab.verify import (
 
 
 def loop_coordinate_ascent(n_alternations=200, seed=6, step_tol=1e-9):
-    """The coordinate-ascent loop that recomputes every marginal stack: each
-    critic step, objective, reward table and gradient propagates its own.
+    """The coordinate-ascent loop that recomputes every marginal schedule:
+    each critic step, objective, reward table and gradient builds its own.
     Returns (history, violations)."""
     violations = []
     rng = np.random.default_rng(seed)
@@ -31,28 +32,30 @@ def loop_coordinate_ascent(n_alternations=200, seed=6, step_tol=1e-9):
     expert = SoftmaxPolicy(rng.normal(0, 1.0, size=(3, 2)))
     log_rho_e = np.log(occupancy_measure(mdp, expert).rho)
     theta = rng.normal(0, 0.5, size=(3, 2))
+    T = critic_horizon(mdp, 1e-10)
 
-    policy = SoftmaxPolicy(theta)
-    tables, T = resolve_critic_schedule(mdp, policy, "optimal", 1e-10)
-    objective = coordinate_ascent_objective(mdp, theta, log_rho_e, tables, T)
+    def schedule(logits):
+        return state_marginals(mdp, SoftmaxPolicy(logits), T + 1)
+
+    tables, _ = resolve_critic_schedule(mdp, schedule(theta), "optimal", 1e-10)
+    objective = coordinate_ascent_objective(mdp, schedule(theta), log_rho_e, tables, T)
     history = [objective]
     step = 0.5
     for k in range(n_alternations):
-        policy = SoftmaxPolicy(theta)
-        tables, _ = resolve_critic_schedule(mdp, policy, "optimal", 1e-10)
-        objective_f = coordinate_ascent_objective(mdp, theta, log_rho_e, tables, T)
+        tables, _ = resolve_critic_schedule(mdp, schedule(theta), "optimal", 1e-10)
+        objective_f = coordinate_ascent_objective(mdp, schedule(theta), log_rho_e, tables, T)
         if objective_f < history[-1] - step_tol:
             violations.append(
                 f"alternation {k} (seed {seed}): critic step decreased objective "
                 f"{history[-1]} -> {objective_f}")
         history.append(objective_f)
 
-        rewards = _frozen_reward_tables(mdp, policy, tables, T) + log_rho_e
-        grad = discounted_policy_gradient(mdp, theta, rewards, T)
+        rewards = _frozen_reward_tables(mdp, schedule(theta), tables, T) + log_rho_e
+        grad = discounted_policy_gradient(mdp, schedule(theta), rewards, T)
         trial = step
         for _ in range(40):
             cand = theta + trial * grad
-            objective_pi = coordinate_ascent_objective(mdp, cand, log_rho_e, tables, T)
+            objective_pi = coordinate_ascent_objective(mdp, schedule(cand), log_rho_e, tables, T)
             if objective_pi >= objective_f - 1e-12:
                 theta = cand
                 step = min(trial * 2.0, 2.0)
@@ -90,15 +93,15 @@ def test_coordinate_ascent_matches_the_recomputing_loop(seed):
 
 
 def test_coordinate_ascent_propagates_each_policy_once(monkeypatch):
-    propagations = counting(monkeypatch, "propagate_marginals", [mdp_module, occupancy])
+    schedules = counting(monkeypatch, "state_marginals", [mdp_module, occupancy, verify])
     objectives = counting(monkeypatch, "coordinate_ascent_objective", [verify])
     n = 25
     verify_coordinate_ascent(n_alternations=n)
     # one objective before the loop and one per critic step; the rest are
-    # line-search candidates
+    # line-search candidates, each a new policy with its own schedule
     candidates = len(objectives) - 1 - n
     assert candidates >= n
-    assert 0 < len(propagations) <= 1 + candidates
+    assert len(schedules) == 1 + candidates
 
 
 def test_lemma2_builds_one_schedule_per_fixture(monkeypatch):
