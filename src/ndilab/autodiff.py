@@ -278,6 +278,8 @@ class MlpStack:
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# a gradient entry below this magnitude has a finite float64 square
+GRAD_BOUND = float(np.sqrt(np.finfo(np.float64).max))
 
 
 @dataclass
@@ -292,11 +294,12 @@ class AdamState:
 
 
 def adam_step(state: AdamState, param: Array, grad: Array) -> None:
-    """One in-place update of ``param``; ``grad`` must have its shape."""
+    """One in-place update of ``param``; ``grad`` must have its shape, and
+    entries below ``GRAD_BOUND`` (else ``FloatingPointError``, before any update)."""
     if param.shape != grad.shape:
         raise ValueError("parameter/gradient shape mismatch")
-    if not np.all(np.isfinite(grad)):
-        raise FloatingPointError("non-finite gradient in adam_step")
+    if not np.abs(grad).max() < GRAD_BOUND:   # NaN fails too
+        raise FloatingPointError("non-finite or overflowing gradient in adam_step")
     if state.m is None:
         state.m, state.v = np.zeros_like(param), np.zeros_like(param)
     state.step_count += 1

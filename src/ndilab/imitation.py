@@ -1,6 +1,6 @@
 """Phase-2 machinery: the augmented reward, the fixed RBF critic, the
-array-backed replay ring behind both the timestep-indexed buffer and the
-SAC buffer, tabular soft policy iteration, a compact soft actor-critic for
+bucketed replay ring behind both the timestep-indexed buffer and the SAC
+buffer, tabular soft policy iteration, a compact soft actor-critic for
 toy continuous runs, and policy evaluation.
 
 ``augmented_reward`` is the one reward sum, log q(s, a) + lambda_f r_f, and
@@ -32,103 +32,110 @@ Array = np.ndarray
 
 
 class Ring:
-    """Fixed-capacity FIFO of float64 rows of one shape, stored in a single
-    preallocated ``(capacity, *shape)`` array that wraps around.
+    """FIFO queues of float64 rows, one per bucket, in one ``np.empty``
+    ``(buckets, capacity, *shape)`` array; each bucket wraps on its own."""
 
-    ``take(idx)`` reads rows by oldest-first position. The array is made
-    with ``np.empty``, so memory pages are touched only as rows are written.
-    """
-
-    def __init__(self, capacity: int, shape: tuple):
+    def __init__(self, buckets: int, capacity: int, shape: tuple):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self.rows = np.empty((capacity, *shape))
-        self.count = 0   # rows ever added
+        self.rows = np.empty((buckets, capacity, *shape))
+        self.lens = np.zeros(buckets, dtype=np.int64)    # rows held, per bucket
+        self.heads = np.zeros(buckets, dtype=np.int64)   # slot of each bucket's oldest row
+        self.size = 0                                    # rows held, all buckets
+        self.wrapped = False                             # has any bucket overwritten a row
 
-    def add(self, row) -> None:
-        self.rows[self.count % self.capacity] = row
-        self.count += 1
+    def add(self, b: int, row) -> None:
+        held = self.lens.item(b)   # a Python int: cheaper arithmetic than numpy's
+        if held < self.capacity:
+            self.rows[b, held] = row
+            self.lens[b] = held + 1
+            self.size += 1
+        else:   # the row replaces the oldest one
+            self.wrapped = True
+            head = self.heads.item(b)
+            self.rows[b, head] = row
+            self.heads[b] = (head + 1) % self.capacity
 
-    def take(self, idx: Array) -> Array:
-        """Rows at oldest-first positions ``idx`` (each in ``[0, len)``)."""
-        if self.count > self.capacity:
-            idx = (idx + self.count) % self.capacity
-        return self.rows[idx]
+    def take(self, b, idx: Array) -> Array:
+        """Rows at oldest-first positions ``idx`` (each below the bucket's
+        length) of buckets ``b``, which broadcast against ``idx``."""
+        if self.wrapped:   # else every position is its own slot
+            idx = (self.heads[b] + idx) % self.capacity
+        return self.rows[b, idx]
 
     def __len__(self) -> int:
-        return min(self.count, self.capacity)
+        return self.size
 
 
 class TimestepReplayBuffer:
-    """Visited states bucketed by trajectory timestep, FIFO per bucket.
+    """Visited states bucketed by trajectory timestep 0..horizon in one
+    ``Ring``, for the marginal expectations of the critic reward: states
+    deposited at trajectory index t approximate samples from the time-t
+    state marginal. Reads return arrays, oldest state first."""
 
-    Backs the marginal expectations in the critic reward: states deposited at
-    trajectory index t approximate samples from the time-t state marginal.
-    Each bucket is one ``Ring``; reads return ``(n, d)`` arrays, oldest
-    state first.
-    """
-
-    def __init__(self, capacity_per_bucket: int = 1024, seed: int = 0):
-        self.capacity = capacity_per_bucket
-        self.buckets: dict[int, Ring] = {}
+    def __init__(self, horizon: int, dim: int, capacity_per_bucket: int = 1024,
+                 seed: int = 0):
+        self.horizon = horizon
+        self.ring = Ring(horizon + 1, capacity_per_bucket, (dim,))
         self.rng = np.random.default_rng(seed)
 
+    def _bucket(self, t) -> int:
+        if not 0 <= t <= self.horizon:
+            raise ValueError(f"timestep {t} outside 0..{self.horizon}")
+        return int(t)
+
     def add(self, t: int, state: Array) -> None:
-        t = int(t)
-        state = np.asarray(state, dtype=np.float64)
-        if t not in self.buckets:
-            self.buckets[t] = Ring(self.capacity, state.shape)
-        self.buckets[t].add(state)
+        self.ring.add(self._bucket(t), state)
 
     def bucket(self, t: int) -> Array:
-        ring = self.buckets.get(int(t))
-        if ring is None:
-            return np.empty((0, 0))
-        return ring.take(np.arange(len(ring)))
+        b = self._bucket(t)
+        return self.ring.take(b, np.arange(self.ring.lens[b]))
 
     def pooled(self) -> Array:
-        if not self.buckets:
-            return np.empty((0, 0))
-        return np.concatenate([self.bucket(t) for t in self.buckets])
-
-    def _fallback(self, missing: list) -> Array:
-        """The pooled buffer, with one warning per timestep in ``missing``."""
-        items = self.pooled()
-        if not len(items):
-            raise ValueError("replay buffer is empty")
-        for t in missing:
-            logger.warning("bucket %d empty; falling back to pooled replay sampling", t)
-        return items
+        """Every held state, in ascending t."""
+        lens = self.ring.lens
+        b = np.repeat(np.arange(len(lens)), lens)   # each row's bucket
+        return self.ring.take(b, np.arange(len(b)) - (np.cumsum(lens) - lens)[b])
 
     def sample(self, t, n: int) -> Array:
-        """Uniform sample (with replacement) of n states from bucket t as an
-        ``(n, d)`` array; empty buckets fall back to the pooled buffer with a
-        logged warning.
+        """n states drawn uniformly, with replacement, from bucket t for each
+        timestep in ``t``, as a ``t.shape + (n, dim)`` array. One ``integers``
+        call makes the draws, and leaves the generator state, of one
+        ``integers(0, len, size=n)`` call per timestep in ``t.ravel()`` order.
+        An empty bucket draws from the pooled buffer, with a logged warning."""
+        ts = np.asarray(t)
+        steps = ts.ravel().tolist()   # list reductions cost less on a few entries
+        self._bucket(min(steps))
+        self._bucket(max(steps))
+        lens = self.ring.lens[ts]
+        pooled = None
+        if 0 in lens.ravel().tolist():
+            pooled = self.pooled()
+            if not len(pooled):
+                raise ValueError("replay buffer is empty")
+            empty = lens == 0
+            for x in ts[empty]:
+                logger.warning("bucket %d empty; falling back to pooled replay sampling", x)
+            lens = np.where(empty, len(pooled), lens)
+        # one bound for all rows draws as one bound per row does, in half the time
+        sizes = lens.ravel().tolist()
+        bound = sizes[0] if sizes.count(sizes[0]) == len(sizes) else lens[..., None]
+        idx = self.rng.integers(0, bound, size=(*ts.shape, n))
+        rows = self.ring.take(ts[..., None], idx)
+        if pooled is not None:
+            rows[empty] = pooled[idx[empty]]
+        return rows
 
-        ``t`` may also be a 1-D array of k timesteps: the result is then
-        ``(k, n, d)``, drawn with one ``integers`` call whose rows, and the
-        generator state after it, equal k sequential scalar calls (one
-        warning per fallback row, as there).
-        """
-        if isinstance(t, np.ndarray) and t.ndim == 1:
-            ts = [int(x) for x in t]
-            rings = [self.buckets.get(x) for x in ts]
-            missing = [x for x, ring in zip(ts, rings) if ring is None]
-            pooled = self._fallback(missing) if missing else None
-            lens = np.array([len(pooled if ring is None else ring) for ring in rings])
-            idx = self.rng.integers(0, lens[:, None], size=(len(ts), n))
-            return np.stack([pooled[i] if ring is None else ring.take(i)
-                             for ring, i in zip(rings, idx)])
-        t = int(t)
-        ring = self.buckets.get(t)
-        if ring is not None:
-            return ring.take(self.rng.integers(0, len(ring), size=n))
-        items = self._fallback([t])
-        return items[self.rng.integers(0, len(items), size=n)]
-
-    def __len__(self) -> int:
-        return sum(len(ring) for ring in self.buckets.values())
+    def pairs(self, t: int, k: int, rng: np.random.Generator) -> Array:
+        """k pairs (state at t, state at t + 1) as a ``(k, 2, dim)`` array,
+        none if either bucket is empty. One ``rng.integers`` call makes the
+        draws of 2k alternating ``rng.integers(len)`` calls on the two."""
+        ts = np.array([self._bucket(t), self._bucket(t + 1)])
+        lens = self.ring.lens[ts]
+        if not lens.all():
+            return np.empty((0, 2, self.ring.rows.shape[-1]))
+        return self.ring.take(ts, rng.integers(0, lens, size=(k, 2)))
 
 
 @dataclass
@@ -195,31 +202,26 @@ def nwj_reward(critic, s_t: Array, s_next: Array, cur: Array, nxt: Array, gamma:
     return f(s_t, s_next) - (gamma / math.e) * cross
 
 
+_THIS_AND_NEXT = np.array([0, 1])   # reward_f's bucket offsets, made once
+
+
 def reward_f(critic, s_t: Array, s_next: Array, buffer: TimestepReplayBuffer,
              t, gamma: float, n_marginal_samples: int):
     """Mutual-information reward against replay-bucket marginal samples.
 
-    Draws ``n_marginal_samples`` states x from bucket t and then as many
-    states y from bucket t+1 (``TimestepReplayBuffer.sample``, so an empty
+    Draws ``n_marginal_samples`` states x from bucket t and as many states y
+    from bucket t+1 in one ``TimestepReplayBuffer.sample`` call (an empty
     bucket falls back to the pooled buffer), and returns ``nwj_reward``:
       f(s_t, s') - (gamma/e) mean[e^{f(s', x)} + e^{f(y, s_t)}]
-    The critic f is evaluated once per cross term on the whole (n, d) sample
-    batch, so ``critic.value`` (or ``critic`` itself, if callable) must
-    broadcast over leading axes; a scalar result for a batch raises
-    ``ValueError``.
+    ``critic.value`` (or ``critic`` itself, if callable) must broadcast over
+    leading axes; a scalar result for a batch raises ``ValueError``.
 
     For k transitions at once, pass (k, d) states and a (k,) array of
-    timesteps: one ``sample`` call draws the buckets in the order
-    t_0, t_0+1, t_1, t_1+1, ..., so the k rewards equal k scalar calls
-    made in order, and so does the buffer's generator state afterwards.
+    timesteps: the buckets are drawn in the order t_0, t_0+1, t_1, t_1+1, ...,
+    so the rewards and the buffer's generator state equal k calls in order.
     """
-    if isinstance(t, np.ndarray) and t.ndim == 1:
-        rows = buffer.sample(np.stack([t, t + 1], axis=1).ravel(), n_marginal_samples)
-        cur, nxt = rows[0::2], rows[1::2]
-    else:
-        cur = buffer.sample(t, n_marginal_samples)
-        nxt = buffer.sample(t + 1, n_marginal_samples)
-    return nwj_reward(critic, s_t, s_next, cur, nxt, gamma)
+    rows = buffer.sample(np.asarray(t)[..., None] + _THIS_AND_NEXT, n_marginal_samples)
+    return nwj_reward(critic, s_t, s_next, rows[..., 0, :, :], rows[..., 1, :, :], gamma)
 
 
 def augmented_reward(log_q, r_f, lambda_f: float):
@@ -317,7 +319,7 @@ class SacLearner:
         self.log_alpha = np.array([math.log(0.2)])
         self.target_entropy = -float(action_dim)
         # one row per transition: s, a, r, s2, done
-        self.buffer = Ring(config.buffer_capacity, (2 * state_dim + action_dim + 2,))
+        self.buffer = Ring(1, config.buffer_capacity, (2 * state_dim + action_dim + 2,))
         self.rng = np.random.default_rng(config.seed)
         self.opt_q = AdamState(lr=config.lr)       # both Q nets, on q.flat
         self.opt_pi = AdamState(lr=config.lr)      # mean net and log-std, on policy.flat
@@ -325,8 +327,8 @@ class SacLearner:
 
     def add_transition(self, s, a, r, s2, done: bool) -> None:
         a = np.clip(np.asarray(a, dtype=np.float64), -ACTION_BOUND, ACTION_BOUND)
-        self.buffer.add(np.concatenate([np.asarray(s, float), a, [float(r)],
-                                        np.asarray(s2, float), [float(done)]]))
+        self.buffer.add(0, np.concatenate([np.asarray(s, float), a, [float(r)],
+                                           np.asarray(s2, float), [float(done)]]))
 
     @property
     def alpha(self) -> float:
@@ -334,7 +336,7 @@ class SacLearner:
 
     def _batch(self):
         idx = self.rng.integers(0, len(self.buffer), size=self.config.batch_size)
-        rows = self.buffer.take(idx)
+        rows = self.buffer.take(0, idx)
         ds, da = self.state_dim, self.action_dim
         return (rows[:, :ds], rows[:, ds:ds + da], rows[:, ds + da],
                 rows[:, ds + da + 1:2 * ds + da + 1], rows[:, -1])

@@ -17,8 +17,12 @@ Array = np.ndarray
 
 LOG_STD_MIN = -5.0
 LOG_STD_MAX = 2.0
-# the probability-row tolerance of Generator.choice
-_PROB_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
+
+
+def _log_softmax(logits: Array) -> Array:
+    """Row-wise log softmax, the one log-probability table of a ``SoftmaxPolicy``."""
+    z = logits - logits.max(axis=1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
 
 
 @dataclass
@@ -76,37 +80,34 @@ def check_injective_dynamics(mdp: TabularMdp) -> bool:
 class SoftmaxPolicy:
     """Discrete stochastic policy pi(a|s) = softmax(logits[s]).
 
-    ``logits`` is never modified in place after construction (a new policy
-    is built instead), so ``sample`` builds its normalized cumulative table
-    once, on its first call, and reuses it.
+    Immutable: ``logits`` is a read-only copy, and the log-probability,
+    probability and sampling (cumulative) tables are computed once, at
+    construction; the first two are returned read-only.
     """
 
     def __init__(self, logits: Array):
-        self.logits = np.asarray(logits, dtype=np.float64)
-        if self.logits.ndim != 2:
+        logits = np.array(logits, dtype=np.float64)
+        if logits.ndim != 2:
             raise ValueError("logits must be (n_states, n_actions)")
-        if not np.all(np.isfinite(self.logits)):
+        if not np.all(np.isfinite(logits)):
             raise ValueError("logits must be finite")
-        self._sample_cdf: Array | None = None
+        self.logits, self._log_probs = logits, _log_softmax(logits)
+        self._probs = np.exp(self._log_probs)
+        cdf = np.cumsum(self._probs, axis=1)
+        self._cdf = cdf / cdf[:, -1:]   # normalized, as Generator.choice normalizes
+        for table in (self.logits, self._log_probs, self._probs, self._cdf):
+            table.flags.writeable = False
 
     def log_probs(self) -> Array:
-        z = self.logits - self.logits.max(axis=1, keepdims=True)
-        return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+        return self._log_probs
 
     def probs(self) -> Array:
-        return np.exp(self.log_probs())
+        return self._probs
 
     def sample(self, s: int, rng: np.random.Generator) -> int:
         """The draw ``rng.choice(n_actions, p=probs()[s])`` makes: one
         ``rng.random()`` searched in the row's normalized cumulative sums."""
-        if self._sample_cdf is None:
-            probs = self.probs()
-            if np.any(probs < 0) or np.any(np.abs(probs.sum(axis=1) - 1.0) > _PROB_ATOL):
-                raise ValueError("action probabilities must be non-negative and sum to 1")
-            cdf = np.cumsum(probs, axis=1)
-            cdf /= cdf[:, -1:]
-            self._sample_cdf = cdf
-        return int(self._sample_cdf[s].searchsorted(rng.random(), side="right"))
+        return int(self._cdf[s].searchsorted(rng.random(), side="right"))
 
     @staticmethod
     def uniform(n_states: int, n_actions: int) -> "SoftmaxPolicy":

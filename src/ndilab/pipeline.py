@@ -182,7 +182,7 @@ def _train_tabular(config: ExperimentConfig, bundle: TabularEnvBundle, density_m
     zstate = np.array([(embed.state(s) - smean) / sstd for s in range(S)])
 
     critic = RbfCritic(bandwidth=1.0)
-    buffer = TimestepReplayBuffer(config.buffer_capacity, seed=config.seed)
+    buffer = TimestepReplayBuffer(config.rollout_len, ds, config.buffer_capacity, config.seed)
     pair_rng = np.random.default_rng(config.seed + 101)
     lambda_pi = config.lambda_pi
     target_entropy = 0.5 * math.log(A)   # half the uniform policy's entropy
@@ -202,13 +202,7 @@ def _train_tabular(config: ExperimentConfig, bundle: TabularEnvBundle, density_m
             buffer.add(len(traj), zstate[traj.next_states[-1]])
             env_steps += len(traj)
         # refresh the critic normalizer from independent bucket pairs
-        pairs = []
-        for t in range(0, config.rollout_len, 4):
-            cur, nxt = buffer.bucket(t), buffer.bucket(t + 1)
-            if len(cur) and len(nxt):
-                for _ in range(4):
-                    pairs.append((cur[pair_rng.integers(len(cur))],
-                                  nxt[pair_rng.integers(len(nxt))]))
+        pairs = [p for t in range(0, config.rollout_len, 4) for p in buffer.pairs(t, 4, pair_rng)]
         if pairs:
             critic.observe_pairs(pairs)
 
@@ -249,7 +243,7 @@ def _train_tabular(config: ExperimentConfig, bundle: TabularEnvBundle, density_m
                      float(norm_kl), float(lambda_pi), time.time() - t0,
                      config.hash(), config.seed))
         if best is None or aug_return > best[0]:
-            best = (aug_return, it, SoftmaxPolicy(policy.logits.copy()))
+            best = (aug_return, it, policy)
 
         if config.lambda_pi_mode == "auto":
             entropy = _policy_entropy_weighted(occ, policy)
@@ -270,7 +264,8 @@ def _train_continuous(config: ExperimentConfig, bundle: ContinuousEnvBundle, den
         return (np.asarray(s) - std.mean[:ds]) / std.std[:ds]
 
     critic = RbfCritic(bandwidth=1.0)
-    buffer = TimestepReplayBuffer(config.buffer_capacity, seed=config.seed)
+    episode_len = env.spec.episode_len
+    buffer = TimestepReplayBuffer(episode_len, ds, config.buffer_capacity, config.seed)
     sac = SacLearner(env.state_dim, env.action_dim,
                      SacConfig(gamma=config.gamma, lr=config.sac_lr,
                                lr_alpha=config.sac_lr, batch_size=config.sac_batch,
@@ -288,7 +283,6 @@ def _train_continuous(config: ExperimentConfig, bundle: ContinuousEnvBundle, den
     rng = np.random.default_rng(config.seed)
     rows = []
     best = None
-    episode_len = env.spec.episode_len
     # every evaluation scores the policy on the same state count and seed,
     # so the random-policy KL it is normalized by is one number per run
     n_kl_states = max(1, config.n_eval_states // 4)
@@ -306,10 +300,9 @@ def _train_continuous(config: ExperimentConfig, bundle: ContinuousEnvBundle, den
         s2, _ = env.step(s, a)
         buffer.add(t_in_ep + 1, zstate(s2))
         if (t_in_ep % 8) == 0:
-            cur, nxt = buffer.bucket(t_in_ep), buffer.bucket(t_in_ep + 1)
-            if len(cur) and len(nxt):
-                critic.observe_pairs([(cur[rng.integers(len(cur))],
-                                       nxt[rng.integers(len(nxt))]) for _ in range(2)])
+            pairs = buffer.pairs(t_in_ep, 2, rng)
+            if len(pairs):
+                critic.observe_pairs(pairs)
         r_bar = augmented(s, a, s2, t_in_ep)
         sac.add_transition(s, a, r_bar, s2, done=False)
         env_steps += 1

@@ -411,6 +411,24 @@ class TestAdam:
         with pytest.raises(ValueError):
             adam_step(state, np.zeros(2), np.zeros(3))
 
+    @pytest.mark.parametrize("bad", [1e200, -1e200, np.inf, np.nan])
+    def test_gradient_whose_square_overflows_aborts_before_any_update(self, bad):
+        w = np.array([0.5, -1.0])
+        state = AdamState(lr=0.1)
+        adam_step(state, w, np.array([0.3, -0.2]))
+        before = [a.copy() for a in (w, state.m, state.v)]
+        with pytest.raises(FloatingPointError):
+            adam_step(state, w, np.array([0.1, bad]))
+        for got, want in zip((w, state.m, state.v), before):
+            assert got.tobytes() == want.tobytes()
+        assert state.step_count == 1
+
+    def test_largest_gradient_with_a_finite_square_is_accepted(self):
+        w = np.zeros(1)
+        state = AdamState(lr=0.1)
+        adam_step(state, w, np.array([np.nextafter(autodiff.GRAD_BOUND, 0.0)]))
+        assert np.isfinite(state.v).all() and w[0] == pytest.approx(-0.1)
+
 
 class TestSpectralNorm:
     def test_known_spectrum_normalized(self):

@@ -749,6 +749,20 @@ class TestCliFrontend:
         assert err.startswith("error: ") and line.split(" = ")[0] in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_overflowing_density_gradient_is_divergence(self, tmp_path, capsys):
+        # at this epsilon Z + eps v rounds to Z, and the score-matching
+        # gradient grows until its square overflows Adam's second moment
+        cfg = tmp_path / "pm.cfg"
+        cfg.write_text(f"env = pointmass\nseed = 0\nout_dir = {tmp_path / 'run'}\n"
+                       "n_demo_trajectories = 3\ndemo_len = 50\ndensity_kind = ebm\n"
+                       "density_epochs = 2\ndensity_batch = 64\nssm_hvp_epsilon = 1e-300\n")
+        assert main(["gen-demos", "--config", str(cfg)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["fit-density", "--config", str(cfg)]) == EXIT_DIVERGENCE
+        err = capsys.readouterr().err
+        assert err.startswith("numerical divergence: ") and "adam_step" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     @pytest.mark.parametrize("edit", ["sigma_zero", "sigma_negative", "sigma_nan",
                                       "sigma_string", "nan_weight", "zero_hidden",
                                       "missing_key"])

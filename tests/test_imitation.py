@@ -93,7 +93,7 @@ class ConstantCritic:
 class TestRewardF:
     def test_constant_critic_all_states_identical(self):
         # f = 1 on all pairs: 1 - (gamma/e)(e + e) = 1 - 2 gamma
-        buffer = TimestepReplayBuffer(seed=0)
+        buffer = TimestepReplayBuffer(1, 1, seed=0)
         s = np.array([0.5])
         for t in (0, 1):
             buffer.add(t, s)
@@ -102,7 +102,7 @@ class TestRewardF:
         assert got == pytest.approx(1.0 - 2 * 0.9, abs=1e-12)
 
     def test_gamma_zero_reduces_to_critic_value(self):
-        buffer = TimestepReplayBuffer(seed=0)
+        buffer = TimestepReplayBuffer(1, 2, seed=0)
         rng = np.random.default_rng(1)
         for t in (0, 1):
             buffer.add(t, rng.normal(size=2))
@@ -112,7 +112,7 @@ class TestRewardF:
         assert got == pytest.approx(critic.value(s, s2), abs=1e-12)
 
     def test_matches_exhaustive_expectation_oracle(self):
-        buffer = TimestepReplayBuffer(seed=0)
+        buffer = TimestepReplayBuffer(1, 1, seed=0)
         states = {0: [np.array([0.0]), np.array([1.0])],
                   1: [np.array([0.5]), np.array([2.0]), np.array([1.0])]}
         for t, items in states.items():
@@ -129,7 +129,7 @@ class TestRewardF:
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_alg1_form_gamma_factor_and_argument_order(self):
-        buffer = TimestepReplayBuffer(seed=0)
+        buffer = TimestepReplayBuffer(1, 1, seed=0)
         for t in (0, 1):
             buffer.add(t, np.array([float(t)]))
         asym = ConstantCritic(0.0)
@@ -142,7 +142,7 @@ class TestRewardF:
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_empty_bucket_falls_back_with_warning(self, caplog):
-        buffer = TimestepReplayBuffer(seed=0)
+        buffer = TimestepReplayBuffer(6, 1, seed=0)
         buffer.add(0, np.array([0.0]))
         with caplog.at_level(logging.WARNING):
             val = reward_f(RbfCritic(), np.zeros(1), np.zeros(1), buffer, 5, 0.9,
@@ -152,7 +152,7 @@ class TestRewardF:
 
     def test_batched_reward_matches_scalar_exp_oracle(self):
         rng = np.random.default_rng(7)
-        buffer = TimestepReplayBuffer(capacity_per_bucket=16, seed=0)
+        buffer = TimestepReplayBuffer(4, 4, capacity_per_bucket=16, seed=0)
         for t in (3, 4):
             for _ in range(24):   # wraps each ring
                 buffer.add(t, rng.normal(size=4))
@@ -170,7 +170,7 @@ class TestRewardF:
 
     def test_is_two_bucket_draws_then_nwj_reward(self):
         rng = np.random.default_rng(9)
-        buffer = TimestepReplayBuffer(capacity_per_bucket=8, seed=5)
+        buffer = TimestepReplayBuffer(3, 3, capacity_per_bucket=8, seed=5)
         for t in (2, 3):
             for _ in range(13):   # wraps each ring
                 buffer.add(t, rng.normal(size=3))
@@ -195,7 +195,7 @@ class TestRewardF:
         np.testing.assert_array_equal(got, expected)
 
     def test_scalar_valued_critic_rejected(self):
-        buffer = TimestepReplayBuffer(seed=0)
+        buffer = TimestepReplayBuffer(1, 1, seed=0)
         for t in (0, 1):
             for k in range(3):
                 buffer.add(t, np.array([float(k)]))
@@ -218,7 +218,7 @@ class TestRewardF:
     ], ids=["rbf", "asymmetric"])
     def test_rollout_rewards_equal_scalar_calls_in_order(self, critic):
         rng = np.random.default_rng(12)
-        buffer = TimestepReplayBuffer(capacity_per_bucket=8, seed=4)
+        buffer = TimestepReplayBuffer(6, 3, capacity_per_bucket=8, seed=4)
         for t in range(6):   # later buckets wrap; bucket 6 is missing
             for _ in range(3 + 2 * t):
                 buffer.add(t, rng.normal(size=3))
@@ -244,7 +244,7 @@ class TestRewardF:
 class TestAugmentedReward:
     @staticmethod
     def _r_f(gamma):
-        buffer = TimestepReplayBuffer(seed=0)
+        buffer = TimestepReplayBuffer(1, 1, seed=0)
         for t in (0, 1):
             buffer.add(t, np.array([0.0]))
         return nwj_reward(RbfCritic(), np.array([0.0]), np.array([0.0]), buffer.bucket(0),
@@ -278,7 +278,7 @@ class TestAugmentedReward:
 
 class TestTimestepReplayBuffer:
     def test_bucket_fidelity_with_tags(self):
-        buffer = TimestepReplayBuffer(capacity_per_bucket=64, seed=3)
+        buffer = TimestepReplayBuffer(4, 2, capacity_per_bucket=64, seed=3)
         for t in range(5):
             for k in range(10):
                 buffer.add(t, np.array([float(t), float(k)]))  # tag = timestep
@@ -287,24 +287,24 @@ class TestTimestepReplayBuffer:
                 assert s[0] == t
 
     def test_fifo_eviction_at_capacity(self):
-        buffer = TimestepReplayBuffer(capacity_per_bucket=4, seed=0)
+        buffer = TimestepReplayBuffer(0, 1, capacity_per_bucket=4, seed=0)
         for k in range(10):
             buffer.add(0, np.array([float(k)]))
         np.testing.assert_array_equal(buffer.bucket(0), [[6.0], [7.0], [8.0], [9.0]])
         buffer.add(0, np.array([10.0]))
         np.testing.assert_array_equal(buffer.bucket(0), [[7.0], [8.0], [9.0], [10.0]])
-        assert len(buffer) == 4
+        assert len(buffer.ring) == 4
 
     def test_ring_keeps_last_capacity_states_in_fifo_order(self):
         rng = np.random.default_rng(5)
         states = rng.normal(size=(23, 3))
-        buffer = TimestepReplayBuffer(capacity_per_bucket=8, seed=0)
+        buffer = TimestepReplayBuffer(1, 3, capacity_per_bucket=8, seed=0)
         for k, x in enumerate(states):
             buffer.add(1, x)
             np.testing.assert_array_equal(buffer.bucket(1), states[max(0, k - 7):k + 1])
 
     def test_sample_returns_rows_in_the_same_draw_order(self):
-        buffer = TimestepReplayBuffer(capacity_per_bucket=5, seed=9)
+        buffer = TimestepReplayBuffer(0, 2, capacity_per_bucket=5, seed=9)
         for k in range(12):
             buffer.add(0, np.array([float(k), -float(k)]))
         got = buffer.sample(0, 6)
@@ -312,15 +312,16 @@ class TestTimestepReplayBuffer:
         idx = np.random.default_rng(9).integers(0, 5, size=6)
         np.testing.assert_array_equal(got, buffer.bucket(0)[idx])
 
-    def test_pooled_concatenates_buckets_in_insertion_order(self):
-        buffer = TimestepReplayBuffer(capacity_per_bucket=2, seed=0)
+    def test_pooled_concatenates_buckets_in_ascending_t(self):
+        # bucket 4 is filled first and wraps; pooled still lists bucket 1 first
+        buffer = TimestepReplayBuffer(7, 1, capacity_per_bucket=2, seed=0)
         for t, v in ((4, 0.0), (1, 1.0), (4, 2.0), (4, 3.0), (1, 4.0)):
             buffer.add(t, np.array([v]))
-        np.testing.assert_array_equal(buffer.pooled(), [[2.0], [3.0], [1.0], [4.0]])
-        assert buffer.bucket(7).shape[0] == 0
+        np.testing.assert_array_equal(buffer.pooled(), [[1.0], [4.0], [2.0], [3.0]])
+        assert buffer.bucket(7).shape == (0, 1)
 
     def test_sampling_is_uniform_over_contents(self):
-        buffer = TimestepReplayBuffer(seed=11)
+        buffer = TimestepReplayBuffer(2, 1, seed=11)
         for k in range(4):
             buffer.add(2, np.array([float(k)]))
         draws = np.array([s[0] for s in buffer.sample(2, 40_000)])
@@ -329,15 +330,15 @@ class TestTimestepReplayBuffer:
 
     def test_empty_buffer_rejected(self):
         with pytest.raises(ValueError):
-            TimestepReplayBuffer(seed=0).sample(0, 1)
+            TimestepReplayBuffer(1, 1, seed=0).sample(0, 1)
         with pytest.raises(ValueError):
-            TimestepReplayBuffer(seed=0).sample(np.array([0, 1]), 1)
+            TimestepReplayBuffer(1, 1, seed=0).sample(np.array([0, 1]), 1)
 
     def test_sample_over_timesteps_equals_sequential_calls(self, caplog):
         # buckets 0..5 without 3: bucket 1 has wrapped, bucket 4 holds one
         # state (a bound of 1 draws nothing), 3 and 9 fall back to pooled
         rng = np.random.default_rng(21)
-        buffer = TimestepReplayBuffer(capacity_per_bucket=6, seed=13)
+        buffer = TimestepReplayBuffer(9, 2, capacity_per_bucket=6, seed=13)
         for t, count in ((0, 4), (1, 9), (2, 6), (4, 1), (5, 3)):
             for _ in range(count):
                 buffer.add(t, rng.normal(size=2))
@@ -355,6 +356,124 @@ class TestTimestepReplayBuffer:
         assert buffer.rng.bit_generator.state == twin.rng.bit_generator.state
         assert batched_log == sequential_log
         assert [m.split()[1] for m in batched_log] == ["3", "3", "9"]
+
+
+def reference_sample(buffer, t, n):
+    """One timestep's draw as it was made before the buckets shared one ring:
+    the bucket's rows (the pooled rows if it is empty) indexed by one
+    scalar-bound ``integers`` call."""
+    rows = buffer.bucket(t)
+    if not len(rows):
+        rows = buffer.pooled()
+    return rows[buffer.rng.integers(0, len(rows), size=n)]
+
+
+def tabular_pair_loop(buffer, rollout_len, pair_rng):
+    """The tabular trainer's critic-normalizer pairs as it once drew them."""
+    pairs = []
+    for t in range(0, rollout_len, 4):
+        cur, nxt = buffer.bucket(t), buffer.bucket(t + 1)
+        if len(cur) and len(nxt):
+            for _ in range(4):
+                pairs.append((cur[pair_rng.integers(len(cur))],
+                              nxt[pair_rng.integers(len(nxt))]))
+    return pairs
+
+
+def point_mass_pair_loop(buffer, t, rng):
+    """The point-mass trainer's critic-normalizer pairs as it once drew them."""
+    cur, nxt = buffer.bucket(t), buffer.bucket(t + 1)
+    if len(cur) and len(nxt):
+        return [(cur[rng.integers(len(cur))], nxt[rng.integers(len(nxt))]) for _ in range(2)]
+    return []
+
+
+def uneven_buffer(seed, horizon=12, capacity=8, dim=2):
+    """Buckets of mixed fill: every t = 3 (mod 7) is empty, every other
+    multiple of 5 holds one state, the rest hold 2 to 2 * capacity states
+    (so some wrap). Unwritten rows are NaN, and the generator is left
+    half-buffered."""
+    rng = np.random.default_rng(seed)
+    buffer = TimestepReplayBuffer(horizon, dim, capacity_per_bucket=capacity, seed=seed)
+    buffer.ring.rows[...] = np.nan
+    for t in range(horizon + 1):
+        count = 0 if t % 7 == 3 else 1 if t % 5 == 0 else int(rng.integers(2, 2 * capacity + 1))
+        for _ in range(count):
+            buffer.add(t, rng.normal(size=dim))
+    buffer.rng.integers(0, 7, size=3)
+    return buffer
+
+
+class TestBufferContract:
+    def test_timesteps_outside_the_horizon_rejected(self):
+        buffer = TimestepReplayBuffer(3, 1, seed=0)
+        buffer.add(0, np.array([0.5]))
+        state = copy.deepcopy(buffer.rng.bit_generator.state)
+        for bad in (-1, 4):
+            for call in (lambda: buffer.add(bad, np.array([1.0])),
+                         lambda: buffer.bucket(bad),
+                         lambda: buffer.sample(bad, 2),
+                         lambda: buffer.sample(np.array([[0, 1], [bad, 2]]), 2)):
+                with pytest.raises(ValueError, match=r"outside 0\.\.3"):
+                    call()
+        with pytest.raises(ValueError, match=r"outside 0\.\.3"):
+            buffer.pairs(3, 2, np.random.default_rng(0))   # t + 1 = 4
+        with pytest.raises(ValueError, match=r"outside 0\.\.3"):
+            reward_f(RbfCritic(), np.zeros(1), np.zeros(1), buffer, 3, 0.9, 2)
+        assert len(buffer.ring) == 1 and buffer.bucket(3).shape == (0, 1)
+        assert buffer.rng.bit_generator.state == state
+
+    def test_buckets_wrap_on_their_own(self):
+        ring = imitation.Ring(3, 2, (1,))
+        for v in range(5):
+            ring.add(0, [float(v)])
+        ring.add(2, [9.0])
+        np.testing.assert_array_equal(ring.take(0, np.array([0, 1])), [[3.0], [4.0]])
+        np.testing.assert_array_equal(ring.take(np.array([2, 0]), np.array([0, 1])),
+                                      [[9.0], [4.0]])
+        assert len(ring) == 3 and ring.lens.tolist() == [2, 0, 1]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_sample_equals_one_scalar_draw_per_timestep(self, seed, caplog):
+        # bucket 5 holds one state (a bound of 1 draws nothing), 3 and 10 are empty
+        buffer = uneven_buffer(seed)
+        twin = copy.deepcopy(buffer)
+        lens = buffer.ring.lens.copy()
+        full = int(np.argmax(lens))
+        for ts in (np.arange(13), np.array([5, full, 5, 3]), np.array([full, full, full]),
+                   np.array([[5, 7], [7, 5]]), np.array(5), np.array(3)):
+            with caplog.at_level(logging.WARNING, logger="ndilab.imitation"):
+                got = buffer.sample(ts, 6)
+                batched_log = [r.getMessage() for r in caplog.records]
+                caplog.clear()
+                want = np.stack([reference_sample(twin, t, 6) for t in ts.ravel()])
+            assert got.shape == (*ts.shape, 6, 2)
+            assert got.tobytes() == want.tobytes() and not np.isnan(got).any()
+            assert buffer.rng.bit_generator.state == twin.rng.bit_generator.state
+            assert batched_log == [f"bucket {t} empty; falling back to pooled replay sampling"
+                                   for t in ts.ravel() if lens[t] == 0]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_pairs_equal_the_tabular_loop(self, seed):
+        buffer = uneven_buffer(seed, horizon=40)
+        pair_rng, twin_rng = np.random.default_rng(seed + 101), np.random.default_rng(seed + 101)
+        got = [p for t in range(0, 40, 4) for p in buffer.pairs(t, 4, pair_rng)]
+        want = tabular_pair_loop(buffer, 40, twin_rng)
+        assert len(want) == 4 * 8   # t = 16 and 24 meet an empty bucket
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert pair_rng.bit_generator.state == twin_rng.bit_generator.state
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_pairs_equal_the_point_mass_loop(self, seed):
+        buffer = uneven_buffer(seed, horizon=50, capacity=64)
+        rng, twin_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for t in range(0, 50, 8):   # t = 16 and 24 meet an empty bucket
+            for r in (rng, twin_rng):
+                r.uniform(-1, 1, size=2)   # the trainer's other draws on this generator
+            got, want = buffer.pairs(t, 2, rng), point_mass_pair_loop(buffer, t, twin_rng)
+            assert got.shape == (len(want), 2, 2)
+            assert got.tobytes() == np.array(want).reshape(got.shape).tobytes()
+            assert rng.bit_generator.state == twin_rng.bit_generator.state
 
 
 def value_iteration_greedy(mdp, iters=5_000):

@@ -172,6 +172,51 @@ class TestSampleTrajectory:
                     assert len(np.unique(traj.next_states[mask])) == 1
 
 
+class TestSoftmaxPolicyImmutable:
+    def test_logits_and_tables_are_read_only(self):
+        policy = SoftmaxPolicy(np.array([[0.0, 1.0], [2.0, -1.0]]))
+        for table in (policy.logits, policy.log_probs(), policy.probs()):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 5.0
+
+    def test_caller_array_is_copied(self):
+        logits = np.array([[0.0, 1.0], [2.0, -1.0]])
+        policy = SoftmaxPolicy(logits)
+        log_probs = policy.log_probs().copy()
+        logits[1] = [-50.0, 50.0]
+        assert logits.flags.writeable
+        np.testing.assert_array_equal(policy.logits, [[0.0, 1.0], [2.0, -1.0]])
+        assert policy.log_probs().tobytes() == log_probs.tobytes()
+
+    def test_tables_are_computed_once_and_match_the_softmax(self):
+        logits = np.random.default_rng(4).normal(size=(6, 3)) * 5
+        policy = SoftmaxPolicy(logits)
+        assert policy.log_probs() is policy.log_probs() and policy.probs() is policy.probs()
+        z = logits - logits.max(axis=1, keepdims=True)
+        want = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+        assert policy.log_probs().tobytes() == want.tobytes()
+        assert policy.probs().tobytes() == np.exp(want).tobytes()
+
+    def test_coordinate_ascent_computes_one_table_per_policy(self, monkeypatch):
+        from ndilab import mdp, verify
+        counts = {"policies": 0, "tables": 0}
+        init, log_softmax = mdp.SoftmaxPolicy.__init__, mdp._log_softmax
+
+        def counted_init(self, logits):
+            counts["policies"] += 1
+            init(self, logits)
+
+        def counted_log_softmax(logits):
+            counts["tables"] += 1
+            return log_softmax(logits)
+
+        monkeypatch.setattr(mdp.SoftmaxPolicy, "__init__", counted_init)
+        monkeypatch.setattr(mdp, "_log_softmax", counted_log_softmax)
+        assert verify.verify_coordinate_ascent().passed
+        # about 400 policies, which once took 3,207 log-prob evaluations
+        assert 300 < counts["tables"] == counts["policies"] < 1000
+
+
 class TestPolicyLogProb:
     def test_nonfinite_action_aborts_with_diagnostic(self):
         policy = GaussianPolicy(state_dim=2, action_dim=1, hidden=(4,), seed=0)
