@@ -100,10 +100,9 @@ class TimestepReplayBuffer:
 
     def sample(self, t, n: int) -> Array:
         """n states drawn uniformly, with replacement, from bucket t for each
-        timestep in ``t``, as a ``t.shape + (n, dim)`` array. One ``integers``
-        call makes the draws, and leaves the generator state, of one
-        ``integers(0, len, size=n)`` call per timestep in ``t.ravel()`` order.
-        An empty bucket draws from the pooled buffer, with a logged warning."""
+        timestep in ``t``, as a ``t.shape + (n, dim)`` array: the draws, and the
+        generator state, of one ``integers(0, len, size=n)`` call per timestep in
+        ``t.ravel()`` order. An empty bucket draws from the pooled rows, with a warning."""
         ts = np.asarray(t)
         steps = ts.ravel().tolist()   # list reductions cost less on a few entries
         self._bucket(min(steps))
@@ -122,9 +121,10 @@ class TimestepReplayBuffer:
         sizes = lens.ravel().tolist()
         bound = sizes[0] if sizes.count(sizes[0]) == len(sizes) else lens[..., None]
         idx = self.rng.integers(0, bound, size=(*ts.shape, n))
-        rows = self.ring.take(ts[..., None], idx)
-        if pooled is not None:
-            rows[empty] = pooled[idx[empty]]
+        if pooled is None:
+            return self.ring.take(ts[..., None], idx)
+        rows = self.ring.take(ts[..., None], np.where(empty[..., None], 0, idx))  # in range
+        rows[empty] = pooled[idx[empty]]
         return rows
 
     def pairs(self, t: int, k: int, rng: np.random.Generator) -> Array:

@@ -453,6 +453,29 @@ class TestBufferContract:
             assert batched_log == [f"bucket {t} empty; falling back to pooled replay sampling"
                                    for t in ts.ravel() if lens[t] == 0]
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fallback_reads_more_pooled_rows_than_one_bucket_holds(self, seed):
+        # no bucket wraps, and the 24 pooled rows outnumber a bucket's capacity of 8
+        rng = np.random.default_rng(seed)
+        buffer = TimestepReplayBuffer(4, 2, capacity_per_bucket=8, seed=seed)
+        for t in (0, 1, 3):
+            for _ in range(8):
+                buffer.add(t, rng.normal(size=2))
+        assert not buffer.ring.wrapped and len(buffer.pooled()) == 24
+        twin = copy.deepcopy(buffer)
+        for ts in (np.array(2), np.array([4, 1, 2, 3]), np.array(4)):
+            got = buffer.sample(ts, 40)
+            want = np.stack([reference_sample(twin, t, 40) for t in ts.ravel()])
+            assert got.tobytes() == want.tobytes()
+        critic = RbfCritic(bandwidth=1.5)
+        S, S2 = rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
+        got = reward_f(critic, S, S2, buffer, np.array([3, 2, 1]), 0.9, 40)
+        want = [nwj_reward(critic, s, s2, reference_sample(twin, t, 40),
+                           reference_sample(twin, t + 1, 40), 0.9)
+                for s, s2, t in zip(S, S2, (3, 2, 1))]
+        assert got.tobytes() == np.array(want).tobytes()
+        assert buffer.rng.bit_generator.state == twin.rng.bit_generator.state
+
     @pytest.mark.parametrize("seed", range(12))
     def test_pairs_equal_the_tabular_loop(self, seed):
         buffer = uneven_buffer(seed, horizon=40)
