@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import AdamState, MlpStack, adam_step, backward, input_grad
-from .mdp import GaussianPolicy, SoftmaxPolicy, TabularMdp, sample_trajectory
+from .mdp import GaussianPolicy, SoftmaxPolicy, TabularMdp, sample_trajectories, sample_trajectory
 from .occupancy import occupancy_measure, truncation_horizon
 
 logger = logging.getLogger(__name__)
@@ -31,38 +31,46 @@ logger = logging.getLogger(__name__)
 Array = np.ndarray
 
 
+_THIS_AND_NEXT = np.array([0, 1])   # bucket offsets of a timestep and the next, made once
+
+
 class Ring:
     """FIFO queues of float64 rows, one per bucket, in one ``np.empty``
-    ``(buckets, capacity, *shape)`` array; each bucket wraps on its own."""
+    ``(buckets, capacity, *shape)`` array; each bucket wraps on its own.
+    ``flat`` views it as ``(buckets * capacity, *shape)`` for gathers."""
 
     def __init__(self, buckets: int, capacity: int, shape: tuple):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self.rows = np.empty((buckets, capacity, *shape))
+        self.flat = self.rows.reshape(buckets * capacity, *shape)
         self.lens = np.zeros(buckets, dtype=np.int64)    # rows held, per bucket
         self.heads = np.zeros(buckets, dtype=np.int64)   # slot of each bucket's oldest row
         self.size = 0                                    # rows held, all buckets
         self.wrapped = False                             # has any bucket overwritten a row
 
-    def add(self, b: int, row) -> None:
-        held = self.lens.item(b)   # a Python int: cheaper arithmetic than numpy's
-        if held < self.capacity:
-            self.rows[b, held] = row
-            self.lens[b] = held + 1
-            self.size += 1
-        else:   # the row replaces the oldest one
-            self.wrapped = True
-            head = self.heads.item(b)
-            self.rows[b, head] = row
-            self.heads[b] = (head + 1) % self.capacity
+    def add(self, b, rows) -> None:
+        """Append ``rows[i]`` to bucket ``b[i]`` for distinct buckets ``b``
+        (or one row to one bucket); a full bucket's new row replaces its
+        oldest. A bucket's head stays 0 until it is full, so its next slot is
+        always head + length, modulo the capacity."""
+        held, head = self.lens[b], self.heads[b]
+        self.flat[b * self.capacity + (head + held) % self.capacity] = rows
+        full = held // self.capacity   # 1 where the bucket was full, else 0
+        self.lens[b] = held + 1 - full
+        self.heads[b] = (head + full) % self.capacity
+        overwritten = int(np.count_nonzero(full))
+        self.size += full.size - overwritten
+        self.wrapped = self.wrapped or overwritten > 0
 
     def take(self, b, idx: Array) -> Array:
         """Rows at oldest-first positions ``idx`` (each below the bucket's
-        length) of buckets ``b``, which broadcast against ``idx``."""
+        length) of buckets ``b``, which broadcast against ``idx``: one
+        ``take`` from ``flat``."""
         if self.wrapped:   # else every position is its own slot
             idx = (self.heads[b] + idx) % self.capacity
-        return self.rows[b, idx]
+        return self.flat.take(b * self.capacity + idx, axis=0)
 
     def __len__(self) -> int:
         return self.size
@@ -85,8 +93,21 @@ class TimestepReplayBuffer:
             raise ValueError(f"timestep {t} outside 0..{self.horizon}")
         return int(t)
 
-    def add(self, t: int, state: Array) -> None:
-        self.ring.add(self._bucket(t), state)
+    def add(self, t, state: Array) -> None:
+        """Deposit ``state`` (shape ``(dim,)``) at timestep t, or, for a 1-D
+        array t of distinct timesteps (one rollout's 0..T), ``state[i]`` at
+        ``t[i]`` in one write; ``state`` then has shape ``(len(t), dim)``."""
+        ts = np.asarray(t)
+        dim = self.ring.rows.shape[-1]
+        if np.shape(state) != (*ts.shape, dim):
+            raise ValueError(f"states of shape {np.shape(state)} for timesteps of shape "
+                             f"{ts.shape}: each state must have shape (dim,) = ({dim},)")
+        steps = ts.ravel().tolist()
+        self._bucket(min(steps))
+        self._bucket(max(steps))
+        if len(set(steps)) < len(steps):
+            raise ValueError("the timesteps of one add must be distinct")
+        self.ring.add(ts, state)
 
     def bucket(self, t: int) -> Array:
         b = self._bucket(t)
@@ -127,15 +148,23 @@ class TimestepReplayBuffer:
         rows[empty] = pooled[idx[empty]]
         return rows
 
-    def pairs(self, t: int, k: int, rng: np.random.Generator) -> Array:
-        """k pairs (state at t, state at t + 1) as a ``(k, 2, dim)`` array,
-        none if either bucket is empty. One ``rng.integers`` call makes the
-        draws of 2k alternating ``rng.integers(len)`` calls on the two."""
-        ts = np.array([self._bucket(t), self._bucket(t + 1)])
+    def pairs(self, t, k: int, rng: np.random.Generator) -> Array:
+        """k pairs (state at t, state at t + 1) for each timestep in ``t`` (an
+        int or a 1-D array), as one ``(m k, 2, dim)`` array in t order, where
+        m counts the timesteps whose two buckets both hold states; the others
+        give no pairs and draw nothing. One ``rng.integers`` call makes the
+        draws of 2k alternating ``rng.integers(len)`` calls on the two buckets
+        of each such t, t after t."""
+        ts = np.atleast_1d(t)
+        steps = ts.tolist()
+        self._bucket(min(steps))
+        self._bucket(max(steps) + 1)
+        ts = ts[:, None] + _THIS_AND_NEXT
         lens = self.ring.lens[ts]
-        if not lens.all():
-            return np.empty((0, 2, self.ring.rows.shape[-1]))
-        return self.ring.take(ts, rng.integers(0, lens, size=(k, 2)))
+        held = lens.all(axis=1)
+        ts, lens = ts[held], lens[held]
+        idx = rng.integers(0, lens[:, None, :], size=(len(ts), k, 2))
+        return self.ring.take(ts[:, None, :], idx).reshape(-1, 2, self.ring.rows.shape[-1])
 
 
 @dataclass
@@ -202,9 +231,6 @@ def nwj_reward(critic, s_t: Array, s_next: Array, cur: Array, nxt: Array, gamma:
     return f(s_t, s_next) - (gamma / math.e) * cross
 
 
-_THIS_AND_NEXT = np.array([0, 1])   # reward_f's bucket offsets, made once
-
-
 def reward_f(critic, s_t: Array, s_next: Array, buffer: TimestepReplayBuffer,
              t, gamma: float, n_marginal_samples: int):
     """Mutual-information reward against replay-bucket marginal samples.
@@ -216,9 +242,11 @@ def reward_f(critic, s_t: Array, s_next: Array, buffer: TimestepReplayBuffer,
     ``critic.value`` (or ``critic`` itself, if callable) must broadcast over
     leading axes; a scalar result for a batch raises ``ValueError``.
 
-    For k transitions at once, pass (k, d) states and a (k,) array of
-    timesteps: the buckets are drawn in the order t_0, t_0+1, t_1, t_1+1, ...,
-    so the rewards and the buffer's generator state equal k calls in order.
+    For many transitions at once, pass states with leading axes, (k, d) or
+    (k, T, d), and timesteps of that leading shape: the buckets are drawn in
+    the order t_0, t_0+1, t_1, t_1+1, ... of the timesteps' ravel order, so
+    the rewards and the buffer's generator state equal one call per
+    transition in that order.
     """
     rows = buffer.sample(np.asarray(t)[..., None] + _THIS_AND_NEXT, n_marginal_samples)
     return nwj_reward(critic, s_t, s_next, rows[..., 0, :, :], rows[..., 1, :, :], gamma)
@@ -244,21 +272,28 @@ def soft_policy_iteration(mdp: TabularMdp, temperature: float, tol: float = 1e-1
                           reward: Array | None = None,
                           max_iters: int = 200_000) -> SoftmaxPolicy:
     """Fixed point of the soft Bellman backup Q <- r + gamma V(P(s,a)) with
-    V = tau logsumexp(Q / tau); returns the softmax(Q / tau) policy."""
+    V = tau logsumexp(Q / tau); returns the softmax(Q / tau) policy.
+
+    Q is held action-major, as an (A, S) array, so the max and the sum over
+    actions reduce across rows, one action after another. With fewer than 8
+    actions that is the order numpy sums a row of an (S, A) array in; from 8
+    on, numpy's pairwise row sum would round differently.
+    """
     if temperature <= 0:
         raise ValueError("temperature must be positive")
     if tol <= 0:
         raise ValueError("tol must be positive")
     r = mdp.reward if reward is None else np.asarray(reward, dtype=np.float64)
+    r, nxt = np.ascontiguousarray(r.T), np.ascontiguousarray(mdp.transition.T)
     Q = np.zeros_like(r)
     for _ in range(max_iters):
-        m = Q.max(axis=1, keepdims=True)
-        V = m[:, 0] + temperature * np.log(np.exp((Q - m) / temperature).sum(axis=1))
-        Q_new = r + mdp.discount * V[mdp.transition]
+        m = np.maximum.reduce(Q)
+        V = m + temperature * np.log(np.add.reduce(np.exp((Q - m) / temperature)))
+        Q_new = r + mdp.discount * V[nxt]
         residual = float(np.abs(Q_new - Q).max())
         Q = Q_new
         if residual < tol:
-            return SoftmaxPolicy(Q / temperature)
+            return SoftmaxPolicy((Q / temperature).T)
     raise RuntimeError(f"soft policy iteration did not converge; residual {residual:.3g}")
 
 
@@ -424,16 +459,17 @@ class SacLearner:
 # ---------------------------------------------------------------------------
 
 
-def _rollout_states(policy, mdp_or_env, n_states: int, seed: int,
-                    episode_len: int = 50) -> list:
+def _rollout_states(policy, mdp_or_env, n_states: int, seed: int, episode_len: int = 50):
+    """The first ``n_states`` states of as many ``episode_len``-step episodes
+    as that takes; episode ep's seed is the ep-th ``integers(0, 2 ** 31)``
+    draw of ``default_rng(seed)``, plus ep. Tabular episodes roll in lockstep."""
     rng = np.random.default_rng(seed)
+    seeds = [int(rng.integers(0, 2 ** 31)) + ep for ep in range(-(-n_states // episode_len))]
+    if isinstance(mdp_or_env, TabularMdp):
+        return sample_trajectories(mdp_or_env, policy, episode_len, seeds).states.ravel()[:n_states]
     states = []
-    ep = 0
-    while len(states) < n_states:
-        traj = sample_trajectory(mdp_or_env, policy, episode_len,
-                                 int(rng.integers(0, 2 ** 31)) + ep)
-        states.extend(list(traj.states))
-        ep += 1
+    for ep_seed in seeds:
+        states.extend(sample_trajectory(mdp_or_env, policy, episode_len, ep_seed).states)
     return states[:n_states]
 
 
@@ -497,9 +533,11 @@ def evaluate_policy_kl(policy, expert_policy, mdp_or_env, n_eval_states: int = 2
 def evaluate_return(policy, mdp_or_env, n_episodes: int = 20, seed: int = 0,
                     reward_fn=None) -> tuple[float, float, float | None]:
     """Sampled mean environment return, its standard error, and the mean
-    return under ``reward_fn`` (s, a, s_next, t) -> reward over the same
-    episodes (None when no ``reward_fn`` is given). Each episode is rolled
-    once.
+    return under ``reward_fn`` over the same episodes (None when no
+    ``reward_fn`` is given). ``reward_fn(states, actions, next_states,
+    timesteps)`` takes one episode's arrays, one row per step, and returns its
+    per-step rewards. Each episode is rolled once; tabular episodes roll in
+    lockstep, on the seeds one generator draws episode by episode.
 
     Tabular environments use discounted returns over a horizon that leaves a
     tail below 1e-9; continuous episodes sum undiscounted rewards over the
@@ -520,15 +558,17 @@ def evaluate_return(policy, mdp_or_env, n_episodes: int = 20, seed: int = 0,
             return float((mdp_or_env.discount ** np.arange(len(rewards)) * rewards).sum())
         return float(rewards.sum())
 
+    seeds = [int(rng.integers(0, 2 ** 31)) for _ in range(n_episodes)]
+    batch = sample_trajectories(mdp_or_env, policy, horizon, seeds) if tabular else None
     returns = np.empty(n_episodes)
     shaped = np.empty(n_episodes)
-    for ep in range(n_episodes):
-        traj = sample_trajectory(mdp_or_env, policy, horizon, int(rng.integers(0, 2 ** 31)))
+    for ep, ep_seed in enumerate(seeds):
+        traj = (batch.rollout(ep) if tabular
+                else sample_trajectory(mdp_or_env, policy, horizon, ep_seed))
         returns[ep] = total(traj.rewards)
         if reward_fn is not None:
-            shaped[ep] = total(np.array([reward_fn(traj.states[t], traj.actions[t],
-                                                   traj.next_states[t], t)
-                                         for t in range(len(traj))]))
+            shaped[ep] = total(np.asarray(reward_fn(traj.states, traj.actions, traj.next_states,
+                                                    np.arange(len(traj))), dtype=np.float64))
     stderr = float(returns.std(ddof=1) / math.sqrt(n_episodes)) if n_episodes > 1 else 0.0
     return float(returns.mean()), stderr, (None if reward_fn is None else float(shaped.mean()))
 

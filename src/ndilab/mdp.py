@@ -104,10 +104,17 @@ class SoftmaxPolicy:
     def probs(self) -> Array:
         return self._probs
 
+    def actions(self, s, u) -> Array:
+        """The actions that uniform variates ``u`` pick in states ``s`` (both
+        of one shape): per state, the count of the row's normalized
+        cumulative sums at or below u, which is ``searchsorted(u,
+        side="right")`` on the row, as ``Generator.choice`` searches it."""
+        return (self._cdf[s] <= np.asarray(u)[..., None]).sum(axis=-1)
+
     def sample(self, s: int, rng: np.random.Generator) -> int:
-        """The draw ``rng.choice(n_actions, p=probs()[s])`` makes: one
-        ``rng.random()`` searched in the row's normalized cumulative sums."""
-        return int(self._cdf[s].searchsorted(rng.random(), side="right"))
+        """The draw ``rng.choice(n_actions, p=probs()[s])`` makes: the action
+        one ``rng.random()`` picks."""
+        return int(self.actions(s, rng.random()))
 
     @staticmethod
     def uniform(n_states: int, n_actions: int) -> "SoftmaxPolicy":
@@ -151,22 +158,31 @@ class GaussianPolicy:
 
 @dataclass
 class Trajectory:
-    """Rollout record; step t holds (s_t, a_t, s_{t+1}, r_env)."""
+    """Rollout record; step t holds (s_t, a_t, s_{t+1}, r_env). A batch of k
+    tabular rollouts (``sample_trajectories``) holds ``(k, T)`` arrays, with
+    the steps on the last axis."""
 
-    states: Array       # (T,) int or (T, ds) float
-    actions: Array      # (T,) int or (T, da) float
+    states: Array       # (T,) int, (T, ds) float or (k, T) int
+    actions: Array      # (T,) int, (T, da) float or (k, T) int
     next_states: Array
-    rewards: Array      # (T,)
+    rewards: Array      # (T,) or (k, T)
 
     def __post_init__(self):
-        T = len(self.rewards)
-        if not (len(self.states) == len(self.actions) == len(self.next_states) == T):
+        lead = np.shape(self.rewards)
+        if any(np.shape(x)[:len(lead)] != lead
+               for x in (self.states, self.actions, self.next_states)):
             raise ValueError("trajectory arrays must share length")
-        if T > 1 and not np.array_equal(np.asarray(self.next_states)[:-1], np.asarray(self.states)[1:]):
+        steps = (slice(None),) * (len(lead) - 1)   # the step axis is the rewards' last
+        if lead[-1] > 1 and not np.array_equal(np.asarray(self.next_states)[steps + (slice(-1),)],
+                                               np.asarray(self.states)[steps + (slice(1, None),)]):
             raise ValueError("next_states[t] must equal states[t+1]")
 
     def __len__(self) -> int:
-        return len(self.rewards)
+        return np.shape(self.rewards)[-1]
+
+    def rollout(self, k: int) -> "Trajectory":
+        """Rollout k of a batch."""
+        return Trajectory(self.states[k], self.actions[k], self.next_states[k], self.rewards[k])
 
 
 @dataclass
@@ -205,24 +221,43 @@ def state_marginals(mdp: TabularMdp, policy: SoftmaxPolicy, horizon: int) -> Mar
     return MarginalSchedule(p, policy, M)
 
 
+def sample_trajectories(mdp: TabularMdp, policy: SoftmaxPolicy, max_steps: int,
+                        seeds) -> Trajectory:
+    """Roll out ``policy`` on ``mdp`` for exactly ``max_steps`` steps once per
+    seed, all rollouts in lockstep, as a batch of ``(len(seeds), max_steps)``
+    arrays.
+
+    Rollout k is the one ``sample_trajectory`` gives for ``seeds[k]``, draw for
+    draw: each seed's ``default_rng`` makes one ``random(max_steps + 1)``
+    draw, the stream (and generator state) of ``choice(p=initial_dist)``
+    followed by ``max_steps`` ``random()`` calls. Its first variate picks the
+    start state in the normalized cumulative sums of ``initial_dist``, as
+    ``choice`` does; variate t + 1 picks the action at step t through
+    ``SoftmaxPolicy.actions``.
+    """
+    if max_steps < 1:
+        raise ValueError("max_steps must be >= 1")
+    if not len(seeds):
+        raise ValueError("seeds must be nonempty")
+    u = np.array([np.random.default_rng(seed).random(max_steps + 1) for seed in seeds])
+    start = np.cumsum(mdp.initial_dist)
+    path = np.empty((len(seeds), max_steps + 1), dtype=np.int64)   # s_0..s_T per rollout
+    path[:, 0] = (start / start[-1]).searchsorted(u[:, 0], side="right")
+    actions = np.empty((len(seeds), max_steps), dtype=np.int64)
+    for t in range(max_steps):
+        actions[:, t] = policy.actions(path[:, t], u[:, t + 1])
+        path[:, t + 1] = mdp.transition[path[:, t], actions[:, t]]
+    states = path[:, :-1]
+    return Trajectory(states, actions, path[:, 1:], mdp.reward[states, actions])
+
+
 def sample_trajectory(mdp_or_env, policy, max_steps: int, seed: int) -> Trajectory:
     """Roll out ``policy`` for exactly ``max_steps`` steps, reproducibly."""
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    rng = np.random.default_rng(seed)
     if isinstance(mdp_or_env, TabularMdp):
-        mdp = mdp_or_env
-        s = int(rng.choice(mdp.n_states, p=mdp.initial_dist))
-        states = np.empty(max_steps, dtype=np.int64)
-        actions = np.empty(max_steps, dtype=np.int64)
-        nexts = np.empty(max_steps, dtype=np.int64)
-        rewards = np.empty(max_steps)
-        for t in range(max_steps):
-            a = policy.sample(s, rng)
-            s2 = int(mdp.transition[s, a])
-            states[t], actions[t], nexts[t], rewards[t] = s, a, s2, mdp.reward[s, a]
-            s = s2
-        return Trajectory(states, actions, nexts, rewards)
+        return sample_trajectories(mdp_or_env, policy, max_steps, [seed]).rollout(0)
+    rng = np.random.default_rng(seed)
     env = mdp_or_env
     s = env.reset(rng)
     states, actions, nexts, rewards = [], [], [], []

@@ -57,7 +57,7 @@ from .imitation import (
     reward_f,
     soft_policy_iteration,
 )
-from .mdp import GaussianPolicy, SoftmaxPolicy, sample_trajectory
+from .mdp import GaussianPolicy, SoftmaxPolicy, sample_trajectories, sample_trajectory
 from .occupancy import occupancy_measure, reverse_kl_occupancy
 
 # residual at which the tabular trainer's soft policy iteration stops
@@ -188,34 +188,36 @@ def _train_tabular(config: ExperimentConfig, bundle: TabularEnvBundle, density_m
     target_entropy = 0.5 * math.log(A)   # half the uniform policy's entropy
     policy = SoftmaxPolicy.uniform(S, A)
 
+    T, k = config.rollout_len, config.rollouts_per_iter
+    steps = np.arange(T + 1)   # each rollout's replay timesteps, s_0..s_T
+    pair_steps = np.arange(0, T, 4)
     rows = []
     best = None
     env_steps = 0
     t0 = time.time()
     for it in range(config.rl_iterations):
-        trajs = [sample_trajectory(mdp, policy, config.rollout_len,
-                                   seed=config.seed * 31337 + it * 131 + k)
-                 for k in range(config.rollouts_per_iter)]
-        for traj in trajs:
-            for t in range(len(traj)):
-                buffer.add(t, zstate[traj.states[t]])
-            buffer.add(len(traj), zstate[traj.next_states[-1]])
-            env_steps += len(traj)
+        batch = sample_trajectories(mdp, policy, T,
+                                    [config.seed * 31337 + it * 131 + j for j in range(k)])
+        visited = np.concatenate([batch.states, batch.next_states[:, -1:]], axis=1)
+        for path in zstate[visited]:   # one write per rollout, in rollout order
+            buffer.add(steps, path)
+        env_steps += batch.states.size
         # refresh the critic normalizer from independent bucket pairs
-        pairs = [p for t in range(0, config.rollout_len, 4) for p in buffer.pairs(t, 4, pair_rng)]
-        if pairs:
+        pairs = buffer.pairs(pair_steps, 4, pair_rng)
+        if len(pairs):
             critic.observe_pairs(pairs)
 
-        # r_f table: visitation-averaged over fresh transitions, pooled fallback
+        # r_f table: visitation-averaged over fresh transitions, pooled fallback;
+        # one reward_f call for the batch, and add.at sums each cell's values
+        # in visit order, rollout after rollout
+        vals = reward_f(critic, zstate[batch.states], zstate[batch.next_states], buffer,
+                        np.broadcast_to(steps[:-1], batch.states.shape), mdp.discount,
+                        config.n_marginal_samples)
+        cells = (batch.states.ravel(), batch.actions.ravel())
         r_f_sum = np.zeros((S, A))
         r_f_count = np.zeros((S, A))
-        for traj in trajs:
-            # one call per rollout; add.at sums each cell's values in visit order
-            vals = reward_f(critic, zstate[traj.states], zstate[traj.next_states], buffer,
-                            np.arange(len(traj)), mdp.discount, config.n_marginal_samples)
-            cells = (traj.states, traj.actions)
-            np.add.at(r_f_sum, cells, vals)
-            np.add.at(r_f_count, cells, 1.0)
+        np.add.at(r_f_sum, cells, vals.ravel())
+        np.add.at(r_f_count, cells, 1.0)
         pooled = buffer.pooled()
         cross_rng = np.random.default_rng(config.seed + it)
         idx = cross_rng.integers(0, len(pooled), size=min(config.n_marginal_samples,
@@ -280,6 +282,14 @@ def _train_continuous(config: ExperimentConfig, bundle: ContinuousEnvBundle, den
                        config.n_marginal_samples)
         return float(augmented_reward(log_q, r_f, config.lambda_f))
 
+    def augmented_episode(states, actions, next_states, timesteps):
+        # log q one row per step, r_f in one reward_f call over the episode
+        log_q = np.array([density_model.log_density(np.concatenate([s, a]))
+                          for s, a in zip(states, actions)])
+        r_f = reward_f(critic, zstate(states), zstate(next_states), buffer, timesteps,
+                       config.gamma, config.n_marginal_samples)
+        return augmented_reward(log_q, r_f, config.lambda_f)
+
     rng = np.random.default_rng(config.seed)
     rows = []
     best = None
@@ -320,7 +330,7 @@ def _train_continuous(config: ExperimentConfig, bundle: ContinuousEnvBundle, den
             replay_state = buffer.rng.bit_generator.state
             env_mean, _, aug_mean = evaluate_return(
                 sac.policy, env, n_episodes=max(2, config.eval_episodes // 4),
-                seed=config.seed + env_steps, reward_fn=augmented)
+                seed=config.seed + env_steps, reward_fn=augmented_episode)
             buffer.rng.bit_generator.state = replay_state
             norm_kl = evaluate_policy_kl(sac.policy, expert, env, n_kl_states, seed=config.seed,
                                          episode_len=episode_len, baseline=kl_baseline)

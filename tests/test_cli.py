@@ -357,17 +357,21 @@ class TestFitDensityCommand:
 
 
 class TestTrainCommand:
-    def test_tabular_r_f_is_one_call_per_rollout_averaged_in_visit_order(self, tmp_path,
-                                                                          monkeypatch):
+    def test_tabular_r_f_is_one_call_per_iteration_averaged_in_visit_order(self, tmp_path,
+                                                                            monkeypatch):
         cfg = quick_config(tmp_path, rl_iterations=2, density_epochs=10)
         out = tmp_path / "r"
         model = cmd_fit_density(cfg, cmd_gen_demos(cfg, out), out)
-        trajs, calls, tables = [], [], []
-        rollout = pipeline.sample_trajectory
+        batches, pair_steps, calls, tables = [], [], [], []
+        rollouts, pairs = pipeline.sample_trajectories, imitation.TimestepReplayBuffer.pairs
 
-        def recording_rollout(*args, **kwargs):
-            trajs.append(rollout(*args, **kwargs))
-            return trajs[-1]
+        def recording_rollouts(*args, **kwargs):
+            batches.append(rollouts(*args, **kwargs))
+            return batches[-1]
+
+        def recording_pairs(buffer, t, *args):
+            pair_steps.append(np.asarray(t).tolist())
+            return pairs(buffer, t, *args)
 
         def recording_reward_f(critic, s_t, s_next, buffer, t, *args):
             calls.append((np.asarray(t).tolist(),
@@ -378,19 +382,23 @@ class TestTrainCommand:
             tables.append(np.array(r_f))
             return imitation.augmented_reward(log_q, r_f, lambda_f)
 
-        monkeypatch.setattr(pipeline, "sample_trajectory", recording_rollout)
+        monkeypatch.setattr(pipeline, "sample_trajectories", recording_rollouts)
+        monkeypatch.setattr(imitation.TimestepReplayBuffer, "pairs", recording_pairs)
         monkeypatch.setattr(pipeline, "reward_f", recording_reward_f)
         monkeypatch.setattr(pipeline, "augmented_reward", recording_sum)
         cmd_train(cfg, model, out)
-        # one reward_f call per rollout, never one per transition
-        k = cfg.rollouts_per_iter
-        assert [t for t, _ in calls] == [list(range(cfg.rollout_len))] * (cfg.rl_iterations * k)
-        assert len(tables) == cfg.rl_iterations
-        for it, table in enumerate(tables):
+        # one rollout batch, one pair draw and one reward_f call per
+        # iteration, never one per rollout or per transition
+        k, T, n = cfg.rollouts_per_iter, cfg.rollout_len, cfg.rl_iterations
+        assert [batch.states.shape for batch in batches] == [(k, T)] * n
+        assert pair_steps == [list(range(0, T, 4))] * n
+        assert [t for t, _ in calls] == [[list(range(T))] * k] * n
+        assert len(tables) == n
+        for batch, (_, vals), table in zip(batches, calls, tables):
             # the per-transition loop the trainer ran before batching
             total, count = {}, {}
-            for traj, (_, vals) in zip(trajs[it * k:(it + 1) * k], calls[it * k:(it + 1) * k]):
-                for s, a, val in zip(traj.states, traj.actions, vals):
+            for j in range(k):
+                for s, a, val in zip(batch.states[j], batch.actions[j], vals[j]):
                     total[s, a] = total.get((s, a), 0.0) + float(val)
                     count[s, a] = count.get((s, a), 0) + 1
             got = [table[cell] for cell in total]
@@ -524,6 +532,25 @@ class TestContinuousPipeline:
         # the random-policy KL baseline is rolled once per run, the policy's
         # KL states once per evaluation (one episode each at these sizes)
         assert calls.count("_rollout_states") == 1 + rows
+
+    def test_each_evaluation_episode_is_one_reward_f_call(self, tmp_path, monkeypatch):
+        cfg = smoke_pointmass_config(tmp_path)
+        out = tmp_path / "pm"
+        model = cmd_fit_density(cfg, cmd_gen_demos(cfg, out), out)
+        shapes = []
+
+        def recording_reward_f(critic, s_t, s_next, buffer, t, *args):
+            shapes.append(np.shape(t))
+            return imitation.reward_f(critic, s_t, s_next, buffer, t, *args)
+
+        monkeypatch.setattr(pipeline, "reward_f", recording_reward_f)
+        result = cmd_train(cfg, model, out)
+        rows = len(result.metrics_path.read_text().splitlines()) - 1
+        episode_len = get_env(cfg.env, cfg.gamma).env.spec.episode_len
+        # one call per training transition, one per evaluation episode
+        assert shapes.count(()) == cfg.sac_steps
+        assert shapes.count((episode_len,)) == rows * max(2, cfg.eval_episodes // 4)
+        assert len(shapes) == cfg.sac_steps + rows * max(2, cfg.eval_episodes // 4)
 
     def test_evaluation_cadence_leaves_training_unchanged(self, tmp_path):
         # evaluations score episodes with reward_f, which samples the replay

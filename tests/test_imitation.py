@@ -368,24 +368,27 @@ def reference_sample(buffer, t, n):
     return rows[buffer.rng.integers(0, len(rows), size=n)]
 
 
-def tabular_pair_loop(buffer, rollout_len, pair_rng):
-    """The tabular trainer's critic-normalizer pairs as it once drew them."""
+def pair_loop(buffer, ts, k, rng):
+    """k critic-normalizer pairs (state at t, state at t + 1) per timestep, as
+    the trainers once drew them: alternating scalar ``integers`` calls on the
+    two buckets, none where either is empty."""
     pairs = []
-    for t in range(0, rollout_len, 4):
+    for t in ts:
         cur, nxt = buffer.bucket(t), buffer.bucket(t + 1)
         if len(cur) and len(nxt):
-            for _ in range(4):
-                pairs.append((cur[pair_rng.integers(len(cur))],
-                              nxt[pair_rng.integers(len(nxt))]))
+            for _ in range(k):
+                pairs.append((cur[rng.integers(len(cur))], nxt[rng.integers(len(nxt))]))
     return pairs
+
+
+def tabular_pair_loop(buffer, rollout_len, pair_rng):
+    """The tabular trainer's critic-normalizer pairs as it once drew them."""
+    return pair_loop(buffer, range(0, rollout_len, 4), 4, pair_rng)
 
 
 def point_mass_pair_loop(buffer, t, rng):
     """The point-mass trainer's critic-normalizer pairs as it once drew them."""
-    cur, nxt = buffer.bucket(t), buffer.bucket(t + 1)
-    if len(cur) and len(nxt):
-        return [(cur[rng.integers(len(cur))], nxt[rng.integers(len(nxt))]) for _ in range(2)]
-    return []
+    return pair_loop(buffer, [t], 2, rng)
 
 
 def uneven_buffer(seed, horizon=12, capacity=8, dim=2):
@@ -480,11 +483,65 @@ class TestBufferContract:
     def test_pairs_equal_the_tabular_loop(self, seed):
         buffer = uneven_buffer(seed, horizon=40)
         pair_rng, twin_rng = np.random.default_rng(seed + 101), np.random.default_rng(seed + 101)
-        got = [p for t in range(0, 40, 4) for p in buffer.pairs(t, 4, pair_rng)]
+        got = buffer.pairs(np.arange(0, 40, 4), 4, pair_rng)
         want = tabular_pair_loop(buffer, 40, twin_rng)
         assert len(want) == 4 * 8   # t = 16 and 24 meet an empty bucket
-        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert got.shape == (32, 2, 2)
+        assert got.tobytes() == np.array(want).tobytes()
         assert pair_rng.bit_generator.state == twin_rng.bit_generator.state
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_pairs_over_timesteps_equal_the_per_t_loop(self, seed):
+        # in uneven_buffer every t = 3 (mod 7) is empty, so t = 2, 3, 9, 10, ...
+        # give no pairs; [2, 3] draws nothing at all
+        buffer = uneven_buffer(seed, horizon=40)
+        g = np.random.default_rng(seed)
+        for ts in (g.integers(0, 40, size=15), np.array([39, 0, 39]), np.array([2, 3]),
+                   np.array([17]), np.array(20)):
+            for k in (1, 3):
+                rng, twin_rng = np.random.default_rng(seed + k), np.random.default_rng(seed + k)
+                rng.integers(0, 7, size=3)   # leaves half a 64-bit output buffered
+                twin_rng.integers(0, 7, size=3)
+                got = buffer.pairs(ts, k, rng)
+                want = pair_loop(buffer, np.atleast_1d(ts), k, twin_rng)
+                assert got.shape == (len(want), 2, 2) and not np.isnan(got).any()
+                assert got.tobytes() == np.array(want).reshape(got.shape).tobytes()
+                assert rng.bit_generator.state == twin_rng.bit_generator.state
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_block_add_equals_per_row_adds_through_wraparound(self, seed):
+        # random subsets of distinct timesteps, in random order, until every
+        # bucket has wrapped several times over
+        g = np.random.default_rng(seed)
+        block, rows = (TimestepReplayBuffer(6, 2, capacity_per_bucket=5, seed=0)
+                       for _ in range(2))
+        for buffer in (block, rows):
+            buffer.ring.rows[...] = np.nan
+        for rollout in range(40):
+            ts = g.permutation(7)[:int(g.integers(1, 8))]
+            states = g.normal(size=(len(ts), 2))
+            block.add(ts, states)
+            for t, state in zip(ts.tolist(), states):
+                rows.add(t, state)
+            assert block.ring.rows.tobytes() == rows.ring.rows.tobytes()
+            for name in ("lens", "heads"):
+                assert getattr(block.ring, name).tolist() == getattr(rows.ring, name).tolist()
+            assert (len(block.ring), block.ring.wrapped) == (len(rows.ring), rows.ring.wrapped)
+        assert block.ring.wrapped and block.pooled().tobytes() == rows.pooled().tobytes()
+
+    def test_states_of_the_wrong_width_rejected(self):
+        # numpy broadcasting once wrote [5.0] as [5, 5] and 7.0 as [7, 7]
+        buffer = TimestepReplayBuffer(3, 2, seed=0)
+        for t, state in ((0, np.array([5.0])), (1, 7.0), (2, np.zeros(3)),
+                         (np.arange(2), np.zeros(2)), (np.arange(2), np.zeros((3, 2))),
+                         (np.arange(2), np.zeros((2, 1)))):
+            with pytest.raises(ValueError, match=r"shape \(dim,\) = \(2,\)"):
+                buffer.add(t, state)
+        with pytest.raises(ValueError, match="distinct"):
+            buffer.add(np.array([1, 2, 1]), np.zeros((3, 2)))
+        with pytest.raises(ValueError, match=r"outside 0\.\.3"):
+            buffer.add(np.array([2, 4]), np.zeros((2, 2)))
+        assert len(buffer.ring) == 0 and buffer.ring.lens.tolist() == [0, 0, 0, 0]
 
     @pytest.mark.parametrize("seed", range(12))
     def test_pairs_equal_the_point_mass_loop(self, seed):
@@ -536,6 +593,42 @@ class TestSoftPolicyIteration:
     def test_rejects_nonpositive_temperature(self):
         with pytest.raises(ValueError):
             soft_policy_iteration(build_chain(3), temperature=0.0)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_action_major_sweeps_equal_the_state_major_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        S, A = int(rng.integers(2, 30)), int(rng.integers(2, 8))
+        mdp = TabularMdp(rng.integers(0, S, size=(S, A)), np.full(S, 1.0 / S),
+                         rng.normal(size=(S, A)), float(rng.uniform(0.3, 0.95)))
+        temperature = float(10 ** rng.uniform(-3, 1))
+        reward = rng.normal(size=(S, A)) * 10 ** rng.uniform(-1, 2)
+        got = soft_policy_iteration(mdp, temperature, tol=1e-9, reward=reward)
+        want = state_major_soft_policy_iteration(mdp, temperature, 1e-9, reward)
+        assert got.logits.tobytes() == want.logits.tobytes()
+
+    @pytest.mark.parametrize("name, tau", [("grid-5x5", 0.05), ("chain-4", 0.05),
+                                           ("grid-5x5", 1e-6)])
+    def test_shipped_environments_equal_the_state_major_loop(self, name, tau):
+        mdp = get_env(name, 0.9).mdp
+        reward = np.random.default_rng(7).normal(size=mdp.reward.shape)
+        for r in (None, reward):
+            got = soft_policy_iteration(mdp, tau, tol=1e-9, reward=r)
+            want = state_major_soft_policy_iteration(mdp, tau, 1e-9, r)
+            assert got.logits.tobytes() == want.logits.tobytes()
+
+
+def state_major_soft_policy_iteration(mdp, temperature, tol, reward=None):
+    """soft_policy_iteration as it once ran, on (S, A) arrays."""
+    r = mdp.reward if reward is None else np.asarray(reward, dtype=np.float64)
+    Q = np.zeros_like(r)
+    while True:
+        m = Q.max(axis=1, keepdims=True)
+        V = m[:, 0] + temperature * np.log(np.exp((Q - m) / temperature).sum(axis=1))
+        Q_new = r + mdp.discount * V[mdp.transition]
+        residual = float(np.abs(Q_new - Q).max())
+        Q = Q_new
+        if residual < tol:
+            return SoftmaxPolicy(Q / temperature)
 
 
 def graph_minimum(a, b):
@@ -870,6 +963,98 @@ def per_state_policy_kl(policy, expert_policy, mdp, n_eval_states, seed=0, episo
         return float(np.mean(vals))
 
     return mean_kl(policy) / mean_kl(SoftmaxPolicy.uniform(mdp.n_states, mdp.n_actions))
+
+
+def episode_loop_states(policy, mdp_or_env, n_states, seed, episode_len):
+    """_rollout_states as it once rolled one episode at a time."""
+    rng = np.random.default_rng(seed)
+    states, ep = [], 0
+    while len(states) < n_states:
+        traj = sample_trajectory(mdp_or_env, policy, episode_len,
+                                 int(rng.integers(0, 2 ** 31)) + ep)
+        states.extend(list(traj.states))
+        ep += 1
+    return states[:n_states]
+
+
+def episode_loop_return(policy, mdp_or_env, n_episodes, seed, step_reward=None):
+    """evaluate_return as it once rolled one episode, and scored one step,
+    at a time; ``step_reward(s, a, s_next, t)`` rewards one transition."""
+    rng = np.random.default_rng(seed)
+    tabular = isinstance(mdp_or_env, TabularMdp)
+    if tabular:
+        bound = max(1.0, float(np.abs(mdp_or_env.reward).max()))
+        horizon = imitation.truncation_horizon(mdp_or_env.discount, 1e-9, bound)
+    else:
+        horizon = mdp_or_env.spec.episode_len
+
+    def total(rewards):
+        if tabular:
+            return float((mdp_or_env.discount ** np.arange(len(rewards)) * rewards).sum())
+        return float(rewards.sum())
+
+    returns, shaped = np.empty(n_episodes), np.empty(n_episodes)
+    for ep in range(n_episodes):
+        traj = sample_trajectory(mdp_or_env, policy, horizon, int(rng.integers(0, 2 ** 31)))
+        returns[ep] = total(traj.rewards)
+        if step_reward is not None:
+            shaped[ep] = total(np.array([step_reward(traj.states[t], traj.actions[t],
+                                                     traj.next_states[t], t)
+                                         for t in range(len(traj))]))
+    stderr = float(returns.std(ddof=1) / math.sqrt(n_episodes)) if n_episodes > 1 else 0.0
+    return (float(returns.mean()), stderr,
+            None if step_reward is None else float(shaped.mean()))
+
+
+class TestLockstepEvaluation:
+    @pytest.mark.parametrize("n_states, episode_len", [(1, 7), (60, 30), (61, 30), (200, 40)])
+    def test_tabular_rollout_states_equal_the_episode_loop(self, n_states, episode_len):
+        mdp = get_env("grid-5x5", 0.9).mdp
+        policy = SoftmaxPolicy(np.random.default_rng(n_states).normal(size=(25, 5)) * 2)
+        got = imitation._rollout_states(policy, mdp, n_states, 5, episode_len)
+        want = episode_loop_states(policy, mdp, n_states, 5, episode_len)
+        assert np.asarray(got).tolist() == np.asarray(want).tolist()
+
+    def test_continuous_rollout_states_equal_the_episode_loop(self):
+        env = PointMassEnv(PointMassSpec(episode_len=20))
+        policy = GaussianPolicy(env.state_dim, env.action_dim, hidden=(4,), seed=3)
+        got = imitation._rollout_states(policy, env, 45, 2, 20)
+        want = episode_loop_states(policy, env, 45, 2, 20)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tabular_return_equals_the_episode_loop(self, seed):
+        mdp = get_env("grid-5x5", 0.9).mdp
+        policy = SoftmaxPolicy(np.random.default_rng(seed).normal(size=(25, 5)) * 2)
+        table = np.random.default_rng(seed + 9).normal(size=(25, 5))
+        for n in (1, 2, 20):
+            assert evaluate_return(policy, mdp, n, seed) == episode_loop_return(
+                policy, mdp, n, seed)
+            got = evaluate_return(policy, mdp, n, seed,
+                                  reward_fn=lambda s, a, s2, t: table[s, a] * s2 + 0.5 * t)
+            want = episode_loop_return(policy, mdp, n, seed,
+                                       step_reward=lambda s, a, s2, t: table[s, a] * s2 + 0.5 * t)
+            assert got == want
+
+    def test_continuous_episode_r_f_equals_one_call_per_step(self):
+        # one reward_f call per episode, on its (T,) timesteps, scores the
+        # episode as one call per transition did, and moves the buffer's
+        # generator as far; bucket 7 is empty and falls back to the pool
+        env = PointMassEnv(PointMassSpec(episode_len=20))
+        policy = GaussianPolicy(env.state_dim, env.action_dim, hidden=(4,), seed=1)
+        rng = np.random.default_rng(4)
+        buffer = TimestepReplayBuffer(20, env.state_dim, capacity_per_bucket=9, seed=6)
+        for t in range(21):
+            for _ in range(0 if t == 7 else int(rng.integers(1, 14))):
+                buffer.add(t, rng.normal(size=env.state_dim))
+        twin = copy.deepcopy(buffer)
+        critic = RbfCritic(bandwidth=1.3, normalizer=0.7)
+        got = evaluate_return(policy, env, 3, 8, reward_fn=lambda S, A, S2, ts: reward_f(
+            critic, S, S2, buffer, ts, 0.95, 5))
+        want = episode_loop_return(policy, env, 3, 8, step_reward=lambda s, a, s2, t: reward_f(
+            critic, s, s2, twin, t, 0.95, 5))
+        assert got == want
+        assert buffer.rng.bit_generator.state == twin.rng.bit_generator.state
 
 
 class TestEvaluatePolicyKl:

@@ -7,7 +7,9 @@ from ndilab.mdp import (
     GaussianPolicy,
     SoftmaxPolicy,
     TabularMdp,
+    Trajectory,
     check_injective_dynamics,
+    sample_trajectories,
     sample_trajectory,
     state_marginals,
 )
@@ -25,6 +27,32 @@ def right_chain(n=3, gamma=0.9):
     init = np.zeros(n)
     init[0] = 1.0
     return TabularMdp(transition, init, np.zeros((n, 2)), gamma)
+
+
+def choice_rollout(mdp, policy, max_steps, seed):
+    """A tabular rollout as it was once drawn, one ``rng.choice`` for the
+    start state and one per action; its states and actions, and the
+    generator after the last draw."""
+    rng = np.random.default_rng(seed)
+    s = int(rng.choice(mdp.n_states, p=mdp.initial_dist))
+    states, actions = [], []
+    for _ in range(max_steps):
+        a = int(rng.choice(mdp.n_actions, p=policy.probs()[s]))
+        states.append(s)
+        actions.append(a)
+        s = int(mdp.transition[s, a])
+    return np.array(states), np.array(actions), rng
+
+
+def extreme_chain_policy():
+    """build_chain(6) under a policy with extreme rows: probabilities within
+    1e-15 of 0 and 1, and exactly 0 and 1."""
+    logits = np.random.default_rng(2).normal(size=(6, 2)) * 3.0
+    logits[1] = [0.0, 36.0]
+    logits[3] = [-800.0, 800.0]
+    logits[4] = [0.0, 34.0]
+    logits[5] = [0.0, 0.0]   # lets the walk leave the 3 -> 4 -> 5 run
+    return build_chain(6), SoftmaxPolicy(logits)
 
 
 class TestTabularMdpValidation:
@@ -134,14 +162,7 @@ class TestSampleTrajectory:
                                       mdp.transition[traj.states, traj.actions])
 
     def test_rollout_equals_per_step_softmax_draws(self):
-        mdp = build_chain(6)
-        logits = np.random.default_rng(2).normal(size=(6, 2)) * 3.0
-        # extreme rows: probabilities within 1e-15 of 0 and 1, and exactly 0 and 1
-        logits[1] = [0.0, 36.0]
-        logits[3] = [-800.0, 800.0]
-        logits[4] = [0.0, 34.0]
-        logits[5] = [0.0, 0.0]   # lets the walk leave the 3 -> 4 -> 5 run
-        policy = SoftmaxPolicy(logits)
+        mdp, policy = extreme_chain_policy()
         traj = sample_trajectory(mdp, policy, max_steps=300, seed=11)
         rng = np.random.default_rng(11)
         s = int(rng.choice(mdp.n_states, p=mdp.initial_dist))
@@ -170,6 +191,77 @@ class TestSampleTrajectory:
                 mask = (traj.states == s) & (traj.actions == a)
                 if mask.any():
                     assert len(np.unique(traj.next_states[mask])) == 1
+
+
+class TestSampleTrajectories:
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_each_rollout_equals_the_per_step_choice_loop(self, k):
+        chain, policy = extreme_chain_policy()
+        start = np.random.default_rng(k).dirichlet(np.ones(6))
+        start[2] = 0.0   # a start state that is never drawn
+        mdp = TabularMdp(chain.transition, start / start.sum(), chain.reward, 0.9)
+        seeds = np.random.default_rng(k + 10).integers(0, 2 ** 31, size=k).tolist()
+        batch = sample_trajectories(mdp, policy, 300, seeds)
+        assert batch.states.shape == batch.actions.shape == batch.rewards.shape == (k, 300)
+        assert len(batch) == 300
+        for j, seed in enumerate(seeds):
+            states, actions, _ = choice_rollout(mdp, policy, 300, seed)
+            np.testing.assert_array_equal(batch.states[j], states)
+            np.testing.assert_array_equal(batch.actions[j], actions)
+            np.testing.assert_array_equal(batch.next_states[j], mdp.transition[states, actions])
+            assert batch.rewards[j].tobytes() == mdp.reward[states, actions].tobytes()
+            one = sample_trajectory(mdp, policy, 300, seed)
+            for got, want in zip((one.states, one.actions, one.next_states, one.rewards),
+                                 (batch.states[j], batch.actions[j], batch.next_states[j],
+                                  batch.rewards[j])):
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("steps", [1, 2, 7, 40])
+    def test_one_draw_per_seed_is_the_choice_stream(self, steps):
+        # the premise of the lockstep rollout: random(T + 1) makes the draws,
+        # and leaves the generator state, of choice(p) and T random() calls
+        p = np.random.default_rng(steps).dirichlet(np.ones(5))
+        cdf = np.cumsum(p)
+        for seed in range(20):
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            u = ours.random(steps + 1)
+            assert (cdf / cdf[-1]).searchsorted(u[0], side="right") == theirs.choice(5, p=p)
+            assert u[1:].tolist() == [theirs.random() for _ in range(steps)]
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_actions_equal_the_row_search(self):
+        _, policy = extreme_chain_policy()
+        cdf = np.cumsum(policy.probs(), axis=1)
+        cdf /= cdf[:, -1:]
+        rng = np.random.default_rng(3)
+        s = rng.integers(0, 6, size=500)
+        u = rng.random(500)
+        u[:12] = cdf[s[:12], 0]   # exactly on a cumulative sum
+        u[12:20] = 0.0
+        got = policy.actions(s, u)
+        assert got.tolist() == [int(cdf[x].searchsorted(v, side="right"))
+                                for x, v in zip(s, u)]
+        assert policy.actions(s.reshape(20, 25), u.reshape(20, 25)).tolist() == \
+            got.reshape(20, 25).tolist()
+
+    def test_bad_arguments_rejected(self):
+        mdp, policy = extreme_chain_policy()
+        with pytest.raises(ValueError, match="max_steps"):
+            sample_trajectories(mdp, policy, 0, [1])
+        with pytest.raises(ValueError, match="seeds"):
+            sample_trajectories(mdp, policy, 5, [])
+
+    def test_a_batch_checks_steps_along_its_last_axis(self):
+        mdp, policy = extreme_chain_policy()
+        batch = sample_trajectories(mdp, policy, 6, [1, 2])
+        one = batch.rollout(1)
+        assert len(one) == 6 and one.states.tolist() == batch.states[1].tolist()
+        nexts = batch.next_states.copy()
+        nexts[1, 2] = (nexts[1, 2] + 1) % 6
+        with pytest.raises(ValueError, match="next_states"):
+            Trajectory(batch.states, batch.actions, nexts, batch.rewards)
+        with pytest.raises(ValueError, match="share length"):
+            Trajectory(batch.states[:, :5], batch.actions, batch.next_states, batch.rewards)
 
 
 class TestSoftmaxPolicyImmutable:
