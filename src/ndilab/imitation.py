@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import AdamState, MlpStack, adam_step, backward, input_grad
-from .mdp import GaussianPolicy, SoftmaxPolicy, TabularMdp, sample_trajectories, sample_trajectory
+from .mdp import GaussianPolicy, SoftmaxPolicy, TabularMdp, sample_trajectories
 from .occupancy import occupancy_measure, truncation_horizon
 
 logger = logging.getLogger(__name__)
@@ -167,6 +167,13 @@ class TimestepReplayBuffer:
         return self.ring.take(ts[:, None, :], idx).reshape(-1, 2, self.ring.rows.shape[-1])
 
 
+def _squared_distance(s, s_next):
+    """||s' - s||^2 over the last axis, broadcast over leading axes."""
+    d = np.asarray(s_next, dtype=np.float64) - np.asarray(s, dtype=np.float64)
+    # a stacked (1, d) @ (d, 1) product rounds exactly like the 1-D d @ d
+    return (d[..., None, :] @ d[..., :, None])[..., 0, 0]
+
+
 @dataclass
 class RbfCritic:
     """Critic fixed to a normalized RBF kernel of the squared state distance.
@@ -182,24 +189,21 @@ class RbfCritic:
     normalizer: float = 1.0
     _count: int = 0
 
-    def kernel(self, s: Array, s_next: Array) -> float:
-        d = np.asarray(s_next, dtype=np.float64) - np.asarray(s, dtype=np.float64)
-        return math.exp(-float(d @ d) / self.bandwidth)
-
-    def observe_pairs(self, pairs: list[tuple[Array, Array]]) -> None:
+    def observe_pairs(self, pairs) -> None:
+        """Fold each pair's kernel value exp(-||s' - s||^2 / bandwidth) into
+        the running mean normalizer, pair after pair. ``pairs`` is an
+        ``(m, 2, d)`` array, as the trainers pass, or a list of (s, s') pairs."""
+        pairs = np.asarray(pairs, dtype=np.float64)
         if not len(pairs):
             raise ValueError("pairs must be nonempty")
-        for s, s_next in pairs:
+        for sq in _squared_distance(pairs[:, 0], pairs[:, 1]).tolist():
             self._count += 1
-            self.normalizer += (self.kernel(s, s_next) - self.normalizer) / self._count
+            self.normalizer += (math.exp(-sq / self.bandwidth) - self.normalizer) / self._count
 
     def value(self, s: Array, s_next: Array):
         if self.normalizer <= 0:
             raise ValueError("normalizer must be positive")
-        d = np.asarray(s_next, dtype=np.float64) - np.asarray(s, dtype=np.float64)
-        # a stacked (1, d) @ (d, 1) product rounds exactly like the 1-D d @ d
-        sq = (d[..., None, :] @ d[..., :, None])[..., 0, 0]
-        v = -sq / self.bandwidth - math.log(self.normalizer) + 1.0
+        v = -_squared_distance(s, s_next) / self.bandwidth - math.log(self.normalizer) + 1.0
         return float(v) if v.ndim == 0 else v
 
 
@@ -460,17 +464,15 @@ class SacLearner:
 
 
 def _rollout_states(policy, mdp_or_env, n_states: int, seed: int, episode_len: int = 50):
-    """The first ``n_states`` states of as many ``episode_len``-step episodes
-    as that takes; episode ep's seed is the ep-th ``integers(0, 2 ** 31)``
-    draw of ``default_rng(seed)``, plus ep. Tabular episodes roll in lockstep."""
+    """The first ``n_states`` states, episode after episode, of as many
+    ``episode_len``-step episodes as that takes, rolled in one
+    ``sample_trajectories`` call: an ``(n_states,)`` array of tabular states
+    or an ``(n_states, d)`` array of continuous ones. Episode ep's seed is
+    the ep-th ``integers(0, 2 ** 31)`` draw of ``default_rng(seed)``, plus ep."""
     rng = np.random.default_rng(seed)
     seeds = [int(rng.integers(0, 2 ** 31)) + ep for ep in range(-(-n_states // episode_len))]
-    if isinstance(mdp_or_env, TabularMdp):
-        return sample_trajectories(mdp_or_env, policy, episode_len, seeds).states.ravel()[:n_states]
-    states = []
-    for ep_seed in seeds:
-        states.extend(sample_trajectory(mdp_or_env, policy, episode_len, ep_seed).states)
-    return states[:n_states]
+    states = sample_trajectories(mdp_or_env, policy, episode_len, seeds).states
+    return states.reshape(-1, *states.shape[2:])[:n_states]
 
 
 def _gaussian_kl(mu0, log_std0, mu1, log_std1) -> float:
@@ -536,41 +538,33 @@ def evaluate_return(policy, mdp_or_env, n_episodes: int = 20, seed: int = 0,
     return under ``reward_fn`` over the same episodes (None when no
     ``reward_fn`` is given). ``reward_fn(states, actions, next_states,
     timesteps)`` takes one episode's arrays, one row per step, and returns its
-    per-step rewards. Each episode is rolled once; tabular episodes roll in
-    lockstep, on the seeds one generator draws episode by episode.
+    per-step rewards. All episodes are rolled once, in one
+    ``sample_trajectories`` call, on the seeds one generator draws episode by
+    episode; ``reward_fn`` is called once per episode, in episode order.
 
     Tabular environments use discounted returns over a horizon that leaves a
     tail below 1e-9; continuous episodes sum undiscounted rewards over the
-    episode.
+    episode. Either way an episode's return is one weighted row sum.
     """
     if n_episodes < 1:
         raise ValueError("n_episodes must be >= 1")
     rng = np.random.default_rng(seed)
-    tabular = isinstance(mdp_or_env, TabularMdp)
-    if tabular:
+    if isinstance(mdp_or_env, TabularMdp):
         bound = max(1.0, float(np.abs(mdp_or_env.reward).max()))
         horizon = truncation_horizon(mdp_or_env.discount, 1e-9, bound)
+        weights = mdp_or_env.discount ** np.arange(horizon)
     else:
-        horizon = mdp_or_env.spec.episode_len
-
-    def total(rewards) -> float:
-        if tabular:
-            return float((mdp_or_env.discount ** np.arange(len(rewards)) * rewards).sum())
-        return float(rewards.sum())
-
+        horizon, weights = mdp_or_env.spec.episode_len, 1.0
     seeds = [int(rng.integers(0, 2 ** 31)) for _ in range(n_episodes)]
-    batch = sample_trajectories(mdp_or_env, policy, horizon, seeds) if tabular else None
-    returns = np.empty(n_episodes)
-    shaped = np.empty(n_episodes)
-    for ep, ep_seed in enumerate(seeds):
-        traj = (batch.rollout(ep) if tabular
-                else sample_trajectory(mdp_or_env, policy, horizon, ep_seed))
-        returns[ep] = total(traj.rewards)
-        if reward_fn is not None:
-            shaped[ep] = total(np.asarray(reward_fn(traj.states, traj.actions, traj.next_states,
-                                                    np.arange(len(traj))), dtype=np.float64))
+    batch = sample_trajectories(mdp_or_env, policy, horizon, seeds)
+    returns = (weights * batch.rewards).sum(axis=1)
     stderr = float(returns.std(ddof=1) / math.sqrt(n_episodes)) if n_episodes > 1 else 0.0
-    return float(returns.mean()), stderr, (None if reward_fn is None else float(shaped.mean()))
+    if reward_fn is None:
+        return float(returns.mean()), stderr, None
+    shaped = [(weights * np.asarray(reward_fn(traj.states, traj.actions, traj.next_states,
+                                              np.arange(horizon)), dtype=np.float64)).sum()
+              for traj in map(batch.rollout, range(n_episodes))]
+    return float(returns.mean()), stderr, float(np.mean(shaped))
 
 
 def exact_discounted_return(mdp: TabularMdp, policy: SoftmaxPolicy) -> float:

@@ -159,11 +159,11 @@ class GaussianPolicy:
 @dataclass
 class Trajectory:
     """Rollout record; step t holds (s_t, a_t, s_{t+1}, r_env). A batch of k
-    tabular rollouts (``sample_trajectories``) holds ``(k, T)`` arrays, with
-    the steps on the last axis."""
+    rollouts (``sample_trajectories``) holds ``(k, T)`` arrays (tabular) or
+    ``(k, T, d)`` arrays (continuous), with the steps on the axis after k."""
 
-    states: Array       # (T,) int, (T, ds) float or (k, T) int
-    actions: Array      # (T,) int, (T, da) float or (k, T) int
+    states: Array       # (T,) int, (T, ds) float, or the same with a leading k
+    actions: Array      # (T,) int, (T, da) float, or the same with a leading k
     next_states: Array
     rewards: Array      # (T,) or (k, T)
 
@@ -221,24 +221,43 @@ def state_marginals(mdp: TabularMdp, policy: SoftmaxPolicy, horizon: int) -> Mar
     return MarginalSchedule(p, policy, M)
 
 
-def sample_trajectories(mdp: TabularMdp, policy: SoftmaxPolicy, max_steps: int,
-                        seeds) -> Trajectory:
-    """Roll out ``policy`` on ``mdp`` for exactly ``max_steps`` steps once per
-    seed, all rollouts in lockstep, as a batch of ``(len(seeds), max_steps)``
-    arrays.
+def _env_rollout(env, policy, max_steps: int, seed: int) -> list[tuple]:
+    """One continuous rollout on ``default_rng(seed)``: ``reset``, then
+    ``policy.sample`` and ``env.step`` per step; its states, actions, next
+    states and rewards, one tuple each."""
+    rng = np.random.default_rng(seed)
+    s, steps = env.reset(rng), []
+    for _ in range(max_steps):
+        a = policy.sample(s, rng)
+        s2, r = env.step(s, a)
+        steps.append((s, a, s2, r))
+        s = s2
+    return list(zip(*steps))
 
-    Rollout k is the one ``sample_trajectory`` gives for ``seeds[k]``, draw for
-    draw: each seed's ``default_rng`` makes one ``random(max_steps + 1)``
-    draw, the stream (and generator state) of ``choice(p=initial_dist)``
-    followed by ``max_steps`` ``random()`` calls. Its first variate picks the
-    start state in the normalized cumulative sums of ``initial_dist``, as
-    ``choice`` does; variate t + 1 picks the action at step t through
+
+def sample_trajectories(dynamics, policy, max_steps: int, seeds) -> Trajectory:
+    """Roll out ``policy`` on ``dynamics`` (a ``TabularMdp`` or a continuous
+    env) for exactly ``max_steps`` steps once per seed, as a batch of
+    ``(len(seeds), max_steps, ...)`` arrays. This is the one rollout
+    implementation.
+
+    Continuous rollouts run one seed after another, each on its own
+    ``default_rng``. Tabular rollouts run in lockstep: each seed's
+    ``default_rng`` makes one ``random(max_steps + 1)`` draw, the stream (and
+    generator state) of ``choice(p=initial_dist)`` followed by ``max_steps``
+    ``random()`` calls. Its first variate picks the start state in the
+    normalized cumulative sums of ``initial_dist``, as ``choice`` does;
+    variate t + 1 picks the action at step t through
     ``SoftmaxPolicy.actions``.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     if not len(seeds):
         raise ValueError("seeds must be nonempty")
+    if not isinstance(dynamics, TabularMdp):
+        rollouts = (_env_rollout(dynamics, policy, max_steps, seed) for seed in seeds)
+        return Trajectory(*map(np.array, zip(*rollouts)))
+    mdp = dynamics
     u = np.array([np.random.default_rng(seed).random(max_steps + 1) for seed in seeds])
     start = np.cumsum(mdp.initial_dist)
     path = np.empty((len(seeds), max_steps + 1), dtype=np.int64)   # s_0..s_T per rollout
@@ -251,22 +270,7 @@ def sample_trajectories(mdp: TabularMdp, policy: SoftmaxPolicy, max_steps: int,
     return Trajectory(states, actions, path[:, 1:], mdp.reward[states, actions])
 
 
-def sample_trajectory(mdp_or_env, policy, max_steps: int, seed: int) -> Trajectory:
-    """Roll out ``policy`` for exactly ``max_steps`` steps, reproducibly."""
-    if max_steps < 1:
-        raise ValueError("max_steps must be >= 1")
-    if isinstance(mdp_or_env, TabularMdp):
-        return sample_trajectories(mdp_or_env, policy, max_steps, [seed]).rollout(0)
-    rng = np.random.default_rng(seed)
-    env = mdp_or_env
-    s = env.reset(rng)
-    states, actions, nexts, rewards = [], [], [], []
-    for t in range(max_steps):
-        a = policy.sample(s, rng)
-        s2, r = env.step(s, a)
-        states.append(s)
-        actions.append(a)
-        nexts.append(s2)
-        rewards.append(r)
-        s = s2
-    return Trajectory(np.array(states), np.array(actions), np.array(nexts), np.array(rewards))
+def sample_trajectory(dynamics, policy, max_steps: int, seed: int) -> Trajectory:
+    """Roll out ``policy`` for exactly ``max_steps`` steps, reproducibly: the
+    one rollout ``sample_trajectories`` gives for ``[seed]``."""
+    return sample_trajectories(dynamics, policy, max_steps, [seed]).rollout(0)

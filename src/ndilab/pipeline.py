@@ -57,7 +57,7 @@ from .imitation import (
     reward_f,
     soft_policy_iteration,
 )
-from .mdp import GaussianPolicy, SoftmaxPolicy, sample_trajectories, sample_trajectory
+from .mdp import GaussianPolicy, SoftmaxPolicy, sample_trajectories
 from .occupancy import occupancy_measure, reverse_kl_occupancy
 
 # residual at which the tabular trainer's soft policy iteration stops
@@ -81,15 +81,12 @@ def cmd_gen_demos(config: ExperimentConfig, out_dir=None) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     bundle = get_env(config.env, config.gamma, config.expert_tau)
     expert = bundle.expert()
-    states, actions, episodes, timesteps = [], [], [], []
-    for ep in range(config.n_demo_trajectories):
-        traj = sample_trajectory(bundle.dynamics, expert, config.demo_len,
-                                 seed=config.seed * 9973 + ep)
-        states.extend(traj.states)
-        actions.extend(traj.actions)
-        episodes.extend([ep] * len(traj))
-        timesteps.extend(range(len(traj)))
-    states, actions = np.array(states), np.array(actions)
+    n, T = config.n_demo_trajectories, config.demo_len
+    batch = sample_trajectories(bundle.dynamics, expert, T,
+                                [config.seed * 9973 + ep for ep in range(n)])
+    # one row per step, episode after episode
+    states = batch.states.reshape(n * T, *batch.states.shape[2:])
+    actions = batch.actions.reshape(n * T, *batch.actions.shape[2:])
     if bundle.kind == "tabular":
         states = bundle.embedding.state_coords[states]
         actions = bundle.embedding.action_coords[actions]
@@ -99,7 +96,7 @@ def cmd_gen_demos(config: ExperimentConfig, out_dir=None) -> Path:
         expert_return, _, _ = evaluate_return(expert, bundle.env,
                                               n_episodes=config.eval_episodes, seed=config.seed)
         descriptor = "pd-controller"
-    demos = DemoSet(states, actions, np.array(episodes), np.array(timesteps),
+    demos = DemoSet(states, actions, np.repeat(np.arange(n), T), np.tile(np.arange(T), n),
                     meta={"env": config.env, "expert": descriptor,
                           "seed": config.seed, "count": len(states),
                           "expert_return": f"{expert_return:.17g}",
@@ -179,7 +176,7 @@ def _train_tabular(config: ExperimentConfig, bundle: TabularEnvBundle, density_m
     ds = embed.state_coords.shape[1]
     smean = density_model.standardizer.mean[:ds]
     sstd = density_model.standardizer.std[:ds]
-    zstate = np.array([(embed.state(s) - smean) / sstd for s in range(S)])
+    zstate = (embed.state_coords - smean) / sstd
 
     critic = RbfCritic(bandwidth=1.0)
     buffer = TimestepReplayBuffer(config.rollout_len, ds, config.buffer_capacity, config.seed)
@@ -276,14 +273,9 @@ def _train_continuous(config: ExperimentConfig, bundle: ContinuousEnvBundle, den
         sac.log_alpha[:] = math.log(max(config.lambda_pi, 1e-8))
         sac.opt_alpha.lr = 0.0
 
-    def augmented(s, a, s2, t):
-        log_q = density_model.log_density(np.concatenate([np.asarray(s), np.asarray(a)]))
-        r_f = reward_f(critic, zstate(s), zstate(s2), buffer, t, config.gamma,
-                       config.n_marginal_samples)
-        return float(augmented_reward(log_q, r_f, config.lambda_f))
-
     def augmented_episode(states, actions, next_states, timesteps):
-        # log q one row per step, r_f in one reward_f call over the episode
+        # log q one row per step, r_f in one reward_f call over the steps
+        # of one episode (or of one training step, as one-step arrays)
         log_q = np.array([density_model.log_density(np.concatenate([s, a]))
                           for s, a in zip(states, actions)])
         r_f = reward_f(critic, zstate(states), zstate(next_states), buffer, timesteps,
@@ -313,7 +305,7 @@ def _train_continuous(config: ExperimentConfig, bundle: ContinuousEnvBundle, den
             pairs = buffer.pairs(t_in_ep, 2, rng)
             if len(pairs):
                 critic.observe_pairs(pairs)
-        r_bar = augmented(s, a, s2, t_in_ep)
+        r_bar = float(augmented_episode([s], [a], [s2], np.array([t_in_ep]))[0])
         sac.add_transition(s, a, r_bar, s2, done=False)
         env_steps += 1
         t_in_ep += 1
@@ -389,24 +381,25 @@ def cmd_eval(config: ExperimentConfig, policy_path, out_dir=None) -> dict:
     exact return and the occupancy reverse KL to the expert."""
     bundle = get_env(config.env, config.gamma, config.expert_tau)
     expert = bundle.expert()
+
+    def check(got, want):
+        if got != want:
+            raise ValueError(f"{policy_path}: policy is for (states, actions) {got}, "
+                             f"but env {config.env} has {want}")
+
     if bundle.kind == "tabular":
+        mdp = bundle.mdp
         policy, _ = load_softmax_policy(policy_path)
-        got, want = policy.logits.shape, (bundle.mdp.n_states, bundle.mdp.n_actions)
+        check(policy.logits.shape, (mdp.n_states, mdp.n_actions))
+        occ = occupancy_measure(mdp, policy)
+        exact = {"exact_env_return": float((occ.rho * mdp.reward).sum()),
+                 "occupancy_reverse_kl": reverse_kl_occupancy(occ, occupancy_measure(mdp, expert))}
         episode_len = config.rollout_len
     else:
+        env = bundle.env
         policy, _ = load_gaussian_policy(policy_path)
-        got = (policy.state_dim, policy.action_dim)
-        want = (bundle.env.state_dim, bundle.env.action_dim)
-        episode_len = bundle.env.spec.episode_len
-    if got != want:
-        raise ValueError(f"{policy_path}: policy is for (states, actions) {got}, "
-                         f"but env {config.env} has {want}")
-    exact = {}
-    if bundle.kind == "tabular":
-        occ = occupancy_measure(bundle.mdp, policy)
-        exact = {"exact_env_return": float((occ.rho * bundle.mdp.reward).sum()),
-                 "occupancy_reverse_kl": reverse_kl_occupancy(
-                     occ, occupancy_measure(bundle.mdp, expert))}
+        check((policy.state_dim, policy.action_dim), (env.state_dim, env.action_dim))
+        exact, episode_len = {}, env.spec.episode_len
     mean, stderr, _ = evaluate_return(policy, bundle.dynamics,
                                       n_episodes=config.eval_episodes, seed=config.seed)
     norm_kl = evaluate_policy_kl(policy, expert, bundle.dynamics, config.n_eval_states,

@@ -285,7 +285,51 @@ class TestCheckpoints:
         np.testing.assert_array_equal(loaded.mean(s), gauss.mean(s))
 
 
+def episode_loop_demos(config):
+    """The records of ``cmd_gen_demos`` rolled one episode, and one step, at
+    a time: ``rng.choice`` draws for the tabular expert, ``reset``, ``sample``
+    and ``step`` on the point mass; its states, actions, episodes and
+    timesteps."""
+    bundle = get_env(config.env, config.gamma, config.expert_tau)
+    expert, tabular = bundle.expert(), bundle.kind == "tabular"
+    states, actions, episodes, timesteps = [], [], [], []
+    for ep in range(config.n_demo_trajectories):
+        rng = np.random.default_rng(config.seed * 9973 + ep)
+        if tabular:
+            mdp, embed = bundle.mdp, bundle.embedding
+            s = int(rng.choice(mdp.n_states, p=mdp.initial_dist))
+        else:
+            s = bundle.env.reset(rng)
+        for t in range(config.demo_len):
+            if tabular:
+                a = int(rng.choice(mdp.n_actions, p=expert.probs()[s]))
+                s2 = int(mdp.transition[s, a])
+                states.append(embed.state(s))
+                actions.append(embed.action(a))
+            else:
+                a = expert.sample(s, rng)
+                s2, _ = bundle.env.step(s, a)
+                states.append(s)
+                actions.append(a)
+            episodes.append(ep)
+            timesteps.append(t)
+            s = s2
+    return states, actions, episodes, timesteps
+
+
 class TestGenDemos:
+    @pytest.mark.parametrize("make_config", [
+        lambda tmp_path: quick_config(tmp_path, n_demo_trajectories=3, demo_len=12),
+        smoke_pointmass_config,
+    ], ids=["grid", "pointmass"])
+    def test_file_equals_the_per_episode_loop(self, tmp_path, make_config):
+        cfg = make_config(tmp_path)
+        assert cfg.n_demo_trajectories >= 2
+        got = cmd_gen_demos(cfg, tmp_path / "g")
+        want = tmp_path / "want.csv"
+        save_demos(want, DemoSet(*episode_loop_demos(cfg), meta=load_demos(got).meta))
+        assert got.read_bytes() == want.read_bytes()
+
     def test_deterministic_file_identical_on_rerun(self, tmp_path):
         cfg = quick_config(tmp_path)
         p1 = cmd_gen_demos(cfg, tmp_path / "a")
@@ -518,20 +562,22 @@ class TestContinuousPipeline:
         cfg = smoke_pointmass_config(tmp_path)
         out = tmp_path / "pm"
         model = cmd_fit_density(cfg, cmd_gen_demos(cfg, out), out)
-        calls, sample_trajectory = [], imitation.sample_trajectory
+        calls, sample_trajectories = [], imitation.sample_trajectories
 
         def counting(*args, **kwargs):
             calls.append(sys._getframe(1).f_code.co_name)
-            return sample_trajectory(*args, **kwargs)
+            return sample_trajectories(*args, **kwargs)
 
-        monkeypatch.setattr(imitation, "sample_trajectory", counting)
+        monkeypatch.setattr(imitation, "sample_trajectories", counting)
         result = cmd_train(cfg, model, out)
         rows = len(result.metrics_path.read_text().splitlines()) - 1
         assert rows == 3
-        assert calls.count("evaluate_return") == rows * max(2, cfg.eval_episodes // 4)
+        # each evaluation rolls all its return episodes in one batch
+        assert calls.count("evaluate_return") == rows
         # the random-policy KL baseline is rolled once per run, the policy's
-        # KL states once per evaluation (one episode each at these sizes)
+        # KL states once per evaluation
         assert calls.count("_rollout_states") == 1 + rows
+        assert len(calls) == 1 + 2 * rows
 
     def test_each_evaluation_episode_is_one_reward_f_call(self, tmp_path, monkeypatch):
         cfg = smoke_pointmass_config(tmp_path)
@@ -547,8 +593,9 @@ class TestContinuousPipeline:
         result = cmd_train(cfg, model, out)
         rows = len(result.metrics_path.read_text().splitlines()) - 1
         episode_len = get_env(cfg.env, cfg.gamma).env.spec.episode_len
-        # one call per training transition, one per evaluation episode
-        assert shapes.count(()) == cfg.sac_steps
+        # one call per training transition (on one-step arrays), one per
+        # evaluation episode
+        assert shapes.count((1,)) == cfg.sac_steps
         assert shapes.count((episode_len,)) == rows * max(2, cfg.eval_episodes // 4)
         assert len(shapes) == cfg.sac_steps + rows * max(2, cfg.eval_episodes // 4)
 

@@ -78,7 +78,8 @@ class TestRbfCritic:
         rng = np.random.default_rng(0)
         pairs = [(rng.normal(size=2), rng.normal(size=2)) for _ in range(50)]
         critic.observe_pairs(pairs)
-        batch = float(np.mean([critic.kernel(a, b) for a, b in pairs]))
+        batch = float(np.mean([math.exp(-float((b - a) @ (b - a)) / critic.bandwidth)
+                               for a, b in pairs]))
         assert critic.normalizer == pytest.approx(batch, rel=1e-12)
 
 

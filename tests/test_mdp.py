@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from ndilab.envs import build_chain
+from ndilab.envs import PdExpert, PointMassEnv, PointMassSpec, build_chain
 from ndilab.mdp import (
     GaussianPolicy,
     SoftmaxPolicy,
@@ -262,6 +262,54 @@ class TestSampleTrajectories:
             Trajectory(batch.states, batch.actions, nexts, batch.rewards)
         with pytest.raises(ValueError, match="share length"):
             Trajectory(batch.states[:, :5], batch.actions, batch.next_states, batch.rewards)
+
+
+def step_loop_rollout(env, policy, max_steps, seed):
+    """A continuous rollout as a per-step loop on ``default_rng(seed)``:
+    ``reset``, then ``sample`` and ``step``; its states, actions, next states
+    and rewards as arrays."""
+    rng = np.random.default_rng(seed)
+    s = env.reset(rng)
+    states, actions, nexts, rewards = [], [], [], []
+    for _ in range(max_steps):
+        a = policy.sample(s, rng)
+        s2, r = env.step(s, a)
+        states.append(s)
+        actions.append(a)
+        nexts.append(s2)
+        rewards.append(r)
+        s = s2
+    return np.array(states), np.array(actions), np.array(nexts), np.array(rewards)
+
+
+class TestContinuousRollouts:
+    @pytest.mark.parametrize("make_policy", [
+        lambda env: GaussianPolicy(env.state_dim, env.action_dim, hidden=(8,), seed=2),
+        lambda env: PdExpert(env.spec),
+    ], ids=["gaussian", "pd-expert"])
+    def test_each_rollout_equals_the_per_step_loop(self, make_policy):
+        env = PointMassEnv(PointMassSpec(episode_len=30))
+        policy = make_policy(env)
+        seeds = [0, 1, 77, 2 ** 31 - 1]
+        batch = sample_trajectories(env, policy, 30, seeds)
+        assert batch.states.shape == batch.next_states.shape == (4, 30, env.state_dim)
+        assert batch.actions.shape == (4, 30, env.action_dim)
+        assert batch.rewards.shape == (4, 30) and len(batch) == 30
+        for j, seed in enumerate(seeds):
+            want = step_loop_rollout(env, policy, 30, seed)
+            one = sample_trajectory(env, policy, 30, seed)
+            for got in ((batch.states[j], batch.actions[j], batch.next_states[j],
+                         batch.rewards[j]),
+                        (one.states, one.actions, one.next_states, one.rewards)):
+                for x, y in zip(got, want):
+                    assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+    def test_bad_arguments_rejected(self):
+        env = PointMassEnv()
+        with pytest.raises(ValueError, match="max_steps"):
+            sample_trajectories(env, PdExpert(env.spec), 0, [1])
+        with pytest.raises(ValueError, match="seeds"):
+            sample_trajectories(env, PdExpert(env.spec), 5, [])
 
 
 class TestSoftmaxPolicyImmutable:
